@@ -46,9 +46,12 @@ class RecheckClass {
 /// pool: worker t probes classes t, t + T, t + 2T, ... in ascending order
 /// and stops at its first acceptor, so the minimum over workers is the
 /// lowest-index accepting class — the one sequential first-fit commits to.
-/// can_add is const on every engine (the lazy backends materialize tiles
-/// behind their own synchronization), so probing extra classes changes no
-/// state and the schedules stay bit-identical.
+/// can_add changes no class state a verdict reads, so probing extra
+/// classes keeps the schedules bit-identical. It may write per-class
+/// scratch (the exact policy's gather buffer and own-slot stash; the lazy
+/// backends materialize tiles behind their own synchronization), so two
+/// threads must never probe the same class at once — the strided split
+/// gives each class to exactly one worker.
 template <typename ClassT, typename Factory>
 Schedule first_fit_coloring(const Instance& instance, RequestOrder order,
                             const Factory& make_class, std::size_t scan_threads) {

@@ -281,7 +281,8 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     // from the stale row (and, in far-field mode, the stale cell bounds),
     // then the matrix and the far-field context move the link, then every
     // class adds the new row back under the new geometry and re-derives
-    // the link's own slot.
+    // the link's own slot. Under the exact default only the link's own
+    // class has work; the others store no slot for it.
     for (IncrementalGainClass& cls : classes_) cls.begin_link_update(slot);
     owned_gains_->update_request(slot, request, power);
     powers_[slot] = power;
@@ -360,15 +361,21 @@ void OnlineScheduler::retire_link(std::size_t link) {
   ++stats_.retired_links;
 }
 
-void OnlineScheduler::compact_from(std::size_t color) {
-  // Drop the shrunken class outright when the departure emptied it.
-  if (classes_[color].size() == 0) {
-    classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(color));
-    ++stats_.classes_closed;
-    for (int& c : color_of_) {
-      if (c > static_cast<int>(color)) --c;
+void OnlineScheduler::close_class(std::size_t color) {
+  classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(color));
+  ++stats_.classes_closed;
+  // Every class above the gap moved down one color: renumber its members
+  // — O(their count), not a scan of the whole universe.
+  for (std::size_t c = color; c < classes_.size(); ++c) {
+    for (const std::size_t m : classes_[c].members()) {
+      color_of_[ext(m)] = static_cast<int>(c);
     }
   }
+}
+
+void OnlineScheduler::compact_from(std::size_t color) {
+  // Drop the shrunken class outright when the departure emptied it.
+  if (classes_[color].size() == 0) close_class(color);
   if (!options_.compact_on_departure) return;
   if (options_.compaction_victim == CompactionVictim::smallest_first) {
     compact_smallest();
@@ -444,11 +451,7 @@ void OnlineScheduler::compact_smallest() {
     if (classes_[victim].size() > 0) break;
     // Erasing mid-palette renumbers every color above the victim —
     // including members just migrated into those classes.
-    classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++stats_.classes_closed;
-    for (int& c : color_of_) {
-      if (c > static_cast<int>(victim)) --c;
-    }
+    close_class(victim);
   }
 }
 

@@ -13,13 +13,14 @@
 // then serves each arrival with a first-fit scan over IncrementalGainClass
 // accumulators (O(colors * class size) table lookups, no distance or pow
 // work), each fresh link with an O(n) table append plus the same first-fit
-// placement, and each departure with an O(n) class shrink plus an
-// opportunistic compaction pass that migrates members out of the last
-// class when earlier ones can absorb them. With the farfield option the
-// per-class feasibility tests consult spatial-cell interference bounds
-// first (sinr/farfield.h) and touch the gain row only on a fallback, and
-// with reuse_slots retired links hand their table rows to future fresh
-// links so the matrix stops growing without bound under churn.
+// placement, and each departure with an O(class size) class shrink (under
+// the exact default) plus an opportunistic compaction pass that migrates
+// members out of the last class when earlier ones can absorb them. With
+// the farfield option the per-class feasibility tests consult spatial-cell
+// interference bounds first (sinr/farfield.h) and touch the gain row only
+// on a fallback, and with reuse_slots retired links hand their table rows
+// to future fresh links so the matrix stops growing without bound under
+// churn.
 // Throughput (events/sec),
 // recolorings and per-event latency are the headline metrics; replay_trace
 // drives a whole ChurnTrace and reports them. The final state re-validates
@@ -97,7 +98,7 @@ enum class CompactionVictim {
 
 struct OnlineSchedulerOptions {
   /// How classes restore their accumulators on departure. The default
-  /// (exact) removes in O(n) with zero rounding error — expansion
+  /// (exact) removes in O(|class|) with zero rounding error — expansion
   /// accumulators keep every class bit-identical to a freshly built one
   /// over its survivors, with no replays at all. rebuild is the
   /// historical O(|class| * n) replay-on-remove (same guarantee, paid for
@@ -293,6 +294,9 @@ class OnlineScheduler {
   int place(std::size_t slot);           // first-fit; returns the color used
   void compact_from(std::size_t color);  // drop empty / migrate per options
   void compact_smallest();               // smallest_first victim loop
+  /// Erases the (empty) class `color` and renumbers the members of every
+  /// class above it.
+  void close_class(std::size_t color);
   /// External link id <-> physical gain-table slot. Identity except in
   /// reuse_slots mode: classes, the gain matrix, powers_ and the far-field
   /// context speak physical slots; color_of_, universe() and traces speak

@@ -525,14 +525,15 @@ ShardBoundarySummary SchedulerService::compute_summary(std::size_t index) const 
       summary.worst_margin = check_feasible(gains, cls.members(), params_).worst_margin;
     }
     double headroom = std::numeric_limits<double>::infinity();
-    for (const std::size_t m : cls.members()) {
+    for (std::size_t pos = 0; pos < cls.size(); ++pos) {
       // Slack in interference units at m's constrained endpoints: the
       // admission rule is signal > beta * (acc + noise), so the class
       // absorbs up to signal/beta - noise - acc more interference at m.
+      const std::size_t m = cls.members()[pos];
       const double budget = gains.signal(m) / params_.beta - params_.noise;
-      headroom = std::min(headroom, budget - cls.accumulator_v(m));
+      headroom = std::min(headroom, budget - cls.member_accumulator_v(pos));
       if (variant_ == Variant::bidirectional) {
-        headroom = std::min(headroom, budget - cls.accumulator_u(m));
+        headroom = std::min(headroom, budget - cls.member_accumulator_u(pos));
       }
       summary.total_power += gains.powers()[m];
     }

@@ -1,6 +1,8 @@
 // Far-field interference aggregation over a spatial cell grid.
 //
-// Every feasibility test of the exact path walks a full O(n) gain row.
+// The n-wide exact accumulators this layer was built around walked a full
+// O(n) gain row on every mutation (member-indexed classes no longer do;
+// see IncrementalGainClass).
 // Geometry says almost all of that row is *distant*: links far from a
 // receiver contribute little interference, and — crucially for the paper's
 // oblivious power regime — their contribution can be bracketed from their

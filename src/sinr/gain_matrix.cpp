@@ -313,19 +313,19 @@ IncrementalGainClass::IncrementalGainClass(const GainMatrix& gains,
   params_.validate();
   require(rebuild_interval_ > 0,
           "IncrementalGainClass: rebuild interval must be positive");
-  acc_v_.assign(gains_->size(), 0.0);
-  if (gains_->variant() == Variant::bidirectional) acc_u_.assign(gains_->size(), 0.0);
+  if (!member_mode()) {
+    acc_v_.assign(gains_->size(), 0.0);
+    if (gains_->variant() == Variant::bidirectional) acc_u_.assign(gains_->size(), 0.0);
+  }
   if (policy_ == RemovePolicy::compensated) {
     cancelled_v_.assign(acc_v_.size(), 0.0);
     cancelled_u_.assign(acc_u_.size(), 0.0);
   }
-  if (policy_ == RemovePolicy::exact) {
-    exact_v_.assign_zero(acc_v_.size());
-    exact_u_.assign_zero(acc_u_.size());
-  }
   if (farfield_ != nullptr) {
     require(policy_ == RemovePolicy::exact,
             "IncrementalGainClass: far-field mode requires the exact remove policy");
+    exact_v_.assign_zero(acc_v_.size());
+    exact_u_.assign_zero(acc_u_.size());
     require(farfield_->variant() == gains_->variant(),
             "IncrementalGainClass: far-field context variant mismatch");
     require(farfield_->size() == gains_->size(),
@@ -439,6 +439,7 @@ bool IncrementalGainClass::far_apply_member(std::size_t j, bool add_op) {
 }
 
 bool IncrementalGainClass::can_add(std::size_t request_index) const {
+  if (member_mode()) return member_can_add(request_index);
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
@@ -489,28 +490,41 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
 }
 
 void IncrementalGainClass::add(std::size_t request_index) {
-  require(acc_v_.size() == gains_->size(),
-          "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  if (farfield_ != nullptr) {
-    far_apply_member(request_index, /*add_op=*/true);
+  if (member_mode()) {
+    // Error-free accumulation: each slot keeps the exact expansion, and
+    // the exposed double is its correct rounding — a pure function of the
+    // member multiset, so any later subtract restores today's state bit
+    // for bit. The newcomer's own slot is the sum its accepting can_add
+    // already computed, when that stash is still valid.
+    ExactSum own_v;
+    ExactSum own_u;
+    if (stash_link_ == request_index) {
+      own_v = std::move(stash_v_);
+      own_u = std::move(stash_u_);
+    } else {
+      own_v = own_slot_sum(request_index, /*sender_side=*/false);
+      if (bidirectional) own_u = own_slot_sum(request_index, /*sender_side=*/true);
+    }
+    stash_link_ = kNoExtra;
+    // A slot this leaves saturated is repaired by the next removal.
+    (void)member_apply_row(request_index, kNoExtra, /*add_op=*/true);
     members_.push_back(request_index);
+    const std::size_t pos = members_.size() - 1;
+    member_exact_v_.resize(pos + 1);
+    member_exact_v_.store(pos, own_v);
+    member_v_.push_back(own_v.value());
+    if (bidirectional) {
+      member_exact_u_.resize(pos + 1);
+      member_exact_u_.store(pos, own_u);
+      member_u_.push_back(own_u.value());
+    }
     return;
   }
-  if (policy_ == RemovePolicy::exact) {
-    // Error-free accumulation: the slot keeps the exact expansion, and the
-    // exposed double is its correct rounding — a pure function of the
-    // member multiset, so any later subtract restores today's state bit
-    // for bit. The bank streams each resident run with a fused add-round
-    // per slot.
-    walk_row_runs_skip(*gains_, request_index, bidirectional, request_index,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         exact_v_.add_row(base, row_v, len, acc_v_.data());
-                         if (row_u != nullptr) {
-                           exact_u_.add_row(base, row_u, len, acc_u_.data());
-                         }
-                       });
+  require(acc_v_.size() == gains_->size(),
+          "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
+  if (farfield_ != nullptr) {
+    far_apply_member(request_index, /*add_op=*/true);
     members_.push_back(request_index);
     return;
   }
@@ -526,10 +540,181 @@ void IncrementalGainClass::add(std::size_t request_index) {
 }
 
 bool IncrementalGainClass::contains(std::size_t request_index) const {
-  return std::find(members_.begin(), members_.end(), request_index) != members_.end();
+  return position_of(request_index) != kNoExtra;
+}
+
+std::size_t IncrementalGainClass::position_of(std::size_t link) const {
+  const auto it = std::find(members_.begin(), members_.end(), link);
+  return it == members_.end() ? kNoExtra : static_cast<std::size_t>(it - members_.begin());
+}
+
+ExactSum IncrementalGainClass::own_slot_sum(std::size_t link, bool sender_side) const {
+  // Gather the column entries first, so the strided loads overlap, and
+  // only then accumulate. Point lookups, not a row cursor: on the
+  // computed backend a cursor would rematerialize a row tail per member.
+  gather_.resize(members_.size());
+  std::size_t count = 0;
+  if (sender_side) {
+    for (const std::size_t m : members_) {
+      if (m != link) gather_[count++] = gains_->at_u(m, link);
+    }
+  } else {
+    for (const std::size_t m : members_) {
+      if (m != link) gather_[count++] = gains_->at_v(m, link);
+    }
+  }
+  return ExactSum::sum_of({gather_.data(), count});
+}
+
+bool IncrementalGainClass::member_apply_row(std::size_t link, std::size_t skip, bool add_op) {
+  const std::size_t k = members_.size();
+  bool saturated = false;
+  const auto apply_side = [&](bool sender_side, ExactSumBank& bank,
+                              std::vector<double>& slots) {
+    gather_.resize(k);
+    for (std::size_t p = 0; p < k; ++p) {
+      gather_[p] = sender_side ? gains_->at_u(link, members_[p])
+                               : gains_->at_v(link, members_[p]);
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      if (p == skip) continue;
+      slots[p] = add_op ? bank.add(p, gather_[p]) : bank.subtract(p, gather_[p]);
+      saturated |= bank.saturated(p);
+    }
+  };
+  apply_side(/*sender_side=*/false, member_exact_v_, member_v_);
+  if (gains_->variant() == Variant::bidirectional) {
+    apply_side(/*sender_side=*/true, member_exact_u_, member_u_);
+  }
+  return saturated;
+}
+
+void IncrementalGainClass::member_rederive(std::size_t pos) {
+  const std::size_t link = members_[pos];
+  const ExactSum sum_v = own_slot_sum(link, /*sender_side=*/false);
+  member_exact_v_.store(pos, sum_v);
+  member_v_[pos] = sum_v.value();
+  if (gains_->variant() == Variant::bidirectional) {
+    const ExactSum sum_u = own_slot_sum(link, /*sender_side=*/true);
+    member_exact_u_.store(pos, sum_u);
+    member_u_[pos] = sum_u.value();
+  }
+}
+
+bool IncrementalGainClass::member_can_add(std::size_t request_index) const {
+  const bool bidirectional = gains_->variant() == Variant::bidirectional;
+  // Existing members must tolerate the newcomer's extra interference —
+  // tested first, because most rejections happen here and it needs no
+  // own-slot sum.
+  for (std::size_t p = 0; p < members_.size(); ++p) {
+    const std::size_t m = members_[p];
+    const double signal = gains_->signal(m);
+    const double extra_v = gains_->at_v(request_index, m);
+    if (!(signal > params_.beta * (member_v_[p] + extra_v + params_.noise))) return false;
+    if (bidirectional) {
+      const double extra_u = gains_->at_u(request_index, m);
+      if (!(signal > params_.beta * (member_u_[p] + extra_u + params_.noise))) {
+        return false;
+      }
+    }
+  }
+
+  // The newcomer must decode against everyone already in the class.
+  const double cand_signal = gains_->signal(request_index);
+  ExactSum own_v = own_slot_sum(request_index, /*sender_side=*/false);
+  if (!(cand_signal > params_.beta * (own_v.value() + params_.noise))) return false;
+  ExactSum own_u;
+  if (bidirectional) {
+    own_u = own_slot_sum(request_index, /*sender_side=*/true);
+    if (!(cand_signal > params_.beta * (own_u.value() + params_.noise))) return false;
+  }
+  stash_link_ = request_index;
+  stash_v_ = std::move(own_v);
+  stash_u_ = std::move(own_u);
+  return true;
+}
+
+void IncrementalGainClass::member_remove(std::size_t request_index) {
+  const std::size_t pos = position_of(request_index);
+  require(pos != kNoExtra, "IncrementalGainClass: remove of a non-member");
+  stash_link_ = kNoExtra;
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  members_.erase(members_.begin() + at);
+  member_v_.erase(member_v_.begin() + at);
+  member_exact_v_.erase(pos);
+  if (gains_->variant() == Variant::bidirectional) {
+    member_u_.erase(member_u_.begin() + at);
+    member_exact_u_.erase(pos);
+  }
+  // Subtracting from the expansions is error-free, so every surviving
+  // slot lands bit for bit where a freshly built class would.
+  if (member_apply_row(request_index, kNoExtra, /*add_op=*/false)) {
+    // A member slot's true interference sum once exceeded the double
+    // range: ExactSum saturation is sticky, so subtraction alone cannot
+    // bring the finite state back even though the survivors' sum may be
+    // representable again. Re-derive from scratch — the only removal that
+    // ever pays a replay under this policy, and only in this
+    // beyond-DBL_MAX regime.
+    ++removal_rebuilds_;
+    member_rebuild();
+    return;
+  }
+  ++removes_since_rebuild_;
+#ifndef NDEBUG
+  // Debug tripwire for the exactness claim itself: every member slot must
+  // coincide — exactly, not approximately — with a fresh exact sum.
+  if (removes_since_rebuild_ % 8 == 0) {
+    ensure(accumulator_drift() == 0.0,
+           "IncrementalGainClass: exact accumulator deviated from replay");
+  }
+#endif
+}
+
+void IncrementalGainClass::member_rebuild() {
+  for (std::size_t pos = 0; pos < members_.size(); ++pos) member_rederive(pos);
+  removes_since_rebuild_ = 0;
+}
+
+double IncrementalGainClass::member_drift() const {
+  double drift = 0.0;
+  for (std::size_t p = 0; p < members_.size(); ++p) {
+    const double fresh_v = own_slot_sum(members_[p], /*sender_side=*/false).value();
+    drift = std::max(drift, std::abs(member_v_[p] - fresh_v));
+    if (gains_->variant() == Variant::bidirectional) {
+      const double fresh_u = own_slot_sum(members_[p], /*sender_side=*/true).value();
+      drift = std::max(drift, std::abs(member_u_[p] - fresh_u));
+    }
+  }
+  return drift;
+}
+
+double IncrementalGainClass::accumulator_v(std::size_t i) const {
+  if (!member_mode()) return acc_v_[i];
+  const std::size_t pos = position_of(i);
+  return pos != kNoExtra ? member_v_[pos] : own_slot_sum(i, /*sender_side=*/false).value();
+}
+
+double IncrementalGainClass::accumulator_u(std::size_t i) const {
+  if (gains_->variant() != Variant::bidirectional) return 0.0;
+  if (!member_mode()) return acc_u_[i];
+  const std::size_t pos = position_of(i);
+  return pos != kNoExtra ? member_u_[pos] : own_slot_sum(i, /*sender_side=*/true).value();
+}
+
+double IncrementalGainClass::member_accumulator_v(std::size_t pos) const {
+  return member_mode() ? member_v_[pos] : acc_v_[members_[pos]];
+}
+
+double IncrementalGainClass::member_accumulator_u(std::size_t pos) const {
+  if (gains_->variant() != Variant::bidirectional) return 0.0;
+  return member_mode() ? member_u_[pos] : acc_u_[members_[pos]];
 }
 
 void IncrementalGainClass::remove(std::size_t request_index) {
+  if (member_mode()) {
+    member_remove(request_index);
+    return;
+  }
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   const auto it = std::find(members_.begin(), members_.end(), request_index);
@@ -538,7 +723,7 @@ void IncrementalGainClass::remove(std::size_t request_index) {
 
   if (farfield_ != nullptr) {
     if (far_apply_member(request_index, /*add_op=*/false)) {
-      // Same sticky-saturation escape hatch as the exact path below.
+      // Same sticky-saturation escape hatch as member_remove().
       ++removal_rebuilds_;
       rebuild();
       return;
@@ -556,45 +741,6 @@ void IncrementalGainClass::remove(std::size_t request_index) {
   if (policy_ == RemovePolicy::rebuild) {
     ++removal_rebuilds_;
     rebuild();
-    return;
-  }
-
-  if (policy_ == RemovePolicy::exact) {
-    // Exact O(n) removal: subtracting from the expansions is error-free,
-    // so every slot lands bit for bit where a freshly built exact class
-    // over the survivors would — no replay, except the one pathological
-    // escape hatch below.
-    const bool bidi = gains_->variant() == Variant::bidirectional;
-    bool saturated = false;
-    walk_row_runs_skip(*gains_, request_index, bidi, request_index,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         saturated |= exact_v_.sub_row(base, row_v, len, acc_v_.data());
-                         if (row_u != nullptr) {
-                           saturated |= exact_u_.sub_row(base, row_u, len, acc_u_.data());
-                         }
-                       });
-    if (saturated) {
-      // A slot's true interference sum once exceeded the double range:
-      // ExactSum saturation is sticky, so subtraction alone cannot bring
-      // the finite state back even though the survivors' sum may be
-      // representable again. Re-derive from scratch — the only removal
-      // that ever pays a replay under this policy, and only in this
-      // beyond-DBL_MAX regime.
-      ++removal_rebuilds_;
-      rebuild();
-      return;
-    }
-    ++removes_since_rebuild_;
-#ifndef NDEBUG
-    // Debug tripwire for the exactness claim itself: the live state must
-    // coincide — exactly, not approximately — with an exact replay of the
-    // survivors.
-    if (removes_since_rebuild_ % 8 == 0) {
-      ensure(accumulator_drift() == 0.0,
-             "IncrementalGainClass: exact accumulator deviated from replay");
-    }
-#endif
     return;
   }
 
@@ -640,13 +786,21 @@ void IncrementalGainClass::remove(std::size_t request_index) {
 }
 
 void IncrementalGainClass::begin_link_update(std::size_t link) {
-  require(acc_v_.size() == gains_->size(),
-          "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   require(!update_pending_,
           "IncrementalGainClass: begin_link_update while an update is pending");
   require(link < gains_->size(),
           "IncrementalGainClass: update of an out-of-range link");
   update_pending_ = true;
+  if (member_mode()) {
+    // The stash may hold the moving link's own slot; a member's stale row
+    // leaves the other member slots error-free.
+    stash_link_ = kNoExtra;
+    const std::size_t pos = position_of(link);
+    if (pos != kNoExtra) (void)member_apply_row(link, pos, /*add_op=*/false);
+    return;
+  }
+  require(acc_v_.size() == gains_->size(),
+          "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   if (!contains(link)) return;  // nothing of the stale row is accumulated here
   if (policy_ == RemovePolicy::rebuild) return;  // finish replays from scratch
 
@@ -662,11 +816,6 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
   walk_row_runs_skip(
       *gains_, link, bidirectional, link,
       [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
-        if (policy_ == RemovePolicy::exact) {
-          exact_v_.sub_row(base, row_v, len, acc_v_.data());
-          if (row_u != nullptr) exact_u_.sub_row(base, row_u, len, acc_u_.data());
-          return;
-        }
         kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
                                     row_v, len);
         if (row_u != nullptr) {
@@ -680,6 +829,31 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
   require(update_pending_,
           "IncrementalGainClass: finish_link_update without a pending update");
   update_pending_ = false;
+  if (member_mode()) {
+    // A non-member's own slot is summed on demand from the refreshed
+    // column, so only a member class has work: re-add the row, then
+    // re-derive the link's own slot from the refreshed column.
+    const std::size_t pos = position_of(link);
+    if (pos == kNoExtra) return;
+    if (member_apply_row(link, pos, /*add_op=*/true)) {
+      // Same escape hatch as remove(): only a replay restores the finite
+      // state of a saturated slot.
+      ++removal_rebuilds_;
+      member_rebuild();
+      return;
+    }
+    member_rederive(pos);
+    ++removes_since_rebuild_;
+#ifndef NDEBUG
+    // Debug tripwire for the in-place-update exactness claim itself, at
+    // the same cadence as the removal tripwire.
+    if (removes_since_rebuild_ % 8 == 0) {
+      ensure(accumulator_drift() == 0.0,
+             "IncrementalGainClass: exact accumulator deviated after link update");
+    }
+#endif
+    return;
+  }
   const bool member = contains(link);
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
 
@@ -701,29 +875,13 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
     }
   } else if (member) {
     // Re-add the link's row, now reading the refreshed tables.
-    bool saturated = false;
     walk_row_runs_skip(
         *gains_, link, bidirectional, link,
         [&](std::size_t base, const double* row_v, const double* row_u,
             std::size_t len) {
-          if (policy_ == RemovePolicy::exact) {
-            saturated |= exact_v_.add_row(base, row_v, len, acc_v_.data());
-            if (row_u != nullptr) {
-              saturated |= exact_u_.add_row(base, row_u, len, acc_u_.data());
-            }
-            return;
-          }
           kernels::acc_add_row(acc_v_.data() + base, row_v, len);
           if (row_u != nullptr) kernels::acc_add_row(acc_u_.data() + base, row_u, len);
         });
-    if (policy_ == RemovePolicy::exact && saturated) {
-      // Same escape hatch as remove(): sticky saturation means a slot's
-      // true sum once left the double range, and only a replay restores
-      // the finite state.
-      ++removal_rebuilds_;
-      rebuild();
-      return;
-    }
   }
 
   // Slot `link` reads column `link`, which just changed — and the add /
@@ -737,11 +895,9 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
     ++removes_since_rebuild_;
     maybe_rebuild_after_remove();
   }
-  if (member && policy_ == RemovePolicy::exact) {
+  if (member && farfield_ != nullptr) {
     ++removes_since_rebuild_;
 #ifndef NDEBUG
-    // Debug tripwire for the in-place-update exactness claim itself, at
-    // the same cadence as the removal tripwire.
     if (removes_since_rebuild_ % 8 == 0) {
       ensure(accumulator_drift() == 0.0,
              "IncrementalGainClass: exact accumulator deviated after link update");
@@ -774,22 +930,6 @@ void IncrementalGainClass::rederive_slot(std::size_t link) {
     }
     return;
   }
-  if (policy_ == RemovePolicy::exact) {
-    ExactSum sum_v;
-    ExactSum sum_u;
-    for (const std::size_t m : members_) {
-      if (m == link) continue;
-      sum_v.add(gains_->at_v(m, link));
-      if (bidirectional) sum_u.add(gains_->at_u(m, link));
-    }
-    exact_v_.store(link, sum_v);
-    acc_v_[link] = sum_v.value();
-    if (bidirectional) {
-      exact_u_.store(link, sum_u);
-      acc_u_[link] = sum_u.value();
-    }
-    return;
-  }
   // Plain policies replay the slot in insertion order — the arithmetic of
   // replay_accumulators, restricted to one slot.
   double sum_v = 0.0;
@@ -810,6 +950,16 @@ void IncrementalGainClass::rederive_slot(std::size_t link) {
 
 bool IncrementalGainClass::members_feasible() const {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
+  if (member_mode()) {
+    for (std::size_t p = 0; p < members_.size(); ++p) {
+      const double signal = gains_->signal(members_[p]);
+      if (!(signal > params_.beta * (member_v_[p] + params_.noise))) return false;
+      if (bidirectional && !(signal > params_.beta * (member_u_[p] + params_.noise))) {
+        return false;
+      }
+    }
+    return true;
+  }
   if (farfield_ != nullptr) {
     for (const std::size_t m : members_) {
       if (!far_test(m, kNoExtra, /*sender_side=*/false)) return false;
@@ -828,6 +978,7 @@ bool IncrementalGainClass::members_feasible() const {
 }
 
 void IncrementalGainClass::sync_universe() {
+  if (member_mode()) return;  // no slot is indexed by the universe
   const std::size_t n = gains_->size();
   if (acc_v_.size() == n) return;
   require(acc_v_.size() < n, "IncrementalGainClass: gain matrices never shrink");
@@ -863,25 +1014,6 @@ void IncrementalGainClass::sync_universe() {
         exact_u_.store(i, sum_u);
         acc_u_[i] = sum_u.value();
       }
-    }
-    return;
-  }
-  if (policy_ == RemovePolicy::exact) {
-    exact_v_.resize(acc_v_.size());
-    exact_u_.resize(acc_u_.size());
-    // Fresh slots receive the members' contributions error-free — the
-    // grown state is exactly what a from-scratch exact build over the
-    // grown universe produces. Members always predate the growth, so the
-    // [old_n, n) walk never crosses a member's own diagonal.
-    for (const std::size_t m : members_) {
-      walk_row_runs(*gains_, m, bidirectional, old_n, n,
-                    [&](std::size_t base, const double* row_v, const double* row_u,
-                        std::size_t len) {
-                      exact_v_.add_row(base, row_v, len, acc_v_.data());
-                      if (row_u != nullptr) {
-                        exact_u_.add_row(base, row_u, len, acc_u_.data());
-                      }
-                    });
     }
     return;
   }
@@ -943,22 +1075,6 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
     }
     return;
   }
-  if (policy_ == RemovePolicy::exact) {
-    // The exact policy's canonical state: error-free accumulation of the
-    // members, read out correctly rounded. Order-free by construction.
-    for (std::size_t i = 0; i < gains_->size(); ++i) {
-      ExactSum sum_v;
-      ExactSum sum_u;
-      for (const std::size_t m : members_) {
-        if (i == m) continue;
-        sum_v.add(gains_->at_v(m, i));
-        if (bidirectional) sum_u.add(gains_->at_u(m, i));
-      }
-      acc_v[i] = sum_v.value();
-      if (bidirectional) acc_u[i] = sum_u.value();
-    }
-    return;
-  }
   for (const std::size_t m : members_) {
     walk_row_runs_skip(*gains_, m, bidirectional, m,
                        [&](std::size_t base, const double* row_v, const double* row_u,
@@ -985,25 +1101,8 @@ void IncrementalGainClass::rebuild() {
     removes_since_rebuild_ = 0;
     return;
   }
-  if (policy_ == RemovePolicy::exact) {
-    // Re-derive the expansions themselves, not just the rounded values:
-    // rebuild must leave the full state where a fresh class would be.
-    const bool bidirectional = gains_->variant() == Variant::bidirectional;
-    exact_v_.assign_zero(gains_->size());
-    exact_u_.assign_zero(bidirectional ? gains_->size() : 0);
-    std::fill(acc_v_.begin(), acc_v_.end(), 0.0);
-    std::fill(acc_u_.begin(), acc_u_.end(), 0.0);
-    for (const std::size_t m : members_) {
-      walk_row_runs_skip(*gains_, m, bidirectional, m,
-                         [&](std::size_t base, const double* row_v,
-                             const double* row_u, std::size_t len) {
-                           exact_v_.add_row(base, row_v, len, acc_v_.data());
-                           if (row_u != nullptr) {
-                             exact_u_.add_row(base, row_u, len, acc_u_.data());
-                           }
-                         });
-    }
-    removes_since_rebuild_ = 0;
+  if (member_mode()) {
+    member_rebuild();
     return;
   }
   replay_accumulators(acc_v_, acc_u_);
@@ -1015,6 +1114,7 @@ void IncrementalGainClass::rebuild() {
 }
 
 double IncrementalGainClass::accumulator_drift() const {
+  if (member_mode()) return member_drift();
   std::vector<double> fresh_v, fresh_u;
   replay_accumulators(fresh_v, fresh_u);
   double drift = 0.0;

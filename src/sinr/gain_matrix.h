@@ -247,15 +247,17 @@ enum class RemovePolicy {
   /// removal-count interval. Verdicts may differ from the from-scratch
   /// evaluation by at most the tracked drift between rebuilds.
   compensated,
-  /// Numerically exact O(n) removal: every accumulator slot is an
-  /// ExactSum expansion (util/exact_sum.h), so add accumulates and
-  /// remove subtracts with zero rounding error, and the slot's exposed
-  /// double is the correct rounding of the infinitely precise member
-  /// sum. The state is a pure function of the member multiset: after any
-  /// add/remove history the accumulators are bit-for-bit identical to a
-  /// freshly built exact-policy class over the survivors (in any
+  /// Numerically exact O(|class|) removal: every member's accumulator
+  /// slot is an ExactSum expansion (util/exact_sum.h), so add accumulates
+  /// and remove subtracts with zero rounding error, and the slot's
+  /// exposed double is the correct rounding of the infinitely precise
+  /// member sum. A non-member's slot is not stored at all: it is that
+  /// same correctly rounded sum, computed on demand over the current
+  /// members. The state is a pure function of the member multiset: after
+  /// any add/remove history the accumulators are bit-for-bit identical to
+  /// a freshly built exact-policy class over the survivors (in any
   /// insertion order), with no replays at all — accumulator_drift() is
-  /// exactly 0.0 forever. (Sole escape hatch: a slot whose true
+  /// exactly 0.0 forever. (Sole escape hatch: a member slot whose true
   /// interference sum exceeded DBL_MAX saturates its expansion, and the
   /// next removal re-derives the class from scratch to restore the
   /// finite state.) The online scheduler's default.
@@ -271,13 +273,24 @@ enum class RemovePolicy {
 
 /// Incrementally maintained color class over a GainMatrix.
 ///
-/// Same contract as IncrementalClass, but the interference every member
-/// suffers is kept in per-request accumulators covering *all* n requests,
-/// so can_add costs O(|class|) comparisons with no distance or pow work
-/// and the candidate's own constraint is a single lookup; add costs O(n)
-/// table additions. Accumulation follows insertion order, making verdicts
-/// bit-for-bit identical to IncrementalClass. Classes also shrink:
+/// Same contract as IncrementalClass, but with no distance or pow work:
+/// every test is a table lookup against accumulated interference. Under
+/// the rebuild and compensated policies the accumulators cover *all* n
+/// requests in insertion order (verdicts bit-for-bit identical to
+/// IncrementalClass), so the candidate's own constraint is a single
+/// lookup and add/remove walk a full O(n) table row. Classes also shrink:
 /// remove() evicts a member under the configured RemovePolicy.
+///
+/// Member mode (the exact policy without a far-field context): whether a
+/// class can take a link depends only on gains between its members and
+/// that link, so only the k = |class| member slots are stored, in
+/// insertion order alongside the members. A candidate's own slot is the
+/// exact sum of the members' gains at it, gathered from the table column
+/// and correctly rounded on demand in O(k) — the same double an n-wide
+/// exact slot would hold, since ExactSum's value is order-free. add and
+/// remove update k slots; motion of a non-member touches nothing. The
+/// can_add that accepts a candidate stashes its own-slot sums, and the
+/// add that follows reuses them; any mutation drops the stash.
 ///
 /// Far-field mode (a non-null FarFieldContext, exact policy only): the
 /// exact banks hold NEAR-ONLY interference (members within the context's
@@ -305,9 +318,9 @@ class IncrementalGainClass {
   /// Evicts a member (precondition: it is one). Under RemovePolicy::rebuild
   /// the accumulators afterwards equal a fresh replay of the surviving adds
   /// in insertion order, bit for bit; under exact they equal a freshly
-  /// built exact-policy class over the survivors, bit for bit, at O(n)
-  /// cost; under compensated they are within the drift bound of that
-  /// replay.
+  /// built exact-policy class over the survivors, bit for bit, at
+  /// O(|class|) cost; under compensated they are within the drift bound of
+  /// that replay.
   void remove(std::size_t request_index);
 
   /// Endpoint-motion bracket, phase 1 of 2: called on EVERY class (member
@@ -315,16 +328,18 @@ class IncrementalGainClass {
   /// and column. A member class subtracts the link's stale row
   /// contribution from the other slots under this policy's arithmetic
   /// (error-free under exact); a non-member class has nothing to read from
-  /// the old tables. Must be paired with finish_link_update on the same
-  /// link, with no other mutation in between.
+  /// the old tables (member mode drops its can_add stash, nothing else).
+  /// Must be paired with finish_link_update on the same link, with no
+  /// other mutation in between.
   void begin_link_update(std::size_t link);
   /// Endpoint-motion bracket, phase 2 of 2: called AFTER the matrix
   /// refresh. A member class adds the link's new row contribution; every
   /// class then re-derives slot `link` from its members, because the
   /// column behind that slot changed and the add/remove paths never touch
-  /// a link's own slot. Under exact the resulting state is bit-for-bit a
-  /// freshly built exact class over the same members and the moved
-  /// universe, with no replay (the sticky-saturation escape hatch of
+  /// a link's own slot (member mode stores no non-member slot, so a
+  /// non-member class does nothing). Under exact the resulting state is
+  /// bit-for-bit a freshly built exact class over the same members and the
+  /// moved universe, with no replay (the sticky-saturation escape hatch of
   /// remove() applies here too, counted in removal_rebuilds()); under
   /// rebuild a member class replays; under compensated the subtract grows
   /// the drift bound exactly as a remove does.
@@ -340,7 +355,8 @@ class IncrementalGainClass {
   /// backend): fresh slots receive the members' contributions in insertion
   /// order, bit-identical to a from-scratch replay over the grown
   /// universe. Must be called before the next can_add/add/remove once the
-  /// matrix has appended rows; a no-op when sizes already agree.
+  /// matrix has appended rows; a no-op when sizes already agree, and
+  /// always in member mode (no slot is indexed by the universe).
   void sync_universe();
   /// Re-derives the accumulators by replaying the members in insertion
   /// order — the canonical from-scratch state every policy converges to
@@ -353,7 +369,7 @@ class IncrementalGainClass {
   /// exact). Does not modify the class.
   [[nodiscard]] double accumulator_drift() const;
 
-  /// Full O(|class| * n) accumulator replays triggered by removals so far
+  /// Full accumulator replays triggered by removals so far
   /// (every remove under rebuild, drift/interval triggers under
   /// compensated, never under exact) — the counter the online scheduler
   /// aggregates to show the rebuilds a policy eliminated.
@@ -363,12 +379,15 @@ class IncrementalGainClass {
 
   /// The live accumulator slots (interference the members contribute at
   /// request i's receiver / sender): what can_add thresholds against.
-  /// Exposed so the exactness suites can compare states bit for bit.
-  [[nodiscard]] double accumulator_v(std::size_t i) const { return acc_v_[i]; }
+  /// Exposed so the exactness suites can compare states bit for bit. In
+  /// member mode a non-member's slot is summed on demand, O(|class|).
+  [[nodiscard]] double accumulator_v(std::size_t i) const;
   /// 0.0 for the directed variant, which has no sender-side constraint.
-  [[nodiscard]] double accumulator_u(std::size_t i) const {
-    return acc_u_.empty() ? 0.0 : acc_u_[i];
-  }
+  [[nodiscard]] double accumulator_u(std::size_t i) const;
+  /// accumulator_v / accumulator_u of members()[pos], in O(1) on every
+  /// policy — for walks over the members.
+  [[nodiscard]] double member_accumulator_v(std::size_t pos) const;
+  [[nodiscard]] double member_accumulator_u(std::size_t pos) const;
 
   [[nodiscard]] const std::vector<std::size_t>& members() const noexcept {
     return members_;
@@ -377,6 +396,28 @@ class IncrementalGainClass {
 
  private:
   static constexpr std::size_t kNoExtra = static_cast<std::size_t>(-1);
+
+  [[nodiscard]] bool member_mode() const noexcept {
+    return policy_ == RemovePolicy::exact && farfield_ == nullptr;
+  }
+  /// Member mode: the position of `link` in members_ (and its slots), or
+  /// kNoExtra for a non-member.
+  [[nodiscard]] std::size_t position_of(std::size_t link) const;
+  /// Member mode: the exact sum of the members' gains at `link` on one
+  /// side, skipping `link` itself — gathered first, then accumulated.
+  [[nodiscard]] ExactSum own_slot_sum(std::size_t link, bool sender_side) const;
+  /// Member mode: adds (or withdraws) row `link`'s gains at every member
+  /// slot except position `skip`. Returns true when a slot is left
+  /// saturated.
+  bool member_apply_row(std::size_t link, std::size_t skip, bool add_op);
+  /// Member mode: re-derives the slots at position `pos` from the members.
+  void member_rederive(std::size_t pos);
+  /// Member mode: counterparts of can_add / remove / rebuild /
+  /// accumulator_drift.
+  [[nodiscard]] bool member_can_add(std::size_t request_index) const;
+  void member_remove(std::size_t request_index);
+  void member_rebuild();
+  [[nodiscard]] double member_drift() const;
 
   void replay_accumulators(std::vector<double>& acc_v, std::vector<double>& acc_u) const;
   void maybe_rebuild_after_remove();
@@ -403,21 +444,35 @@ class IncrementalGainClass {
   std::size_t removes_since_rebuild_ = 0;
   std::size_t removal_rebuilds_ = 0;
   std::vector<std::size_t> members_;
-  /// Interference from the members at v_i / u_i, for every request i. The
-  /// slots of members themselves exclude their own contribution. Under
-  /// the exact policy these are the correctly rounded values of exact_v_/
-  /// exact_u_, refreshed after every mutation.
+  /// Interference from the members at v_i / u_i, for every request i
+  /// (empty in member mode). The slots of members themselves exclude their
+  /// own contribution. In far-field mode these are the correctly rounded
+  /// near-field values of exact_v_/exact_u_, refreshed after every
+  /// mutation.
   std::vector<double> acc_v_;
   std::vector<double> acc_u_;
   /// Compensated mode only: accumulated magnitude cancelled out of each
   /// slot since the last rebuild — an upper bound on the lost precision.
   std::vector<double> cancelled_v_;
   std::vector<double> cancelled_u_;
-  /// Exact mode only: the error-free expansions behind the slots, in the
-  /// structure-of-arrays bank the row kernels stream (util/exact_bank.h).
-  /// In far-field mode they hold the near-field part only.
+  /// Far-field mode only: the error-free expansions behind the slots,
+  /// holding the near-field part only (util/exact_bank.h).
   ExactSumBank exact_v_;
   ExactSumBank exact_u_;
+  /// Member mode only: member slots aligned with members_ — the rounded
+  /// interference at each member's receiver / sender, and the expansions
+  /// behind them.
+  std::vector<double> member_v_;
+  std::vector<double> member_u_;
+  ExactSumBank member_exact_v_;
+  ExactSumBank member_exact_u_;
+  /// Member mode only: gather buffer for a row or column read at the
+  /// members, and the own-slot sums of the last candidate can_add
+  /// accepted (stash_link_ == kNoExtra when none is valid).
+  mutable std::vector<double> gather_;
+  mutable std::size_t stash_link_ = kNoExtra;
+  mutable ExactSum stash_v_;
+  mutable ExactSum stash_u_;
   /// Far-field mode only (see class comment). The aggregates are exact
   /// sums of the members' per-cell bound doubles, so unlimited add/remove
   /// churn keeps them sound; the *_val_ mirrors cache their correctly

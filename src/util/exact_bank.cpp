@@ -1,42 +1,10 @@
 #include "util/exact_bank.h"
 
 #include <cmath>
-
-#if defined(OISCHED_NATIVE) && defined(__AVX2__)
-#define OISCHED_EXACT_BANK_AVX2 1
-#include <immintrin.h>
-#endif
+#include <utility>
 
 namespace oisched {
 namespace {
-
-/// COMPRESS (ExactSum::renormalize) on a register-resident expansion:
-/// top-down fast-two-sum cascade, then the bottom-up rebuild, in place.
-/// Returns the compressed length. Same derivation, same bits.
-std::size_t compress(double* e, std::size_t m) {
-  double condensed[ExactSumBank::kSlotComponents + 1];
-  std::size_t count = 0;
-  double q = e[m - 1];
-  for (std::size_t i = m - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(q, e[i]);
-    if (s.err != 0.0) {
-      condensed[count++] = s.sum;
-      q = s.err;
-    } else {
-      q = s.sum;
-    }
-  }
-  condensed[count++] = q;
-  std::size_t out = 0;
-  q = condensed[count - 1];
-  for (std::size_t i = count - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(condensed[i], q);
-    if (s.err != 0.0) e[out++] = s.err;
-    q = s.sum;
-  }
-  e[out++] = q;
-  return out;
-}
 
 /// Fused add-round readout of a compressed finite expansion — the
 /// ExactSum::value() derivation (two-sum condense, then the bottom-up
@@ -129,10 +97,6 @@ double ExactSumBank::fused_value(std::size_t i) const {
   return rounded_value(e, cnt);
 }
 
-bool ExactSumBank::slot_saturated_after_op(std::size_t i) const {
-  return count_[i] == kSpilled && spill_.find(i)->second.saturated();
-}
-
 double ExactSumBank::slot_op(std::size_t i, double x) {
   // ExactSum::add_finite on the slot's inline expansion: grow chain with
   // zero elimination, overflow check, COMPRESS — all in registers.
@@ -153,7 +117,10 @@ double ExactSumBank::slot_op(std::size_t i, double x) {
     return spill_op(i, x, false);
   }
   if (carry != 0.0) e[m++] = carry;
-  if (m > 1) m = compress(e, m);
+  if (m > 1) {
+    double scratch[kSlotComponents + 1];
+    m = compress_expansion(e, m, scratch);
+  }
   return commit_slot(i, e, m);
 }
 
@@ -207,105 +174,17 @@ double ExactSumBank::spill_op(std::size_t i, double x, bool subtract_op) {
   return val;
 }
 
-bool ExactSumBank::add_row(std::size_t base, const double* row, std::size_t len,
-                           double* acc) {
-  return row_op(base, row, len, acc, false, true);
-}
-
-bool ExactSumBank::sub_row(std::size_t base, const double* row, std::size_t len,
-                           double* acc) {
-  return row_op(base, row, len, acc, true, true);
-}
-
-bool ExactSumBank::add_row_scalar(std::size_t base, const double* row,
-                                  std::size_t len, double* acc) {
-  return row_op(base, row, len, acc, false, false);
-}
-
-bool ExactSumBank::sub_row_scalar(std::size_t base, const double* row,
-                                  std::size_t len, double* acc) {
-  return row_op(base, row, len, acc, true, false);
-}
-
-bool ExactSumBank::row_op(std::size_t base, const double* row, std::size_t len,
-                          double* acc, bool subtract_op, bool allow_simd) {
-  bool any_saturated = false;
-  std::size_t k = 0;
-#ifdef OISCHED_EXACT_BANK_AVX2
-  if (allow_simd) {
-    // Four slots per step: the grow chain is branch-free two-sums, so it
-    // vectorizes lane-wise with the identical per-slot operation sequence.
-    // Zero-elimination, COMPRESS, and the fused readout are data-dependent
-    // and stay scalar per lane — on registers spilled from the chain, not
-    // re-read from memory. Lanes outside the fast regime (spilled slot,
-    // non-finite or zero addend, chain overflow) fall back to the scalar
-    // routine before anything is written, so every lane takes exactly the
-    // scalar path's branches.
-    const __m256d sign_flip = _mm256_set1_pd(-0.0);
-    for (; k + 4 <= len; k += 4) {
-      const std::size_t i0 = base + k;
-      bool lane_scalar[4];
-      bool any_fast = false;
-      for (std::size_t l = 0; l < 4; ++l) {
-        const double x = row[k + l];
-        lane_scalar[l] =
-            count_[i0 + l] == kSpilled || !std::isfinite(x) || x == 0.0;
-        any_fast |= !lane_scalar[l];
-      }
-      double ebuf[kSlotComponents][4];
-      double carrybuf[4];
-      if (any_fast) {
-        __m256d carry = _mm256_loadu_pd(row + k);
-        if (subtract_op) carry = _mm256_xor_pd(carry, sign_flip);
-        for (std::size_t c = 0; c < kSlotComponents; ++c) {
-          const __m256d comp = _mm256_loadu_pd(comp_[c].data() + i0);
-          const __m256d sum = _mm256_add_pd(carry, comp);
-          const __m256d b_virtual = _mm256_sub_pd(sum, carry);
-          const __m256d a_virtual = _mm256_sub_pd(sum, b_virtual);
-          const __m256d b_roundoff = _mm256_sub_pd(comp, b_virtual);
-          const __m256d a_roundoff = _mm256_sub_pd(carry, a_virtual);
-          _mm256_storeu_pd(ebuf[c], _mm256_add_pd(a_roundoff, b_roundoff));
-          carry = sum;
-        }
-        _mm256_storeu_pd(carrybuf, carry);
-      }
-      for (std::size_t l = 0; l < 4; ++l) {
-        const std::size_t i = i0 + l;
-        const double x = row[k + l];
-        if (lane_scalar[l] || !std::isfinite(carrybuf[l])) {
-          if (count_[i] == kSpilled || !std::isfinite(x)) {
-            acc[i] = spill_op(i, x, subtract_op);
-          } else {
-            acc[i] = slot_op(i, subtract_op ? -x : x);
-          }
-        } else {
-          double e[kSlotComponents + 1];
-          std::size_t m = 0;
-          for (std::size_t c = 0; c < kSlotComponents; ++c) {
-            if (ebuf[c][l] != 0.0) e[m++] = ebuf[c][l];
-          }
-          if (carrybuf[l] != 0.0) e[m++] = carrybuf[l];
-          if (m > 1) m = compress(e, m);
-          acc[i] = commit_slot(i, e, m);
-        }
-        any_saturated |= slot_saturated_after_op(i);
-      }
-    }
+void ExactSumBank::erase(std::size_t i) {
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  for (auto& comp : comp_) comp.erase(comp.begin() + at);
+  count_.erase(count_.begin() + at);
+  if (spill_.empty()) return;
+  // Spilled slots are keyed by index: re-key the ones above the gap.
+  std::unordered_map<std::size_t, ExactSum> shifted;
+  for (auto& [slot, sum] : spill_) {
+    if (slot != i) shifted.emplace(slot > i ? slot - 1 : slot, std::move(sum));
   }
-#else
-  (void)allow_simd;
-#endif
-  for (; k < len; ++k) {
-    const std::size_t i = base + k;
-    const double x = row[k];
-    if (count_[i] == kSpilled || !std::isfinite(x)) {
-      acc[i] = spill_op(i, x, subtract_op);
-    } else {
-      acc[i] = slot_op(i, subtract_op ? -x : x);
-    }
-    any_saturated |= slot_saturated_after_op(i);
-  }
-  return any_saturated;
+  spill_ = std::move(shifted);
 }
 
 }  // namespace oisched

@@ -3,12 +3,16 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace oisched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+/// sum_of compresses its running expansion once it is longer than this;
+/// a compressed expansion still longer hands over to the add() path.
+constexpr std::size_t kSumOfCompressAt = 8;
 
 }  // namespace
 
@@ -20,6 +24,45 @@ double add_round_to_odd(double a, double b) noexcept {
   // one of them; the sign of the error says which side the other is on.
   if ((std::bit_cast<std::uint64_t>(s.sum) & 1u) != 0) return s.sum;
   return std::nextafter(s.sum, s.err > 0.0 ? kInf : -kInf);
+}
+
+ExactSum ExactSum::sum_of(std::span<const double> addends) {
+  // GROW-EXPANSION from one buffer into the other, so an overflowing
+  // addend leaves the running expansion intact for the add() path.
+  double buf_a[kSumOfCompressAt + 1];
+  double buf_b[kSumOfCompressAt + 1];
+  double scratch[kSumOfCompressAt + 1];
+  double* e = buf_a;
+  double* grown = buf_b;
+  std::size_t m = 0;
+  std::size_t next = 0;
+  for (; next < addends.size(); ++next) {
+    const double x = addends[next];
+    if (!std::isfinite(x)) break;
+    if (x == 0.0) continue;
+    double carry = x;
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const TwoSum s = two_sum(carry, e[i]);
+      if (s.err != 0.0) grown[out++] = s.err;
+      carry = s.sum;
+    }
+    if (!std::isfinite(carry)) break;
+    if (carry != 0.0) grown[out++] = carry;
+    std::swap(e, grown);
+    m = out;
+    if (m > kSumOfCompressAt) {
+      m = compress_expansion(e, m, scratch);
+      if (m >= kSumOfCompressAt) {
+        ++next;  // x is in; the rest goes through add()
+        break;
+      }
+    }
+  }
+  if (m > 1) m = compress_expansion(e, m, scratch);
+  ExactSum sum = from_expansion({e, m});
+  for (; next < addends.size(); ++next) sum.add(addends[next]);
+  return sum;
 }
 
 ExactSum ExactSum::from_expansion(std::span<const double> components) {
@@ -109,48 +152,22 @@ void ExactSum::add_finite(double x) {
 }
 
 void ExactSum::renormalize() {
-  // Shewchuk's COMPRESS: a top-down fast-two-sum cascade condenses the
-  // expansion, then a bottom-up pass rebuilds it with the fewest
-  // components. Both passes are chains of error-free transformations, so
-  // the exact sum is untouched. Scratch lives on the stack — this runs
-  // once per accumulator slot per add/subtract, so a heap allocation
-  // here would dominate the whole exact-policy hot path. Renormalized
-  // components are >= 51 bits of exponent apart, so 64 covers doubles'
-  // entire ~2100-bit range with slack (the heap fallback is dead in
-  // practice but keeps pathological inputs safe).
+  // Shewchuk's COMPRESS. Scratch lives on the stack — this runs once per
+  // accumulator slot per add/subtract, so a heap allocation here would
+  // dominate the whole exact-policy hot path. Renormalized components are
+  // >= 51 bits of exponent apart, so 64 covers doubles' entire ~2100-bit
+  // range with slack (the heap fallback is dead in practice but keeps
+  // pathological inputs safe).
   const std::size_t m = count_;
   if (m <= 1) return;
   double scratch_buf[64];
   std::vector<double> heap;
-  double* condensed = scratch_buf;  // decreasing magnitude while filling
+  double* scratch = scratch_buf;
   if (m > 64) {
     heap.resize(m);
-    condensed = heap.data();
+    scratch = heap.data();
   }
-  double* comp = comps();
-  std::size_t count = 0;
-  double q = comp[m - 1];
-  for (std::size_t i = m - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(q, comp[i]);
-    if (s.err != 0.0) {
-      condensed[count++] = s.sum;
-      q = s.err;
-    } else {
-      q = s.sum;
-    }
-  }
-  condensed[count++] = q;
-  // Bottom-up: absorb from the smallest condensed term toward the
-  // largest, emitting the roundoffs as the final low-order components.
-  // Output length never exceeds the input length, so this writes in place.
-  count_ = 0;
-  q = condensed[count - 1];
-  for (std::size_t i = count - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(condensed[i], q);
-    if (s.err != 0.0) comp[count_++] = s.err;
-    q = s.sum;
-  }
-  comp[count_++] = q;
+  count_ = static_cast<std::uint32_t>(compress_expansion(comps(), m, scratch));
 }
 
 double ExactSum::value() const {

@@ -76,6 +76,41 @@ struct TwoSum {
 /// dropped (Boldo–Melquiond) — the building block of ExactSum::value().
 [[nodiscard]] double add_round_to_odd(double a, double b) noexcept;
 
+/// Shewchuk's COMPRESS, in place: rewrites the nonoverlapping expansion
+/// e[0..m) (increasing magnitude, zero-free, m >= 1) with the fewest
+/// components and the same exact sum, and returns the new length (<= m).
+/// `scratch` must hold m doubles. The one renormalization ExactSum and
+/// ExactSumBank both run; inline, like two_sum, for the slot hot paths.
+inline std::size_t compress_expansion(double* e, std::size_t m, double* scratch) noexcept {
+  // Top-down: a fast-two-sum cascade condenses the expansion into
+  // `scratch` (decreasing magnitude). Bottom-up: absorb from the smallest
+  // condensed term toward the largest, emitting the roundoffs as the
+  // final low-order components. Both passes are chains of error-free
+  // transformations, so the exact sum is untouched; the output length
+  // never exceeds the input length, so it is written in place.
+  std::size_t count = 0;
+  double q = e[m - 1];
+  for (std::size_t i = m - 1; i-- > 0;) {
+    const TwoSum s = fast_two_sum(q, e[i]);
+    if (s.err != 0.0) {
+      scratch[count++] = s.sum;
+      q = s.err;
+    } else {
+      q = s.sum;
+    }
+  }
+  scratch[count++] = q;
+  std::size_t out = 0;
+  q = scratch[count - 1];
+  for (std::size_t i = count - 1; i-- > 0;) {
+    const TwoSum s = fast_two_sum(scratch[i], q);
+    if (s.err != 0.0) e[out++] = s.err;
+    q = s.sum;
+  }
+  e[out++] = q;
+  return out;
+}
+
 /// An exact accumulator over doubles: supports add, exact subtract, and
 /// correctly rounded readout. Copyable; empty sums read as +0.0.
 class ExactSum {
@@ -88,6 +123,13 @@ class ExactSum {
   /// hand a slot's inline expansion over without re-deriving it, keeping
   /// bank and ExactSum representations bit-interchangeable.
   [[nodiscard]] static ExactSum from_expansion(std::span<const double> components);
+
+  /// The exact sum of `addends` — the same value as adding them one by
+  /// one, at about half the cost or less: the grow chain runs on a
+  /// stack-resident expansion that is compressed only when it grows
+  /// long, not after every addend. Non-finite addends and overflow take
+  /// the add() path, with its exact bookkeeping.
+  [[nodiscard]] static ExactSum sum_of(std::span<const double> addends);
 
   /// Accumulates x exactly (infinities and NaNs are counted, not summed).
   void add(double x);

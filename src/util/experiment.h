@@ -47,7 +47,8 @@ struct ScenarioSpec {
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild" | "compensated"). exact — the scheduler
-  /// default — removes in O(n) with zero rounding error and zero replays.
+  /// default — removes in O(|class|) with zero rounding error and zero
+  /// replays.
   std::string remove_policy = "exact";
   /// Dynamic-service family (> 0): replay the trace through a
   /// SchedulerService with this many shards instead of a bare

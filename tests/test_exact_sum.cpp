@@ -393,5 +393,46 @@ TEST(ExactSum, ComponentsStayNonoverlappingAndCompact) {
   EXPECT_EQ(sum.component_count(), 0u);
 }
 
+/// ExactSum::sum_of against one-by-one add() on the same span: identical
+/// rounded value and identical special-value state.
+void expect_sum_of_matches_adds(const std::vector<double>& addends, const char* context) {
+  ExactSum one_by_one;
+  for (const double x : addends) one_by_one.add(x);
+  const ExactSum batched = ExactSum::sum_of(addends);
+  ASSERT_EQ(bits(batched.value()), bits(one_by_one.value())) << context;
+  ASSERT_EQ(batched.finite(), one_by_one.finite()) << context;
+  ASSERT_EQ(batched.saturated(), one_by_one.saturated()) << context;
+}
+
+TEST(ExactSum, SumOfMatchesOneByOneAdds) {
+  Rng rng(8080);
+  const double big = 0.75 * std::numeric_limits<double>::max();
+  const std::vector<double> specials = {0.0, -0.0, kInf, -kInf, 5e-324, big, -big};
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t k = rng.uniform_index(300);
+    std::vector<double> addends(k);
+    for (double& x : addends) {
+      // Exponents over a ~1200-bit range, so the running expansion grows
+      // long enough to take the compress and hand-over paths.
+      const int exponent = static_cast<int>(rng.uniform_index(1200)) - 600;
+      x = std::ldexp(rng.uniform(-1.0, 1.0), exponent);
+      if (round % 2 == 1 && rng.bernoulli(0.05)) {
+        x = specials[rng.uniform_index(specials.size())];
+      }
+    }
+    expect_sum_of_matches_adds(addends, "random");
+  }
+  // Gain-like sums: non-negative, six decades.
+  for (const std::size_t k : {0u, 1u, 9u, 1000u}) {
+    std::vector<double> gains(k);
+    for (double& x : gains) x = std::pow(10.0, rng.uniform(-9.0, -3.0));
+    expect_sum_of_matches_adds(gains, "gains");
+  }
+  // Finite overflow saturates exactly like the add() path, and a NaN
+  // poisons both.
+  expect_sum_of_matches_adds({1.0, big, big, 2.0}, "overflow");
+  expect_sum_of_matches_adds({1.0, std::numeric_limits<double>::quiet_NaN(), 2.0}, "nan");
+}
+
 }  // namespace
 }  // namespace oisched

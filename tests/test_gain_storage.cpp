@@ -336,9 +336,10 @@ TEST(IncrementalGainClassGrowth, SyncedAccumulatorsMatchAFreshReplay) {
 }
 
 TEST(IncrementalGainClassGrowth, ExactPolicySyncedSlotsMatchAFreshExactBuild) {
-  // sync_universe under the exact policy: the grown slots' expansions
-  // must land bit for bit where a from-scratch exact build over the
-  // grown universe puts them.
+  // Universe growth under the exact policy: sync_universe has nothing to
+  // extend (only member slots are stored), and the grown links' slots,
+  // summed on demand, must read bit for bit what a from-scratch exact
+  // build over the grown universe reads.
   const auto scenario = random_scenario(20, /*seed=*/13);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);

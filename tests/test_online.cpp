@@ -449,7 +449,7 @@ TEST(OnlineScheduler, ReplayRejectsMismatchedUniverse) {
 }
 
 // ---------------------------------------------------------------------------
-// RemovePolicy::exact: the numerically exact O(n) removal path.
+// RemovePolicy::exact: the numerically exact O(|class|) removal path.
 
 /// A fresh exact-policy class over the same gains with `members` added in
 /// the given order — the from-scratch state the live class must equal.
@@ -472,6 +472,16 @@ void expect_accumulators_identical(const GainMatrix& gains,
     ASSERT_EQ(std::bit_cast<std::uint64_t>(live.accumulator_u(i)),
               std::bit_cast<std::uint64_t>(fresh.accumulator_u(i)))
         << context << ": acc_u slot " << i;
+  }
+  // The positional readout the member walks use agrees with the slot's.
+  for (std::size_t pos = 0; pos < live.size(); ++pos) {
+    const std::size_t m = live.members()[pos];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(live.member_accumulator_v(pos)),
+              std::bit_cast<std::uint64_t>(live.accumulator_v(m)))
+        << context << ": member position " << pos;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(live.member_accumulator_u(pos)),
+              std::bit_cast<std::uint64_t>(live.accumulator_u(m)))
+        << context << ": member position " << pos;
   }
 }
 
@@ -575,41 +585,67 @@ TEST(IncrementalGainClassRemove, ExactStaysAtZeroWhereCompensatedProvablyDrifts)
   EXPECT_EQ(exact.removal_rebuilds(), 0u);
 }
 
-TEST(IncrementalGainClassRemove, ExactPolicyRecoversFromSaturationByRebuilding) {
-  // Gains engineered past DBL_MAX: links 1 and 2 each contribute ~9e307
-  // at link 0's receiver (powers ~1e305 over sub-unit distances), so
-  // with both resident the slot's true interference sum overflows the
-  // double range and the expansion saturates stickily. When one departs
-  // the survivors' sum is representable again; subtraction alone cannot
-  // unsaturate, so the exact policy must pay its one escape-hatch
-  // rebuild and land bit-for-bit on the fresh-twin state.
-  const auto scenario = line_pairs({0.0, 1.0, 1.1, 5.0, 1.2, 6.0});
-  const Instance instance = scenario.instance();
+/// Links 1 and 2 each contribute ~9e307 at link 0's receiver (powers
+/// ~1e305 over sub-unit distances), so with both in a class the true
+/// interference sum at link 0 overflows the double range.
+struct SaturationFixture {
   // dist(u1, v0) = 0.1 -> loss 1e-3 -> gain p1 * 1e3; dist(u2, v0) = 0.2
   // -> loss 8e-3 -> gain p2 * 125.
-  const std::vector<double> powers = {1.0, 9e304, 7.2e305};
-  SinrParams params;
-  params.alpha = 3.0;
-  const GainMatrix gains(instance, powers, params.alpha, Variant::directed);
+  testutil::Scenario scenario = line_pairs({0.0, 1.0, 1.1, 5.0, 1.2, 6.0});
+  Instance instance = scenario.instance();
+  std::vector<double> powers = {1.0, 9e304, 7.2e305};
+  SinrParams params;  // alpha = 3, the exponent the losses above assume
+  GainMatrix gains{instance, powers, params.alpha, Variant::directed};
+};
+
+TEST(IncrementalGainClassRemove, ExactPolicyRecoversFromSaturationByRebuilding) {
+  // Link 0 is a member too, so its stored slot takes both ~9e307 gains
+  // and its expansion saturates stickily. When one departs the
+  // survivors' sum is representable again; subtraction alone cannot
+  // unsaturate, so the exact policy must pay its one escape-hatch
+  // rebuild and land bit-for-bit on the fresh-twin state.
+  const SaturationFixture f;
+  const GainMatrix& gains = f.gains;
   ASSERT_GT(gains.at_v(1, 0), 8e307);
   ASSERT_GT(gains.at_v(2, 0), 8e307);
   ASSERT_EQ(gains.at_v(1, 0) + gains.at_v(2, 0),
             std::numeric_limits<double>::infinity());
 
-  IncrementalGainClass cls(gains, params, RemovePolicy::exact);
+  IncrementalGainClass cls(gains, f.params, RemovePolicy::exact);
+  cls.add(0);
   cls.add(1);
   cls.add(2);
   EXPECT_EQ(cls.accumulator_v(0), std::numeric_limits<double>::infinity());
   cls.remove(1);
   // The saturation escape hatch fired and restored the exact finite
-  // state of a fresh build over the survivor.
+  // state of a fresh build over the survivors.
   EXPECT_EQ(cls.removal_rebuilds(), 1u);
   EXPECT_EQ(cls.accumulator_v(0), gains.at_v(2, 0));
   EXPECT_EQ(cls.accumulator_drift(), 0.0);
-  const IncrementalGainClass twin = exact_twin(gains, params, cls.members());
+  const IncrementalGainClass twin = exact_twin(gains, f.params, cls.members());
   expect_accumulators_identical(gains, cls, twin, "post-saturation");
   cls.remove(2);
   EXPECT_EQ(cls.accumulator_v(0), 0.0);
+}
+
+TEST(IncrementalGainClassRemove, ExactPolicySumsASaturatingNonMemberSlotOnDemand) {
+  // Link 0 is NOT a member: its slot is never stored, only summed on
+  // demand over the current members. The overflow shows in the readout
+  // while both heavy interferers are in, and a departure leaves nothing
+  // to repair — a finite readout with no rebuild.
+  const SaturationFixture f;
+  const GainMatrix& gains = f.gains;
+  IncrementalGainClass cls(gains, f.params, RemovePolicy::exact);
+  cls.add(1);
+  cls.add(2);
+  EXPECT_EQ(cls.accumulator_v(0), std::numeric_limits<double>::infinity());
+  cls.remove(1);
+  EXPECT_EQ(cls.removal_rebuilds(), 0u);
+  EXPECT_TRUE(std::isfinite(cls.accumulator_v(0)));
+  EXPECT_EQ(cls.accumulator_v(0), gains.at_v(2, 0));
+  EXPECT_EQ(cls.accumulator_drift(), 0.0);
+  const IncrementalGainClass twin = exact_twin(gains, f.params, cls.members());
+  expect_accumulators_identical(gains, cls, twin, "non-member saturation");
 }
 
 /// Differential replay: the exact-policy scheduler against a rebuild-policy

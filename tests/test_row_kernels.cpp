@@ -1,11 +1,13 @@
 // Differential suite for the hot-path row kernels and the SoA exact
-// accumulator bank. The SIMD dispatch (active under OISCHED_NATIVE AVX2
-// builds, a scalar alias otherwise) must match the always-scalar reference
-// implementations bit for bit — on finite data, on NaN/inf rows, and
-// through the bank's spill/saturation regimes — and the GainStorage
-// row_run seam must serve exactly the bytes at() serves on every backend.
-// CI runs this suite in both the default and the -DOISCHED_NATIVE=ON
-// builds; only the latter exercises the vector paths for real.
+// accumulator bank. The row kernels' SIMD dispatch (active under
+// OISCHED_NATIVE AVX2 builds, a scalar alias otherwise) must match the
+// always-scalar reference implementations bit for bit on finite data and
+// on NaN/inf rows; the bank's per-slot add/subtract must match a
+// vector<ExactSum> oracle through its spill/saturation regimes; and the
+// GainStorage row_run seam must serve exactly the bytes at() serves on
+// every backend. CI runs this suite in both the default and the
+// -DOISCHED_NATIVE=ON builds; only the latter exercises the vector paths
+// for real.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -107,19 +109,18 @@ TEST(RowKernels, SubRowCancelMatchesScalarBitForBit) {
   }
 }
 
-/// Drives a SIMD bank, an always-scalar bank, and a vector<ExactSum>
-/// oracle through the identical op sequence and asserts all three expose
-/// bit-identical rounded values and agreeing saturation state throughout.
+/// Drives a bank and a vector<ExactSum> oracle through the identical
+/// per-slot op sequence — each round adds or subtracts a row over a slot
+/// range — and asserts both expose bit-identical rounded values (the
+/// bank's returned readouts included) and agreeing saturation state
+/// throughout.
 void fuzz_bank_against_oracle(std::uint64_t seed, bool edge_rows) {
   Rng rng(seed);
   const std::size_t n = 24;
   ExactSumBank bank;
-  ExactSumBank bank_scalar;
   bank.assign_zero(n);
-  bank_scalar.assign_zero(n);
   std::vector<ExactSum> oracle(n);
   std::vector<double> acc(n, 0.0);
-  std::vector<double> acc_scalar(n, 0.0);
 
   for (int round = 0; round < 60; ++round) {
     const std::size_t base = rng.uniform_index(n);
@@ -127,32 +128,24 @@ void fuzz_bank_against_oracle(std::uint64_t seed, bool edge_rows) {
     const std::vector<double> row =
         edge_rows ? edge_row(len, rng) : random_row(len, rng);
     const bool subtract = rng.bernoulli(0.5);
-    bool saturated_simd = false;
-    bool saturated_scalar = false;
-    if (subtract) {
-      saturated_simd = bank.sub_row(base, row.data(), len, acc.data());
-      saturated_scalar = bank_scalar.sub_row_scalar(base, row.data(), len,
-                                                    acc_scalar.data());
-      for (std::size_t k = 0; k < len; ++k) oracle[base + k].subtract(row[k]);
-    } else {
-      saturated_simd = bank.add_row(base, row.data(), len, acc.data());
-      saturated_scalar = bank_scalar.add_row_scalar(base, row.data(), len,
-                                                    acc_scalar.data());
-      for (std::size_t k = 0; k < len; ++k) oracle[base + k].add(row[k]);
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t i = base + k;
+      if (subtract) {
+        acc[i] = bank.subtract(i, row[k]);
+        oracle[i].subtract(row[k]);
+      } else {
+        acc[i] = bank.add(i, row[k]);
+        oracle[i].add(row[k]);
+      }
     }
-    ASSERT_EQ(saturated_simd, saturated_scalar) << "round " << round;
     for (std::size_t i = 0; i < n; ++i) {
       const double expected = oracle[i].value();
       ASSERT_TRUE(same_bits(bank.value(i), expected))
           << "round " << round << " slot " << i;
-      ASSERT_TRUE(same_bits(bank_scalar.value(i), expected))
-          << "round " << round << " slot " << i;
-      ASSERT_TRUE(same_bits(acc[i], acc_scalar[i]))
-          << "round " << round << " acc slot " << i;
+      ASSERT_TRUE(same_bits(acc[i], expected)) << "round " << round << " acc slot " << i;
       ASSERT_EQ(bank.saturated(i), oracle[i].saturated())
           << "round " << round << " slot " << i;
     }
-    ASSERT_EQ(bank.spilled_slots(), bank_scalar.spilled_slots()) << "round " << round;
   }
 }
 
@@ -173,7 +166,7 @@ TEST(ExactSumBank, InfinityBookkeepingIsReversible) {
   bank.assign_zero(4);
   std::vector<double> acc(4, 0.0);
   const double row1[] = {1.5, kInf, -kInf, kNaN};
-  bank.add_row(0, row1, 4, acc.data());
+  for (std::size_t i = 0; i < 4; ++i) acc[i] = bank.add(i, row1[i]);
   EXPECT_TRUE(same_bits(acc[0], 1.5));
   EXPECT_TRUE(same_bits(acc[1], kInf));
   EXPECT_TRUE(same_bits(acc[2], -kInf));
@@ -182,10 +175,10 @@ TEST(ExactSumBank, InfinityBookkeepingIsReversible) {
   // Withdrawing the specials migrates the slots back to the fast regime —
   // exactly ExactSum's reversible counters — and subsequent finite sums
   // read as if the excursion never happened.
-  bank.sub_row(0, row1, 4, acc.data());
+  for (std::size_t i = 0; i < 4; ++i) acc[i] = bank.subtract(i, row1[i]);
   EXPECT_EQ(bank.spilled_slots(), 0u);
   const double row2[] = {0.25, -3.0, 7.0, 2.0};
-  bank.add_row(0, row2, 4, acc.data());
+  for (std::size_t i = 0; i < 4; ++i) acc[i] = bank.add(i, row2[i]);
   for (std::size_t i = 0; i < 4; ++i) {
     ExactSum ref;
     ref.add(row1[i]);
@@ -200,21 +193,21 @@ TEST(ExactSumBank, InfinityBookkeepingIsReversible) {
 TEST(ExactSumBank, StickySaturationMatchesExactSum) {
   ExactSumBank bank;
   bank.assign_zero(2);
-  std::vector<double> acc(2, 0.0);
   ExactSum ref;
   // Two finite near-max addends overflow the double range: sticky
   // saturation, not an infinity count — subtracting one back must NOT
   // clear it, matching ExactSum exactly.
-  const double row[] = {0.75 * kHuge, 1.0};
-  bank.add_row(0, row, 2, acc.data());
-  bank.add_row(0, row, 2, acc.data());
+  for (int twice = 0; twice < 2; ++twice) {
+    (void)bank.add(0, 0.75 * kHuge);
+    (void)bank.add(1, 1.0);
+  }
   ref.add(0.75 * kHuge);
   ref.add(0.75 * kHuge);
   EXPECT_TRUE(bank.saturated(0));
+  EXPECT_FALSE(bank.saturated(1));
   EXPECT_TRUE(ref.saturated());
   EXPECT_TRUE(same_bits(bank.value(0), ref.value()));
-  const double withdraw[] = {0.75 * kHuge, 0.0};
-  EXPECT_TRUE(bank.sub_row(0, withdraw, 2, acc.data()));
+  (void)bank.subtract(0, 0.75 * kHuge);
   ref.subtract(0.75 * kHuge);
   EXPECT_TRUE(bank.saturated(0));  // sticky
   EXPECT_TRUE(ref.saturated());
@@ -236,6 +229,43 @@ TEST(ExactSumBank, StoreRoundTripsLongAndNonFiniteSums) {
   bank.store(0, small);  // re-store shrinks back inline
   EXPECT_TRUE(same_bits(bank.value(0), 2.5));
   EXPECT_EQ(bank.spilled_slots(), 0u);
+}
+
+TEST(ExactSumBank, EraseShiftsLaterSlotsWithTheirState) {
+  ExactSumBank bank;
+  bank.assign_zero(5);
+  std::vector<ExactSum> oracle(5);
+  // Slot 1 spills (an infinity), slot 3 spills (a long expansion); the
+  // rest stay inline. Erasing slot 2 must re-key slot 3's spill to 2.
+  const std::vector<std::vector<double>> adds = {
+      {1.5}, {2.0, kInf}, {0.25}, {1e300, 1e200, 1e100, 1.0, 1e-100}, {-7.0}};
+  for (std::size_t i = 0; i < adds.size(); ++i) {
+    for (const double x : adds[i]) {
+      (void)bank.add(i, x);
+      oracle[i].add(x);
+    }
+  }
+  ASSERT_EQ(bank.spilled_slots(), 2u);
+  const auto expect_matches = [&](const char* context) {
+    ASSERT_EQ(bank.size(), oracle.size()) << context;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_TRUE(same_bits(bank.value(i), oracle[i].value())) << context << " slot " << i;
+    }
+  };
+  bank.erase(2);
+  oracle.erase(oracle.begin() + 2);
+  expect_matches("erase inline");
+  EXPECT_EQ(bank.spilled_slots(), 2u);
+  bank.erase(1);
+  oracle.erase(oracle.begin() + 1);
+  expect_matches("erase spilled");
+  EXPECT_EQ(bank.spilled_slots(), 1u);
+  // The survivors keep accumulating exactly where they now sit.
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    (void)bank.add(i, 0.5);
+    oracle[i].add(0.5);
+  }
+  expect_matches("after erase");
 }
 
 TEST(RowRunSeam, RunsServeExactlyTheBytesAtServes) {
