@@ -25,7 +25,7 @@ using namespace oisched;
 int usage() {
   std::cerr << "usage: run_experiments [--quick] [--out PATH] [--threads N] [--seed S]\n"
                "                       [--alpha A] [--beta B] [--storage dense|tiled]\n"
-               "                       [--remove-policy exact|rebuild|compensated]\n"
+               "                       [--remove-policy exact|rebuild]\n"
                "                       [--repeat N]\n"
                "  --repeat runs every cell N times back to back and reports the headline\n"
                "  metric's min/median/max/jitter per cell; the cell's headline number\n"
@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
       if (options.storage != "dense" && options.storage != "tiled") return usage();
     } else if (arg == "--remove-policy" && i + 1 < argc) {
       options.remove_policy = argv[++i];
-      if (options.remove_policy != "exact" && options.remove_policy != "rebuild" &&
-          options.remove_policy != "compensated") {
+      if (options.remove_policy != "exact" && options.remove_policy != "rebuild") {
         return usage();
       }
     } else {

@@ -1,9 +1,8 @@
 // File-driven scheduling tool: the library as a command-line utility.
 //
 //   $ ./schedule_tool gen  <out.inst> <n> [seed]       generate a workload
-//   $ ./schedule_tool run  <in.inst> <out.sched> [sqrt|greedy] [gain|incremental|direct]
+//   $ ./schedule_tool run  <in.inst> <out.sched> [sqrt|greedy] [gain|direct]
 //                          [--storage dense|tiled]
-//                          [--remove-policy rebuild|compensated|exact]
 //   $ ./schedule_tool check <in.inst> <in.sched>       validate a schedule
 //   $ ./schedule_tool gen-trace <in.inst> <out.trace>
 //                               [poisson|flash|adversarial|hotspot|growing|
@@ -11,18 +10,17 @@
 //                               [events] [seed]        generate a churn trace
 //   $ ./schedule_tool replay <in.inst> --trace <in.trace> [--out <final.sched>]
 //                            [--storage dense|tiled|computed]
-//                            [--remove-policy rebuild|compensated|exact]
-//                            [--rebuild-interval N]
+//                            [--remove-policy rebuild|exact]
 //                            [--shards N] [--rate R] [--farfield G]
 //                            [--near-radius R] [--trace-out <spans.json>]
 //                            replay it online
 //   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]
-//                           [--remove-policy rebuild|compensated|exact]
+//                           [--remove-policy rebuild|exact]
 //                           [--mobility] [--boundary-refresh N]
 //                           interactive admission service on stdin
 //
 // `run` defaults to the Section-5 sqrt coloring on the gain-matrix engine;
-// the other engines answer the same queries from scratch and exist for
+// the direct engine answers the same queries from scratch and exists for
 // cross-checking (identical schedules, different wall time — reported).
 // `replay` drives the trace through the online scheduler; with `--shards N`
 // it goes through the sharded SchedulerService instead — the typed
@@ -86,20 +84,19 @@ int usage() {
       << "usage:\n"
          "  schedule_tool gen   <out.inst> <n> [seed]\n"
          "  schedule_tool run   <in.inst> <out.sched> [sqrt|greedy] "
-         "[gain|incremental|direct] [--storage dense|tiled]\n"
-         "                      [--remove-policy rebuild|compensated|exact]\n"
+         "[gain|direct] [--storage dense|tiled]\n"
          "  schedule_tool check <in.inst> <in.sched>\n"
          "  schedule_tool gen-trace <in.inst> <out.trace> "
          "[poisson|flash|adversarial|hotspot|growing|waypoint|commuter|"
          "flashmob] [events] [seed]\n"
          "  schedule_tool replay <in.inst> --trace <in.trace> "
          "[--out <final.sched>] [--storage dense|tiled|computed]\n"
-         "                      [--remove-policy rebuild|compensated|exact] "
-         "[--rebuild-interval N] [--shards N] [--rate R]\n"
+         "                      [--remove-policy rebuild|exact] "
+         "[--shards N] [--rate R]\n"
          "                      [--farfield G] [--near-radius R] "
          "[--trace-out <spans.json>]\n"
          "  schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]\n"
-         "                      [--remove-policy rebuild|compensated|exact] "
+         "                      [--remove-policy rebuild|exact] "
          "[--mobility] [--boundary-refresh N]\n";
   return 2;
 }
@@ -132,8 +129,6 @@ SinrParams default_params() {
 bool parse_engine(const std::string& word, FeasibilityEngine& engine) {
   if (word == "gain" || word == "gain_matrix") {
     engine = FeasibilityEngine::gain_matrix;
-  } else if (word == "incremental") {
-    engine = FeasibilityEngine::incremental;
   } else if (word == "direct") {
     engine = FeasibilityEngine::direct;
   } else {
@@ -165,14 +160,8 @@ int cmd_gen(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   GainBackend storage = GainBackend::dense;
-  // The gain-engine accumulator arithmetic: rebuild = the historical
-  // plain sequential sums (what the cross-engine identity gates pin),
-  // exact = error-free expansion accumulators.
-  RemovePolicy policy = RemovePolicy::rebuild;
-  bool policy_given = false;
   OptionParser parser;
   parser.add_storage(storage);
-  parser.add_remove_policy(policy, &policy_given);
   const Expected<std::vector<std::string>> parsed = parser.parse(argc, argv, 2);
   if (!parsed) return fail_loudly(parsed.error());
   const std::vector<std::string>& args = parsed.value();
@@ -182,34 +171,22 @@ int cmd_run(int argc, char** argv) {
   const std::string algo = args.size() > 2 ? args[2] : "sqrt";
   FeasibilityEngine engine = FeasibilityEngine::gain_matrix;
   if (args.size() > 3 && !parse_engine(args[3], engine)) {
-    return fail_loudly("run: unknown engine '" + args[3] +
-                       "' (expected gain|incremental|direct)");
+    return fail_loudly("run: unknown engine '" + args[3] + "' (expected gain|direct)");
   }
   const SinrParams params = default_params();
 
   Schedule schedule;
   Stopwatch watch;
   if (algo == "sqrt") {
-    if (engine == FeasibilityEngine::incremental) {
-      return fail_loudly("sqrt has no incremental engine; use gain or direct");
-    }
-    if (policy_given) {
-      return fail_loudly("sqrt has no accumulator remove policy; use greedy");
-    }
     SqrtColoringOptions options;
     options.engine = engine;
     options.storage = storage;
     schedule =
         sqrt_coloring(instance.value(), params, Variant::bidirectional, options).schedule;
   } else if (algo == "greedy") {
-    if (policy_given && engine != FeasibilityEngine::gain_matrix) {
-      return fail_loudly(
-          "--remove-policy selects the gain engine's accumulator arithmetic; "
-          "use the gain engine");
-    }
     const auto powers = SqrtPower{}.assign(instance.value(), params.alpha);
     schedule = greedy_coloring(instance.value(), powers, params, Variant::bidirectional,
-                               RequestOrder::longest_first, engine, storage, policy);
+                               RequestOrder::longest_first, engine, storage);
   } else {
     return fail_loudly("run: unknown algorithm '" + algo + "' (expected sqrt|greedy)");
   }
@@ -217,11 +194,8 @@ int cmd_run(int argc, char** argv) {
   save_schedule(args[1], schedule);
   std::cout << "scheduled " << instance.value().size() << " requests into "
             << schedule.num_colors << " colors (" << algo << ", engine "
-            << to_string(engine) << ", storage " << to_string(storage);
-  if (algo == "greedy" && engine == FeasibilityEngine::gain_matrix) {
-    std::cout << ", remove policy " << to_string(policy);
-  }
-  std::cout << ", " << elapsed_ms << " ms) -> " << args[1] << '\n';
+            << to_string(engine) << ", storage " << to_string(storage) << ", "
+            << elapsed_ms << " ms) -> " << args[1] << '\n';
   return 0;
 }
 
@@ -382,7 +356,6 @@ int cmd_replay(int argc, char** argv) {
   std::string trace_out_path;
   GainBackend storage = GainBackend::dense;
   RemovePolicy policy = RemovePolicy::exact;  // the scheduler default
-  std::size_t rebuild_interval = 16;
   std::size_t shards = 0;  // 0 = plain single-scheduler replay
   double rate = 0.0;
   std::size_t farfield = 0;     // 0 = off; > 0 = target spatial cell count
@@ -393,7 +366,6 @@ int cmd_replay(int argc, char** argv) {
   parser.add_string("--trace-out", trace_out_path);
   parser.add_storage(storage);
   parser.add_remove_policy(policy);
-  parser.add_size("--rebuild-interval", rebuild_interval);
   parser.add_shards(shards);
   parser.add_double("--rate", rate);
   parser.add_size("--farfield", farfield, /*positive=*/false);
@@ -413,7 +385,6 @@ int cmd_replay(int argc, char** argv) {
 
   OnlineSchedulerOptions options;
   options.remove_policy = policy;
-  options.rebuild_interval = rebuild_interval;
   options.storage = trace.value().has_fresh_links() ? GainBackend::appendable : storage;
   // Endpoint motion mutates the gain tables, so the scheduler needs its
   // own matrix; moved links are re-powered by the same sqrt rule the

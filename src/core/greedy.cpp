@@ -46,12 +46,9 @@ class RecheckClass {
 /// pool: worker t probes classes t, t + T, t + 2T, ... in ascending order
 /// and stops at its first acceptor, so the minimum over workers is the
 /// lowest-index accepting class — the one sequential first-fit commits to.
-/// can_add changes no class state a verdict reads, so probing extra
-/// classes keeps the schedules bit-identical. It may write per-class
-/// scratch (the exact policy's gather buffer and own-slot stash; the lazy
-/// backends materialize tiles behind their own synchronization), so two
-/// threads must never probe the same class at once — the strided split
-/// gives each class to exactly one worker.
+/// can_add writes no class state (the lazy backends materialize tiles
+/// behind their own synchronization), so probing extra classes
+/// concurrently keeps the schedules bit-identical.
 template <typename ClassT, typename Factory>
 Schedule first_fit_coloring(const Instance& instance, RequestOrder order,
                             const Factory& make_class, std::size_t scan_threads) {
@@ -118,7 +115,7 @@ std::vector<std::size_t> ordered_indices(const Instance& instance, RequestOrder 
 Schedule greedy_coloring(const Instance& instance, std::span<const double> powers,
                          const SinrParams& params, Variant variant, RequestOrder order,
                          FeasibilityEngine engine, GainBackend storage,
-                         RemovePolicy policy, std::size_t scan_threads) {
+                         std::size_t scan_threads) {
   require(powers.size() == instance.size(), "greedy_coloring: one power per request");
   switch (engine) {
     case FeasibilityEngine::direct:
@@ -129,22 +126,13 @@ Schedule greedy_coloring(const Instance& instance, std::span<const double> power
                                 variant);
           },
           scan_threads);
-    case FeasibilityEngine::incremental:
-      return first_fit_coloring<IncrementalClass>(
-          instance, order,
-          [&] {
-            return IncrementalClass(instance.metric(), instance.requests(), powers,
-                                    params, variant);
-          },
-          scan_threads);
     case FeasibilityEngine::gain_matrix:
       break;
   }
   const auto gains =
       instance.gains(powers, params.alpha, variant, /*with_sender_gains=*/false, storage);
   return first_fit_coloring<IncrementalGainClass>(
-      instance, order, [&] { return IncrementalGainClass(*gains, params, policy); },
-      scan_threads);
+      instance, order, [&] { return IncrementalGainClass(*gains, params); }, scan_threads);
 }
 
 PowerControlColoring greedy_power_control_coloring(const Instance& instance,

@@ -31,18 +31,13 @@ enum class RequestOrder {
 [[nodiscard]] std::vector<std::size_t> ordered_indices(const Instance& instance,
                                                        RequestOrder order);
 
-/// First-fit coloring under a fixed power vector. All engines produce
+/// First-fit coloring under a fixed power vector. Both engines produce
 /// bit-for-bit identical schedules; gain_matrix precomputes the pairwise
-/// gains once and answers membership tests from tables, direct re-validates
-/// whole classes per test, incremental is the metric-based middle ground.
-/// `storage` picks the table backend of the gain_matrix engine (results are
-/// backend-independent; tiled bounds resident memory on large sparse
-/// workloads) and is ignored by the other engines. `policy` picks the
-/// gain-engine accumulator arithmetic (RemovePolicy::rebuild = the plain
-/// sequential sums whose bit pattern the cross-engine identity gates pin;
-/// exact accumulates error-free and correctly rounded — same schedules on
-/// every tested workload, guaranteed-canonical accumulators); the other
-/// engines ignore it.
+/// gains once and answers membership tests from tables with plain
+/// insertion-order sums (RemovePolicy::rebuild), direct re-validates whole
+/// classes per test. `storage` picks the table backend of the gain_matrix
+/// engine (results are backend-independent; tiled bounds resident memory
+/// on large sparse workloads) and is ignored by the direct engine.
 ///
 /// `scan_threads` > 1 fans each request's candidate scan (the first-fit
 /// sweep over open classes) across a worker pool. Workers probe disjoint
@@ -53,9 +48,7 @@ enum class RequestOrder {
     const Instance& instance, std::span<const double> powers, const SinrParams& params,
     Variant variant, RequestOrder order = RequestOrder::longest_first,
     FeasibilityEngine engine = FeasibilityEngine::gain_matrix,
-    GainBackend storage = GainBackend::dense,
-    RemovePolicy policy = RemovePolicy::rebuild,
-    std::size_t scan_threads = 1);
+    GainBackend storage = GainBackend::dense, std::size_t scan_threads = 1);
 
 struct PowerControlColoring {
   Schedule schedule;

@@ -137,8 +137,7 @@ int OnlineScheduler::place(std::size_t slot) {
     classes_[static_cast<std::size_t>(color)].add(slot);
     return color;
   }
-  classes_.emplace_back(*gains_, params_, options_.remove_policy,
-                        options_.rebuild_interval, farfield_.get());
+  classes_.emplace_back(*gains_, params_, options_.remove_policy, farfield_.get());
   classes_.back().add(slot);
   ++stats_.classes_opened;
   return static_cast<int>(classes_.size() - 1);

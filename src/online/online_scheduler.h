@@ -102,12 +102,8 @@ struct OnlineSchedulerOptions {
   /// accumulators keep every class bit-identical to a freshly built one
   /// over its survivors, with no replays at all. rebuild is the
   /// historical O(|class| * n) replay-on-remove (same guarantee, paid for
-  /// on every departure); compensated trades exactness for a
-  /// drift-bounded O(n) subtract.
+  /// on every departure) and the reference exact is gated against.
   RemovePolicy remove_policy = RemovePolicy::exact;
-  /// Forced-rebuild interval of the compensated policy (see
-  /// IncrementalGainClass).
-  std::size_t rebuild_interval = 16;
   /// After a departure, try to dissolve the trailing class by migrating its
   /// members into earlier classes — keeps the color count tight under
   /// churn at the cost of recolorings (counted in stats().migrations).
@@ -176,8 +172,8 @@ struct OnlineStats {
   std::size_t compaction_skips = 0;
   /// Full O(|class| * n) accumulator replays that removals (departures
   /// and compaction migrations) triggered — what the exact policy
-  /// eliminates: always 0 there, one per removal under rebuild,
-  /// drift/interval-triggered under compensated.
+  /// eliminates: 0 there outside the saturation escape hatch, one per
+  /// removal under rebuild.
   std::size_t removal_rebuilds = 0;
   /// Far-field mode only: feasibility tests certified from the per-cell
   /// interference bounds alone / tests that had to reconstruct an exact

@@ -300,6 +300,7 @@ void SchedulerService::shard_loop(std::size_t index) {
   std::vector<ServiceEvent> batch;
   std::size_t since_refresh = 0;
   std::uint64_t refreshes = 0;
+  int colors = shard.scheduler.num_colors();
   while (shard.queue.drain(batch)) {
     obs::LatencyHistogram latency;  // this batch's observations
     std::size_t rejected = 0;
@@ -313,6 +314,13 @@ void SchedulerService::shard_loop(std::size_t index) {
         shard.track->record("queue_wait", event.submitted, Stopwatch::now());
       }
       AdmitResult result = process_event(shard, event);
+      if (const int delta = shard.scheduler.num_colors() - colors; delta != 0) {
+        colors += delta;
+        const int live = live_colors_.fetch_add(delta) + delta;
+        int peak = peak_colors_.load();
+        while (live > peak && !peak_colors_.compare_exchange_weak(peak, live)) {
+        }
+      }
       if (!result.success) ++rejected;
       latency.observe(result.latency_seconds);
       if (shard.obs_shard != nullptr) {
@@ -401,11 +409,11 @@ ServiceStats SchedulerService::stats() const {
     out.scheduler.exact_fallbacks += s.exact_fallbacks;
     out.scheduler.retired_links += s.retired_links;
     out.scheduler.reused_slots += s.reused_slots;
-    out.scheduler.peak_colors = std::max(out.scheduler.peak_colors, s.peak_colors);
     out.scheduler.total_event_seconds += s.total_event_seconds;
     out.scheduler.max_event_seconds =
         std::max(out.scheduler.max_event_seconds, s.max_event_seconds);
   }
+  out.scheduler.peak_colors = peak_colors_.load();
   out.latency = summarize(latency);
   return out;
 }

@@ -55,6 +55,7 @@
 #ifndef OISCHED_SERVICE_SCHEDULER_SERVICE_H
 #define OISCHED_SERVICE_SCHEDULER_SERVICE_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -193,7 +194,10 @@ struct ServiceStats {
   std::size_t rejected = 0;    // completed with success == false
   std::size_t batches = 0;     // consumer-side queue drains
   std::size_t boundary_refreshes = 0;
-  OnlineStats scheduler;       // summed across shards (peaks are maxima)
+  /// Summed across shards; max_event_seconds is the maximum, and
+  /// peak_colors the peak of the global palette (the sum of the shards'
+  /// live color counts, since shards own disjoint color planes).
+  OnlineStats scheduler;
   Summary latency;             // seconds, submit -> completion
 };
 
@@ -330,6 +334,10 @@ class SchedulerService {
   std::size_t submitted_ = 0;       // guarded by state_mutex_
   std::size_t boundary_refreshes_ = 0;
   bool stopped_ = false;
+  /// The global palette: each shard thread adds its color-count delta
+  /// after every event and raises the peak.
+  std::atomic<int> live_colors_{0};
+  std::atomic<int> peak_colors_{0};
 };
 
 /// Outcome of replaying one trace through the service.

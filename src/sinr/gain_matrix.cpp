@@ -15,12 +15,6 @@ namespace oisched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// One unit in the last place of a double — the per-operation rounding loss.
-constexpr double kUlp = std::numeric_limits<double>::epsilon();
-/// Compensated removals trigger a rebuild once the cancelled magnitude of a
-/// slot exceeds this multiple of what remains: beyond it the slot has lost
-/// ~log10(kDriftRatio) of its ~16 significant digits to cancellation.
-constexpr double kDriftRatio = 1e6;
 /// Far-field bound gates widen the threshold comparison by this relative
 /// slack before certifying a verdict. The gate arithmetic (a handful of
 /// adds and one multiply over correctly rounded operands) loses at most
@@ -102,8 +96,6 @@ const char* to_string(FeasibilityEngine engine) {
   switch (engine) {
     case FeasibilityEngine::direct:
       return "direct";
-    case FeasibilityEngine::incremental:
-      return "incremental";
     case FeasibilityEngine::gain_matrix:
       return "gain_matrix";
   }
@@ -114,8 +106,6 @@ const char* to_string(RemovePolicy policy) {
   switch (policy) {
     case RemovePolicy::rebuild:
       return "rebuild";
-    case RemovePolicy::compensated:
-      return "compensated";
     case RemovePolicy::exact:
       return "exact";
   }
@@ -125,8 +115,6 @@ const char* to_string(RemovePolicy policy) {
 bool parse_remove_policy(const std::string& word, RemovePolicy& policy) {
   if (word == "rebuild") {
     policy = RemovePolicy::rebuild;
-  } else if (word == "compensated") {
-    policy = RemovePolicy::compensated;
   } else if (word == "exact") {
     policy = RemovePolicy::exact;
   } else {
@@ -303,23 +291,12 @@ double max_feasible_gain(const GainMatrix& gains, std::span<const std::size_t> a
 IncrementalGainClass::IncrementalGainClass(const GainMatrix& gains,
                                            const SinrParams& params,
                                            RemovePolicy policy,
-                                           std::size_t rebuild_interval,
                                            const FarFieldContext* farfield)
-    : gains_(&gains),
-      params_(params),
-      policy_(policy),
-      rebuild_interval_(rebuild_interval),
-      farfield_(farfield) {
+    : gains_(&gains), params_(params), policy_(policy), farfield_(farfield) {
   params_.validate();
-  require(rebuild_interval_ > 0,
-          "IncrementalGainClass: rebuild interval must be positive");
   if (!member_mode()) {
     acc_v_.assign(gains_->size(), 0.0);
     if (gains_->variant() == Variant::bidirectional) acc_u_.assign(gains_->size(), 0.0);
-  }
-  if (policy_ == RemovePolicy::compensated) {
-    cancelled_v_.assign(acc_v_.size(), 0.0);
-    cancelled_u_.assign(acc_u_.size(), 0.0);
   }
   if (farfield_ != nullptr) {
     require(policy_ == RemovePolicy::exact,
@@ -738,51 +715,8 @@ void IncrementalGainClass::remove(std::size_t request_index) {
     return;
   }
 
-  if (policy_ == RemovePolicy::rebuild) {
-    ++removal_rebuilds_;
-    rebuild();
-    return;
-  }
-
-  // Compensated fast path: subtract the departed contributions and grow the
-  // per-slot cancellation bound by their magnitude.
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_runs_skip(
-      *gains_, request_index, bidirectional, request_index,
-      [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
-        kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
-                                    row_v, len);
-        if (row_u != nullptr) {
-          kernels::acc_sub_row_cancel(acc_u_.data() + base, cancelled_u_.data() + base,
-                                      row_u, len);
-        }
-      });
-  ++removes_since_rebuild_;
-  maybe_rebuild_after_remove();
-#ifndef NDEBUG
-  // Debug cross-check (drift guard): after long add/remove sequences the
-  // compensated accumulators must stay within the rounding budget of the
-  // from-scratch replay — each of the O(members + removes) float ops loses
-  // at most one ulp of the magnitudes that passed through the slot.
-  if (removes_since_rebuild_ > 0 && removes_since_rebuild_ % 8 == 0) {
-    std::vector<double> fresh_v, fresh_u;
-    replay_accumulators(fresh_v, fresh_u);
-    const double ops =
-        static_cast<double>(members_.size() + removes_since_rebuild_ + 4);
-    for (std::size_t i = 0; i < acc_v_.size(); ++i) {
-      const double bound =
-          ops * kUlp * (cancelled_v_[i] + std::abs(fresh_v[i]) + std::abs(acc_v_[i]));
-      ensure(std::abs(acc_v_[i] - fresh_v[i]) <= bound,
-             "IncrementalGainClass: compensated accumulator drifted past its bound");
-    }
-    for (std::size_t i = 0; i < acc_u_.size(); ++i) {
-      const double bound =
-          ops * kUlp * (cancelled_u_[i] + std::abs(fresh_u[i]) + std::abs(acc_u_[i]));
-      ensure(std::abs(acc_u_[i] - fresh_u[i]) <= bound,
-             "IncrementalGainClass: compensated accumulator drifted past its bound");
-    }
-  }
-#endif
+  ++removal_rebuilds_;
+  rebuild();
 }
 
 void IncrementalGainClass::begin_link_update(std::size_t link) {
@@ -801,28 +735,13 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
   }
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
-  if (!contains(link)) return;  // nothing of the stale row is accumulated here
-  if (policy_ == RemovePolicy::rebuild) return;  // finish replays from scratch
-
-  if (farfield_ != nullptr) {
-    // Withdraw the member through the STALE geometry — the scheduler
-    // updates the context (cells, slot lists, bounds inputs) only between
-    // the two phases, so this subtraction mirrors what was added.
-    far_apply_member(link, /*add_op=*/false);
-    return;
-  }
-
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_runs_skip(
-      *gains_, link, bidirectional, link,
-      [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
-        kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
-                                    row_v, len);
-        if (row_u != nullptr) {
-          kernels::acc_sub_row_cancel(acc_u_.data() + base, cancelled_u_.data() + base,
-                                      row_u, len);
-        }
-      });
+  // The rebuild policy replays in finish_link_update, and a non-member's
+  // stale row is accumulated nowhere.
+  if (farfield_ == nullptr || !contains(link)) return;
+  // Withdraw the member through the STALE geometry — the scheduler updates
+  // the context (cells, slot lists, bounds inputs) only between the two
+  // phases, so this subtraction mirrors what was added.
+  far_apply_member(link, /*add_op=*/false);
 }
 
 void IncrementalGainClass::finish_link_update(std::size_t link) {
@@ -855,47 +774,27 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
     return;
   }
   const bool member = contains(link);
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-
-  if (member && policy_ == RemovePolicy::rebuild) {
+  if (member && farfield_ == nullptr) {
     // The rebuild policy restores every slot — including slot `link` — by
     // replaying the members over the refreshed tables.
     ++removal_rebuilds_;
     rebuild();
     return;
   }
-
-  if (member && farfield_ != nullptr) {
-    // Re-admit through the refreshed tables and the refreshed geometry,
-    // then fall through to the shared slot re-derivation below.
-    if (far_apply_member(link, /*add_op=*/true)) {
-      ++removal_rebuilds_;
-      rebuild();
-      return;
-    }
-  } else if (member) {
-    // Re-add the link's row, now reading the refreshed tables.
-    walk_row_runs_skip(
-        *gains_, link, bidirectional, link,
-        [&](std::size_t base, const double* row_v, const double* row_u,
-            std::size_t len) {
-          kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-          if (row_u != nullptr) kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-        });
+  // Far-field: re-admit through the refreshed tables and the refreshed
+  // geometry.
+  if (member && far_apply_member(link, /*add_op=*/true)) {
+    ++removal_rebuilds_;
+    rebuild();
+    return;
   }
 
   // Slot `link` reads column `link`, which just changed — and the add /
-  // subtract passes above never touch a link's own slot. Re-derive it from
-  // the members in every class, member or not.
+  // subtract passes never touch a link's own slot. Re-derive it from the
+  // members in every class, member or not.
   rederive_slot(link);
 
-  if (member && policy_ == RemovePolicy::compensated) {
-    // The subtract in begin_link_update cancelled like a removal; keep the
-    // drift bookkeeping identical.
-    ++removes_since_rebuild_;
-    maybe_rebuild_after_remove();
-  }
-  if (member && farfield_ != nullptr) {
+  if (member) {
     ++removes_since_rebuild_;
 #ifndef NDEBUG
     if (removes_since_rebuild_ % 8 == 0) {
@@ -930,8 +829,8 @@ void IncrementalGainClass::rederive_slot(std::size_t link) {
     }
     return;
   }
-  // Plain policies replay the slot in insertion order — the arithmetic of
-  // replay_accumulators, restricted to one slot.
+  // The rebuild policy replays the slot in insertion order — the
+  // arithmetic of replay_accumulators, restricted to one slot.
   double sum_v = 0.0;
   double sum_u = 0.0;
   for (const std::size_t m : members_) {
@@ -941,11 +840,6 @@ void IncrementalGainClass::rederive_slot(std::size_t link) {
   }
   acc_v_[link] = sum_v;
   if (bidirectional) acc_u_[link] = sum_u;
-  if (policy_ == RemovePolicy::compensated) {
-    // A freshly derived slot has no accumulated cancellation.
-    cancelled_v_[link] = 0.0;
-    if (bidirectional) cancelled_u_[link] = 0.0;
-  }
 }
 
 bool IncrementalGainClass::members_feasible() const {
@@ -986,10 +880,6 @@ void IncrementalGainClass::sync_universe() {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   acc_v_.resize(n, 0.0);
   if (bidirectional) acc_u_.resize(n, 0.0);
-  if (policy_ == RemovePolicy::compensated) {
-    cancelled_v_.resize(acc_v_.size(), 0.0);
-    cancelled_u_.resize(acc_u_.size(), 0.0);
-  }
   if (farfield_ != nullptr) {
     require(farfield_->size() == n,
             "IncrementalGainClass: far-field context out of sync with the matrix");
@@ -1029,26 +919,6 @@ void IncrementalGainClass::sync_universe() {
                       kernels::acc_add_row(acc_u_.data() + base, row_u, len);
                     }
                   });
-  }
-}
-
-void IncrementalGainClass::maybe_rebuild_after_remove() {
-  bool drifted = removes_since_rebuild_ >= rebuild_interval_;
-  if (!drifted) {
-    // Rebuild-on-drift: once the cancelled magnitude dwarfs what is left in
-    // a slot, the remaining digits are rounding residue, not information.
-    for (std::size_t i = 0; i < acc_v_.size() && !drifted; ++i) {
-      drifted = cancelled_v_[i] > kDriftRatio * std::abs(acc_v_[i]) &&
-                cancelled_v_[i] > 0.0;
-    }
-    for (std::size_t i = 0; i < acc_u_.size() && !drifted; ++i) {
-      drifted = cancelled_u_[i] > kDriftRatio * std::abs(acc_u_[i]) &&
-                cancelled_u_[i] > 0.0;
-    }
-  }
-  if (drifted) {
-    ++removal_rebuilds_;
-    rebuild();
   }
 }
 
@@ -1106,10 +976,6 @@ void IncrementalGainClass::rebuild() {
     return;
   }
   replay_accumulators(acc_v_, acc_u_);
-  if (policy_ == RemovePolicy::compensated) {
-    std::fill(cancelled_v_.begin(), cancelled_v_.end(), 0.0);
-    std::fill(cancelled_u_.begin(), cancelled_u_.end(), 0.0);
-  }
   removes_since_rebuild_ = 0;
 }
 

@@ -67,22 +67,19 @@ class GainRowCursor {
   std::size_t len_ = 0;
 };
 
-/// Which machinery answers feasibility queries inside an algorithm. All
-/// three produce bit-for-bit identical results; they differ only in cost.
+/// Which machinery answers feasibility queries inside an algorithm. Both
+/// produce bit-for-bit identical results; they differ only in cost.
 enum class FeasibilityEngine {
   /// Re-evaluate the whole color class from scratch on every query
   /// (check_feasible): O(k^2) distance/pow work per insertion test. The
   /// reference semantics; kept for cross-checking and benchmarking.
   direct,
-  /// Metric-based incremental accumulators (IncrementalClass): O(k)
-  /// distance/pow work per insertion test.
-  incremental,
   /// Precomputed GainMatrix plus incremental accumulators: O(n^2) pow work
   /// once per instance, then O(k) table lookups per insertion test.
   gain_matrix,
 };
 
-/// Human-readable engine name ("direct" / "incremental" / "gain_matrix").
+/// Human-readable engine name ("direct" / "gain_matrix").
 [[nodiscard]] const char* to_string(FeasibilityEngine engine);
 
 /// Precomputed pairwise gains for one (metric, requests, powers, variant).
@@ -227,26 +224,18 @@ class GainMatrix {
 [[nodiscard]] double max_feasible_gain(const GainMatrix& gains,
                                        std::span<const std::size_t> active);
 
-/// How IncrementalGainClass restores its accumulators when a member leaves.
+/// The accumulator arithmetic of an IncrementalGainClass.
 ///
 /// Plain floating-point accumulators are order-sensitive: subtracting a
 /// departed member's contributions does not, in general, reproduce the sum
-/// a fresh replay of the surviving adds would compute, so a class that
-/// only ever subtracts drifts away from the from-scratch evaluation.
+/// a fresh replay of the surviving adds would compute. Both arithmetics
+/// below stay bit-for-bit equal to a freshly built class at all times;
+/// they differ in what they store and what a removal costs.
 enum class RemovePolicy {
-  /// Replay the surviving members' contributions in insertion order after
-  /// every removal. O(|class| * n) per remove, but the plain-double
-  /// accumulators are bit-for-bit identical to a freshly built class at
-  /// all times. The historical exact mode (and still the default of
-  /// IncrementalGainClass itself, whose add-path arithmetic the offline
-  /// engine-equivalence gates pin).
+  /// Plain sums over all n slots in insertion order, replayed after every
+  /// removal: O(n) per add, O(|class| * n) per remove. The offline gain
+  /// engine, and the reference the exact arithmetic is gated against.
   rebuild,
-  /// Subtract the departed member's contributions (O(n) per remove) and
-  /// track the accumulated cancellation magnitude per slot; replay from
-  /// scratch only when the bound drifts past a relative tolerance or a
-  /// removal-count interval. Verdicts may differ from the from-scratch
-  /// evaluation by at most the tracked drift between rebuilds.
-  compensated,
   /// Numerically exact O(|class|) removal: every member's accumulator
   /// slot is an ExactSum expansion (util/exact_sum.h), so add accumulates
   /// and remove subtracts with zero rounding error, and the slot's
@@ -264,7 +253,7 @@ enum class RemovePolicy {
   exact,
 };
 
-/// Human-readable policy name ("rebuild" / "compensated" / "exact").
+/// Human-readable policy name ("rebuild" / "exact").
 [[nodiscard]] const char* to_string(RemovePolicy policy);
 
 /// Parses a policy name (as printed by to_string); returns false on an
@@ -275,11 +264,11 @@ enum class RemovePolicy {
 ///
 /// Same contract as IncrementalClass, but with no distance or pow work:
 /// every test is a table lookup against accumulated interference. Under
-/// the rebuild and compensated policies the accumulators cover *all* n
-/// requests in insertion order (verdicts bit-for-bit identical to
-/// IncrementalClass), so the candidate's own constraint is a single
-/// lookup and add/remove walk a full O(n) table row. Classes also shrink:
-/// remove() evicts a member under the configured RemovePolicy.
+/// the rebuild policy the accumulators cover *all* n requests in
+/// insertion order (verdicts bit-for-bit identical to IncrementalClass),
+/// so the candidate's own constraint is a single lookup and add walks a
+/// full O(n) table row. Classes also shrink: remove() evicts a member
+/// under the configured RemovePolicy.
 ///
 /// Member mode (the exact policy without a far-field context): whether a
 /// class can take a link depends only on gains between its members and
@@ -310,7 +299,6 @@ class IncrementalGainClass {
  public:
   IncrementalGainClass(const GainMatrix& gains, const SinrParams& params,
                        RemovePolicy policy = RemovePolicy::rebuild,
-                       std::size_t rebuild_interval = 16,
                        const FarFieldContext* farfield = nullptr);
 
   [[nodiscard]] bool can_add(std::size_t request_index) const;
@@ -319,16 +307,16 @@ class IncrementalGainClass {
   /// the accumulators afterwards equal a fresh replay of the surviving adds
   /// in insertion order, bit for bit; under exact they equal a freshly
   /// built exact-policy class over the survivors, bit for bit, at
-  /// O(|class|) cost; under compensated they are within the drift bound of
-  /// that replay.
+  /// O(|class|) cost.
   void remove(std::size_t request_index);
 
   /// Endpoint-motion bracket, phase 1 of 2: called on EVERY class (member
   /// or not) BEFORE GainMatrix::update_request rewrites link `link`'s row
-  /// and column. A member class subtracts the link's stale row
-  /// contribution from the other slots under this policy's arithmetic
-  /// (error-free under exact); a non-member class has nothing to read from
-  /// the old tables (member mode drops its can_add stash, nothing else).
+  /// and column. Under exact a member class subtracts the link's stale row
+  /// contribution from the other slots, error-free; a non-member class has
+  /// nothing to read from the old tables (member mode drops its can_add
+  /// stash, nothing else). Under rebuild nothing happens here, because
+  /// finish_link_update replays.
   /// Must be paired with finish_link_update on the same link, with no
   /// other mutation in between.
   void begin_link_update(std::size_t link);
@@ -341,8 +329,7 @@ class IncrementalGainClass {
   /// bit-for-bit a freshly built exact class over the same members and the
   /// moved universe, with no replay (the sticky-saturation escape hatch of
   /// remove() applies here too, counted in removal_rebuilds()); under
-  /// rebuild a member class replays; under compensated the subtract grows
-  /// the drift bound exactly as a remove does.
+  /// rebuild a member class replays.
   void finish_link_update(std::size_t link);
   /// True when every member still decodes against the live accumulators —
   /// the O(|class|) re-validation the online scheduler runs after motion
@@ -359,20 +346,20 @@ class IncrementalGainClass {
   /// always in member mode (no slot is indexed by the universe).
   void sync_universe();
   /// Re-derives the accumulators by replaying the members in insertion
-  /// order — the canonical from-scratch state every policy converges to
-  /// (a no-op change of state under exact, whose accumulators never leave
-  /// it).
+  /// order — the canonical from-scratch state (a no-op change of state
+  /// outside the saturation escape hatch, since neither policy's
+  /// accumulators otherwise leave it).
   void rebuild();
   /// Largest absolute deviation of the live accumulators from a replayed
-  /// rebuild under this policy's arithmetic — the cross-check of the
-  /// compensated policy (always exactly 0.0 under rebuild AND under
-  /// exact). Does not modify the class.
+  /// rebuild under this policy's arithmetic — the exactness suites'
+  /// cross-check (always exactly 0.0 under both policies). Does not
+  /// modify the class.
   [[nodiscard]] double accumulator_drift() const;
 
-  /// Full accumulator replays triggered by removals so far
-  /// (every remove under rebuild, drift/interval triggers under
-  /// compensated, never under exact) — the counter the online scheduler
-  /// aggregates to show the rebuilds a policy eliminated.
+  /// Full accumulator replays triggered by removals so far (every remove
+  /// under rebuild, only the saturation escape hatch under exact) — the
+  /// counter the online scheduler aggregates to show the rebuilds a
+  /// policy eliminated.
   [[nodiscard]] std::size_t removal_rebuilds() const noexcept {
     return removal_rebuilds_;
   }
@@ -420,7 +407,6 @@ class IncrementalGainClass {
   [[nodiscard]] double member_drift() const;
 
   void replay_accumulators(std::vector<double>& acc_v, std::vector<double>& acc_u) const;
-  void maybe_rebuild_after_remove();
   void rederive_slot(std::size_t link);
   /// Far-field mode: applies (or withdraws) member j — exact near-field
   /// walk over the cell slot lists plus bound contributions to every far
@@ -439,7 +425,6 @@ class IncrementalGainClass {
   const GainMatrix* gains_;
   SinrParams params_;
   RemovePolicy policy_;
-  std::size_t rebuild_interval_;
   bool update_pending_ = false;
   std::size_t removes_since_rebuild_ = 0;
   std::size_t removal_rebuilds_ = 0;
@@ -451,10 +436,6 @@ class IncrementalGainClass {
   /// mutation.
   std::vector<double> acc_v_;
   std::vector<double> acc_u_;
-  /// Compensated mode only: accumulated magnitude cancelled out of each
-  /// slot since the last rebuild — an upper bound on the lost precision.
-  std::vector<double> cancelled_v_;
-  std::vector<double> cancelled_u_;
   /// Far-field mode only: the error-free expansions behind the slots,
   /// holding the near-field part only (util/exact_bank.h).
   ExactSumBank exact_v_;

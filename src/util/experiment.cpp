@@ -390,12 +390,11 @@ bool same_schedule(const Schedule& a, const Schedule& b) {
   return a.num_colors == b.num_colors && a.color_of == b.color_of;
 }
 
-JsonValue comparison_json(const EngineComparison& comparison, bool with_incremental) {
+JsonValue comparison_json(const EngineComparison& comparison) {
   JsonValue value = JsonValue::object();
   value["colors"] = comparison.colors;
   value["identical"] = comparison.identical;
   value["ms_direct"] = comparison.ms_direct;
-  if (with_incremental) value["ms_incremental"] = comparison.ms_incremental;
   value["ms_gain"] = comparison.ms_gain;
   value["speedup"] = comparison.speedup;
   return value;
@@ -461,11 +460,8 @@ bool scenario_failed(const ScenarioResult& result) {
     // was lost, duplicated or reordered, a wrong answer.
     if (result.spec.is_service() && !result.dynamic.oracle_identical) return true;
     // The exact policy promises bit-identity with the rebuild reference;
-    // a divergence there is a wrong answer. Compensated is drift-bounded
-    // only, so its policy_identical flag is informational.
-    if (result.spec.remove_policy == "exact" && !result.dynamic.policy_identical) {
-      return true;
-    }
+    // a divergence there is a wrong answer.
+    if (!result.dynamic.policy_identical) return true;
     return result.dynamic.events_per_sec <= 0.0;
   }
   if (!result.greedy.identical) return true;
@@ -645,15 +641,12 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   add("random", 256, "sqrt", "waypoint", "tiled");
   add("random", 128, "sqrt", "waypoint", "appendable");
   // The remove-policy axis on the flagship churn cell: the same instance
-  // and trace under all three accumulator policies — the recorded
-  // evidence that exact removal costs nothing against the rebuild
-  // baseline it replaces. Pinned cells that would duplicate the default
-  // flagship cell (under a non-exact --remove-policy) are skipped.
+  // and trace under both accumulator policies — the recorded evidence
+  // that exact removal costs nothing against the rebuild baseline it
+  // replaces. Skipped when it would duplicate the default flagship cell
+  // (under --remove-policy rebuild).
   if (options.remove_policy != "rebuild") {
     add("random", 256, "sqrt", "poisson", "", "rebuild");
-  }
-  if (options.remove_policy != "compensated") {
-    add("random", 256, "sqrt", "poisson", "", "compensated");
   }
   // The dynamic-service saturation sweep: the flagship churn workload
   // through the sharded admission service. One axis scales the shard
@@ -734,13 +727,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
       });
     };
     const auto [direct, ms_direct] = greedy_with(FeasibilityEngine::direct, backend);
-    const auto [incremental, ms_incremental] =
-        greedy_with(FeasibilityEngine::incremental, backend);
     const auto [gain, ms_gain] = greedy_with(FeasibilityEngine::gain_matrix, backend);
     result.greedy.colors = gain.num_colors;
-    result.greedy.identical = same_schedule(direct, gain) && same_schedule(incremental, gain);
+    result.greedy.identical = same_schedule(direct, gain);
     result.greedy.ms_direct = ms_direct;
-    result.greedy.ms_incremental = ms_incremental;
     result.greedy.ms_gain = ms_gain;
     result.greedy.speedup = ms_gain > 0.0 ? ms_direct / ms_gain : 0.0;
 
@@ -761,9 +751,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
       // sequential sweep, so the schedule must come back bit for bit.
       const auto [scan_schedule, scan_ms] = timed([&] {
         return greedy_coloring(instance, powers, params, spec.variant,
-                               RequestOrder::longest_first,
-                               FeasibilityEngine::gain_matrix, backend,
-                               RemovePolicy::rebuild, spec.scan_threads);
+                               RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
+                               backend, spec.scan_threads);
       });
       result.scan_ms = scan_ms;
       result.scan_identical = same_schedule(gain, scan_schedule);
@@ -856,7 +845,7 @@ std::vector<ScenarioResult> run_experiment_grid(std::span<const ScenarioSpec> gr
 JsonValue experiment_report(std::span<const ScenarioResult> results,
                             const ExperimentOptions& options) {
   JsonValue root = JsonValue::object();
-  root["schema"] = "oisched-bench-schedule/9";
+  root["schema"] = "oisched-bench-schedule/10";
   root["generator"] = "bench/run_experiments";
   root["mode"] = options.quick ? "quick" : "full";
   root["threads"] = options.threads;
@@ -901,11 +890,9 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
     if (!result.scan_identical) ++scan_disagreements;
     // Policy disagreement = an exact-policy replay whose final schedule
     // diverged from the rebuild reference on the same trace — a wrong
-    // answer, mirroring scenario_failed. Compensated divergence is
-    // drift evidence, visible per entry in dynamic.policy_identical but
-    // deliberately not counted (nor failed) here.
-    if (result.ok && result.spec.is_dynamic() && result.spec.remove_policy == "exact" &&
-        !result.dynamic.policy_identical) {
+    // answer, mirroring scenario_failed (rebuild cells have no twin and
+    // always report identical).
+    if (result.ok && result.spec.is_dynamic() && !result.dynamic.policy_identical) {
       ++policy_disagreements;
     }
     JsonValue entry = JsonValue::object();
@@ -950,9 +937,9 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
       event_rates.push_back(result.dynamic.events_per_sec);
     } else {
       entry["gain_build_ms"] = result.gain_build_ms;
-      entry["greedy"] = comparison_json(result.greedy, /*with_incremental=*/true);
+      entry["greedy"] = comparison_json(result.greedy);
       if (result.has_sqrt) {
-        entry["sqrt"] = comparison_json(result.sqrt, /*with_incremental=*/false);
+        entry["sqrt"] = comparison_json(result.sqrt);
       }
       entry["valid"] = result.valid;
       entry["backends_identical"] = result.backends_identical;

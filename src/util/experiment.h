@@ -2,13 +2,12 @@
 // machine-readable JSON report (the BENCH_schedule.json CI regresses on).
 //
 // One scenario = (topology, n, power assignment, variant, seed). Running it
-// builds the instance, times greedy first-fit under all three feasibility
-// engines (direct re-check, metric-incremental, gain-matrix) plus the
-// Section-5 sqrt coloring under the direct and gain-matrix paths, verifies
-// the engines agree bit-for-bit, and re-validates the produced schedule
-// from scratch. The grid fans across a ThreadPool; every scenario is
-// deterministic in its own seed, so results are independent of thread
-// count and arrival order.
+// builds the instance, times greedy first-fit under both feasibility
+// engines (direct re-check, gain-matrix) plus the Section-5 sqrt coloring
+// under the same two paths, verifies the engines agree bit-for-bit, and
+// re-validates the produced schedule from scratch. The grid fans across a
+// ThreadPool; every scenario is deterministic in its own seed, so results
+// are independent of thread count and arrival order.
 #ifndef OISCHED_UTIL_EXPERIMENT_H
 #define OISCHED_UTIL_EXPERIMENT_H
 
@@ -46,9 +45,8 @@ struct ScenarioSpec {
   /// growing-universe (dynamic) backend.
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
-  /// under ("exact" | "rebuild" | "compensated"). exact — the scheduler
-  /// default — removes in O(|class|) with zero rounding error and zero
-  /// replays.
+  /// under ("exact" | "rebuild"). exact — the scheduler default — removes
+  /// in O(|class|) with zero rounding error and zero replays.
   std::string remove_policy = "exact";
   /// Dynamic-service family (> 0): replay the trace through a
   /// SchedulerService with this many shards instead of a bare
@@ -99,7 +97,6 @@ struct EngineComparison {
   int colors = 0;
   bool identical = false;     // all engines produced the same schedule
   double ms_direct = 0.0;     // from-scratch re-check per query
-  double ms_incremental = 0.0;  // metric-based accumulators (greedy only)
   double ms_gain = 0.0;       // gain-matrix engine
   double speedup = 0.0;       // ms_direct / ms_gain
 };
@@ -127,12 +124,11 @@ struct DynamicResult {
   std::size_t classes_opened = 0;
   std::size_t classes_closed = 0;
   double max_event_ms = 0.0;      // worst single-event latency
-  /// Replay under a non-rebuild policy re-run under RemovePolicy::rebuild
-  /// on the same trace produced the bit-identical final schedule — the
-  /// runner-level policy-equivalence gate. A failure counts as a scenario
-  /// failure for the exact policy (whose guarantee it is); compensated is
-  /// drift-bounded, not bit-exact, so there it is informational. Cells
-  /// with universes past 4096 links skip the twin (its O(|class| * n)
+  /// An exact-policy replay re-run under RemovePolicy::rebuild on the same
+  /// trace produced the bit-identical final schedule — the runner-level
+  /// policy-equivalence gate. A failure counts as a scenario failure (the
+  /// exact policy guarantees bit-identity). Rebuild cells, and cells with
+  /// universes past 4096 links, skip the twin (its O(|class| * n)
   /// replay-on-remove would dwarf the timed measurement; the differential
   /// fuzz suites cover large-n policy identity) and report true.
   bool policy_identical = true;
@@ -242,8 +238,7 @@ struct ExperimentOptions {
   /// ("dense" | "tiled"); the large-n and growing cells always pin theirs.
   std::string storage = "dense";
   /// Default remove policy for dynamic cells that do not pin one
-  /// ("exact" | "rebuild" | "compensated"); the policy-axis cells always
-  /// pin theirs.
+  /// ("exact" | "rebuild"); the policy-axis cell always pins its own.
   std::string remove_policy = "exact";
   /// Runs every cell this many times (back to back on one worker) and
   /// reports the headline metric's min/median/max/jitter; the entry's
@@ -272,7 +267,7 @@ struct ExperimentOptions {
     std::size_t repeat = 1);
 
 /// Bundles results into the BENCH_schedule.json document
-/// (schema "oisched-bench-schedule/9"; layout documented in README.md).
+/// (schema "oisched-bench-schedule/10"; layout documented in README.md).
 [[nodiscard]] JsonValue experiment_report(std::span<const ScenarioResult> results,
                                           const ExperimentOptions& options);
 

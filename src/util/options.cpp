@@ -82,15 +82,13 @@ void OptionParser::add_storage(GainBackend& out, bool allow_appendable) {
   });
 }
 
-void OptionParser::add_remove_policy(RemovePolicy& out, bool* given) {
-  add_flag("--remove-policy", [&out, given](const std::string& word) -> Expected<void> {
+void OptionParser::add_remove_policy(RemovePolicy& out) {
+  add_flag("--remove-policy", [&out](const std::string& word) -> Expected<void> {
     RemovePolicy parsed = RemovePolicy::exact;
     if (!parse_remove_policy(word, parsed)) {
-      return fail("--remove-policy: unknown policy '" + word +
-                  "' (expected rebuild|compensated|exact)");
+      return fail("--remove-policy: unknown policy '" + word + "' (expected rebuild|exact)");
     }
     out = parsed;
-    if (given != nullptr) *given = true;
     return Expected<void>();
   });
 }

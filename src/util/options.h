@@ -47,9 +47,8 @@ class OptionParser {
   ///   an appendable table has a single owner and is normally chosen
   ///   automatically by the replay path)
   void add_storage(GainBackend& out, bool allow_appendable = false);
-  ///   --remove-policy rebuild|compensated|exact (+ optional given flag so
-  ///   callers can tell an explicit choice from the default)
-  void add_remove_policy(RemovePolicy& out, bool* given = nullptr);
+  ///   --remove-policy rebuild|exact
+  void add_remove_policy(RemovePolicy& out);
   ///   --shards N (N >= 1): the scheduling-service shard count
   void add_shards(std::size_t& out);
   ///   --trace PATH: a churn-trace file

@@ -112,13 +112,13 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   // 24 static cells + the n512 flagship + 6 dynamic (3 trace kinds x 2
   // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes) + 5
   // storage-backend cells (tiled poisson, tiled large-n hotspot,
-  // appendable growing, tiled waypoint, appendable waypoint) + 2
-  // remove-policy cells (flagship poisson under rebuild and compensated)
-  // + 7 dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
+  // appendable growing, tiled waypoint, appendable waypoint) + the
+  // remove-policy cell (flagship poisson under rebuild) + 7
+  // dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
   // rates, waypoint s4) + the n512 parallel-scan cell + 4
   // dynamic-farfield cells (n4096 poisson/waypoint, n16384 and n131072
   // tableless).
-  EXPECT_EQ(grid.size(), 56u);
+  EXPECT_EQ(grid.size(), 55u);
   std::set<std::string> trace_kinds;
   std::set<std::string> storages;
   std::set<std::string> policies;
@@ -134,15 +134,15 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
                                    "growing", "waypoint", "commuter", "flashmob"}));
   EXPECT_EQ(storages,
             (std::set<std::string>{"dense", "tiled", "appendable", "computed"}));
-  EXPECT_EQ(policies, (std::set<std::string>{"exact", "rebuild", "compensated"}));
+  EXPECT_EQ(policies, (std::set<std::string>{"exact", "rebuild"}));
   // Seeds are distinct so scenarios are independent draws — except the
-  // remove-policy axis (2 cells), the service cells (6 poisson + 1
+  // remove-policy cell, the service cells (6 poisson + 1
   // waypoint) and the parallel-scan cell, which deliberately replay the
   // SAME seed (and therefore instance and trace) as their bare twins so
   // the numbers are directly comparable.
   std::set<std::uint64_t> seeds;
   for (const auto& spec : grid) seeds.insert(spec.seed);
-  EXPECT_EQ(seeds.size(), grid.size() - 10);
+  EXPECT_EQ(seeds.size(), grid.size() - 9);
   std::uint64_t flagship_seed = 0;
   std::uint64_t rebuild_seed = 1;
   for (const auto& spec : grid) {
@@ -330,7 +330,7 @@ TEST(ExperimentReport, EmitsSchemaResultsAndSummary) {
   const auto results = run_experiment_grid(grid, params, 2);
   const JsonValue report = experiment_report(results, options);
   const std::string text = report.dump();
-  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/9\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/10\""), std::string::npos);
   EXPECT_NE(text.find("\"repeat\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"backend_disagreements\": 0"), std::string::npos);
   EXPECT_NE(text.find("\"policy_disagreements\": 0"), std::string::npos);

@@ -143,8 +143,7 @@ void run_class_differential(const testutil::Scenario& scenario, Variant variant,
   options.target_cells = target_cells;
   const FarFieldContext ctx(scenario.metric, scenario.requests, powers, params.alpha,
                             variant, options);
-  IncrementalGainClass far_cls(gains, params, RemovePolicy::exact,
-                               /*rebuild_interval=*/16, &ctx);
+  IncrementalGainClass far_cls(gains, params, RemovePolicy::exact, &ctx);
   IncrementalGainClass exact_cls(gains, params, RemovePolicy::exact);
   Rng rng(seed);
   std::vector<std::size_t> in_class;
@@ -219,8 +218,7 @@ TEST(IncrementalGainClassFarField, StraddlingBoundsFireTheExactFallback) {
   // Threshold at the geometric mean of the bounds: beta * lo < signal <
   // beta * hi, so neither certification can succeed.
   params.beta = signal / std::sqrt(lo * hi);
-  IncrementalGainClass far_cls(gains, params, RemovePolicy::exact,
-                               /*rebuild_interval=*/16, &ctx);
+  IncrementalGainClass far_cls(gains, params, RemovePolicy::exact, &ctx);
   IncrementalGainClass exact_cls(gains, params, RemovePolicy::exact);
   far_cls.add(0);
   exact_cls.add(0);
@@ -240,14 +238,12 @@ TEST(IncrementalGainClassFarField, RequiresExactPolicyAndMatchingContext) {
   const GainMatrix gains(instance, powers, params.alpha, Variant::directed);
   const FarFieldContext ctx(scenario.metric, scenario.requests, powers, params.alpha,
                             Variant::directed, {/*target_cells=*/8, /*near_radius=*/1});
-  EXPECT_THROW(IncrementalGainClass(gains, params, RemovePolicy::rebuild,
-                                    /*rebuild_interval=*/16, &ctx),
+  EXPECT_THROW(IncrementalGainClass(gains, params, RemovePolicy::rebuild, &ctx),
                PreconditionError);
   const FarFieldContext wrong_variant(scenario.metric, scenario.requests, powers,
                                       params.alpha, Variant::bidirectional,
                                       {/*target_cells=*/8, /*near_radius=*/1});
-  EXPECT_THROW(IncrementalGainClass(gains, params, RemovePolicy::exact,
-                                    /*rebuild_interval=*/16, &wrong_variant),
+  EXPECT_THROW(IncrementalGainClass(gains, params, RemovePolicy::exact, &wrong_variant),
                PreconditionError);
 }
 
@@ -352,7 +348,7 @@ TEST(OnlineSchedulerFarField, GuardsItsPreconditions) {
   const auto powers = SqrtPower{}.assign(instance, params.alpha);
   OnlineSchedulerOptions options;
   options.farfield = true;
-  options.remove_policy = RemovePolicy::compensated;
+  options.remove_policy = RemovePolicy::rebuild;
   EXPECT_THROW(
       OnlineScheduler(instance, powers, params, Variant::directed, options),
       PreconditionError);

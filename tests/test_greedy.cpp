@@ -128,32 +128,29 @@ TEST(Greedy, ParallelScanIsBitIdenticalToSequentialOnEveryEngine) {
   const auto powers = assignments.front()->assign(inst, params.alpha);
   for (const Variant variant : {Variant::directed, Variant::bidirectional}) {
     for (const FeasibilityEngine engine :
-         {FeasibilityEngine::direct, FeasibilityEngine::incremental,
-          FeasibilityEngine::gain_matrix}) {
+         {FeasibilityEngine::direct, FeasibilityEngine::gain_matrix}) {
       const Schedule sequential =
           greedy_coloring(inst, powers, params, variant, RequestOrder::longest_first,
-                          engine, GainBackend::dense, RemovePolicy::rebuild,
-                          /*scan_threads=*/1);
+                          engine, GainBackend::dense, /*scan_threads=*/1);
       const Schedule parallel =
           greedy_coloring(inst, powers, params, variant, RequestOrder::longest_first,
-                          engine, GainBackend::dense, RemovePolicy::rebuild,
-                          /*scan_threads=*/3);
+                          engine, GainBackend::dense, /*scan_threads=*/3);
       EXPECT_EQ(sequential.color_of, parallel.color_of)
           << "engine " << static_cast<int>(engine);
       EXPECT_EQ(sequential.num_colors, parallel.num_colors);
     }
   }
-  // The gain engine's lazy backend and exact accumulators go through the
-  // same scan: tile materialization is internally synchronized, so probing
-  // extra classes concurrently must not shift a single color.
+  // The gain engine's lazy backend goes through the same scan: tile
+  // materialization is internally synchronized, so probing extra classes
+  // concurrently must not shift a single color.
   const Schedule tiled_seq =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, RemovePolicy::exact, /*scan_threads=*/1);
+                      GainBackend::tiled, /*scan_threads=*/1);
   const Schedule tiled_par =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, RemovePolicy::exact, /*scan_threads=*/3);
+                      GainBackend::tiled, /*scan_threads=*/3);
   EXPECT_EQ(tiled_seq.color_of, tiled_par.color_of);
 }
 

@@ -22,6 +22,7 @@
 #include "sinr/gain_matrix.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "util/exact_sum.h"
 #include "util/json_reader.h"
 #include "util/rng.h"
 
@@ -94,42 +95,6 @@ TEST(IncrementalGainClassRemove, RebuildPolicyIsBitIdenticalToReplay) {
       }
     }
   }
-}
-
-TEST(IncrementalGainClassRemove, CompensatedPolicyStaysWithinDriftBound) {
-  Rng rng(7);
-  const auto scenario = random_scenario(24, /*seed=*/3);
-  const Instance instance = scenario.instance();
-  const auto powers = SqrtPower{}.assign(instance, 3.0);
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 0.5;
-  const auto gains = instance.gains(powers, params.alpha, Variant::bidirectional);
-  IncrementalGainClass cls(*gains, params, RemovePolicy::compensated,
-                           /*rebuild_interval=*/8);
-  std::vector<std::size_t> in_class;
-  double max_drift = 0.0;
-  for (int step = 0; step < 500; ++step) {
-    if (!in_class.empty() && rng.bernoulli(0.5)) {
-      const std::size_t pos = rng.uniform_index(in_class.size());
-      cls.remove(in_class[pos]);
-      in_class.erase(in_class.begin() + static_cast<std::ptrdiff_t>(pos));
-    } else {
-      const std::size_t cand = rng.uniform_index(instance.size());
-      if (!cls.contains(cand) && cls.can_add(cand)) {
-        cls.add(cand);
-        in_class.push_back(cand);
-      }
-    }
-    max_drift = std::max(max_drift, cls.accumulator_drift());
-  }
-  // The drift guard keeps the deviation at rounding-noise scale even after
-  // hundreds of compensated removals...
-  EXPECT_LT(max_drift, 1e-9);
-  // ...and an explicit rebuild erases it entirely.
-  cls.rebuild();
-  EXPECT_EQ(cls.accumulator_drift(), 0.0);
-  EXPECT_EQ(cls.members(), in_class);
 }
 
 TEST(IncrementalGainClassRemove, RemoveOfNonMemberThrows) {
@@ -256,22 +221,6 @@ TEST(OnlineScheduler, ReplayedFinalStateRevalidatesAgainstOfflineEngines) {
       }
     }
   }
-}
-
-TEST(OnlineScheduler, CompensatedPolicyAlsoRevalidates) {
-  const auto scenario = random_scenario(32, /*seed=*/23);
-  const Instance instance = scenario.instance();
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = SqrtPower{}.assign(instance, params.alpha);
-  OnlineSchedulerOptions options;
-  options.remove_policy = RemovePolicy::compensated;
-  options.rebuild_interval = 32;
-  OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
-  const ChurnTrace trace = trace_for("poisson", instance.size(), 77);
-  const ReplayResult result = replay_trace(scheduler, trace);
-  EXPECT_TRUE(result.validated);
 }
 
 TEST(OnlineScheduler, CompactionDisabledKeepsTrailingClasses) {
@@ -536,18 +485,16 @@ TEST(IncrementalGainClassRemove, ExactPolicyIsBitIdenticalToFreshTwinInAnyOrder)
   }
 }
 
-TEST(IncrementalGainClassRemove, ExactStaysAtZeroWhereCompensatedProvablyDrifts) {
+TEST(IncrementalGainClassRemove, ExactStaysAtZeroWherePlainSubtractionDrifts) {
   // Adversarial dynamic range at link 0's receiver (v0 at coordinate 1):
   // link 1's sender sits 1 away (gain ~1), link 2's sender ~0.099 away
   // (gain ~1024 — the transient), link 3's sender ~46416 away (gain
   // ~1e-14), link 4's sender ~4.65 away (gain ~1e-2 — a background
-  // resident that keeps every slot's residual well above the 1e6
-  // cancellation ratio, so the compensated safety rebuild never fires).
-  // With link 2 resident the accumulator's ulp (~2e-13) swallows link 3's
-  // contribution; when link 2 departs, plain subtraction cannot bring
-  // those bits back, so the compensated slot measurably deviates from a
-  // fresh replay of the survivors. The exact expansions never lose the
-  // bits in the first place.
+  // resident). With link 2 resident a plain double accumulator's ulp
+  // (~2e-13) swallows link 3's contribution; when link 2 departs, plain
+  // subtraction cannot bring those bits back, so the slot measurably
+  // deviates from a fresh replay of the survivors. The exact expansions
+  // never lose the bits in the first place.
   const auto scenario = line_pairs(
       {0.0, 1.0, 2.0, 2.2, 1.0992, 1.3, 46417.0, 46418.0, 5.65, 5.8});
   const Instance instance = scenario.instance();
@@ -556,24 +503,33 @@ TEST(IncrementalGainClassRemove, ExactStaysAtZeroWhereCompensatedProvablyDrifts)
   params.alpha = 3.0;
   const auto gains = instance.gains(powers, params.alpha, Variant::directed);
 
-  IncrementalGainClass compensated(*gains, params, RemovePolicy::compensated,
-                                   /*rebuild_interval=*/1000000);
-  IncrementalGainClass exact(*gains, params, RemovePolicy::exact);
+  // The fixture still loses bits under plain arithmetic: add the four
+  // gains at v0, subtract the transient, compare with the replayed sum.
+  double plain = 0.0;
   for (const std::size_t member :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
-    compensated.add(member);
+    plain += gains->at_v(member, 0);
+  }
+  plain -= gains->at_v(2, 0);
+  const double replayed = gains->at_v(1, 0) + gains->at_v(3, 0) + gains->at_v(4, 0);
+  EXPECT_NE(std::bit_cast<std::uint64_t>(plain), std::bit_cast<std::uint64_t>(replayed));
+
+  // Link 0 joins first, so its member slot is the one the transient passes
+  // through.
+  IncrementalGainClass exact(*gains, params, RemovePolicy::exact);
+  for (const std::size_t member :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     exact.add(member);
   }
-  compensated.remove(2);
   exact.remove(2);
-  // The compensated policy measurably drifted (that is WHY it is
-  // drift-bounded, not exact) and its safety trigger did NOT fire — the
-  // deviation is live, not a rebuilt-away transient...
-  EXPECT_GT(compensated.accumulator_drift(), 0.0);
-  EXPECT_EQ(compensated.removal_rebuilds(), 0u);
-  // ...while the exact policy sits at exactly zero deviation.
+  // The exact policy sits at exactly zero deviation, and link 0's slot is
+  // the correct rounding of the survivors' gains.
   EXPECT_EQ(exact.accumulator_drift(), 0.0);
   EXPECT_EQ(exact.removal_rebuilds(), 0u);
+  const std::vector<double> survivors = {gains->at_v(1, 0), gains->at_v(3, 0),
+                                         gains->at_v(4, 0)};
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(exact.member_accumulator_v(0)),
+            std::bit_cast<std::uint64_t>(ExactSum::sum_of(survivors).value()));
 
   // Hammering the exact class with the same transient thousands of times
   // never accumulates any error at all.
@@ -983,48 +939,6 @@ TEST(IncrementalGainClassUpdate, InPlaceEqualsRemoveThenAddBitwiseUnderExact) {
                                     "in-place vs freshly rebuilt twin");
     }
   }
-}
-
-TEST(IncrementalGainClassUpdate, CompensatedStaysDriftBoundedUnderInPlaceUpdates) {
-  Rng rng(33);
-  const auto scenario = random_scenario(20, /*seed=*/4);
-  const Instance instance = scenario.instance();
-  const auto powers = SqrtPower{}.assign(instance, 3.0);
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 0.5;
-  GainMatrix gains(instance, powers, params.alpha, Variant::bidirectional);
-  IncrementalGainClass cls(gains, params, RemovePolicy::compensated,
-                           /*rebuild_interval=*/16);
-  for (std::size_t i = 0; i < instance.size(); ++i) {
-    if (cls.can_add(i)) cls.add(i);
-  }
-  ASSERT_GE(cls.size(), 2u);
-  const MetricSpace& metric = instance.metric();
-  double max_drift = 0.0;
-  for (int step = 0; step < 300; ++step) {
-    std::size_t link = rng.uniform_index(instance.size());
-    if (rng.bernoulli(0.7)) {
-      link = cls.members()[rng.uniform_index(cls.size())];
-    }
-    Request moved;
-    do {
-      moved.u = static_cast<NodeId>(rng.uniform_index(metric.size()));
-      moved.v = static_cast<NodeId>(rng.uniform_index(metric.size()));
-    } while (!(metric.distance(moved.u, moved.v) > 0.0));
-    const double power =
-        SqrtPower{}.power_for_loss(link_loss(metric, moved, params.alpha));
-    cls.begin_link_update(link);
-    gains.update_request(link, moved, power);
-    cls.finish_link_update(link);
-    max_drift = std::max(max_drift, cls.accumulator_drift());
-  }
-  // Drift-bounded, not exact: hundreds of in-place updates stay at
-  // rounding-noise scale...
-  EXPECT_LT(max_drift, 1e-9);
-  // ...and a rebuild erases the deviation entirely.
-  cls.rebuild();
-  EXPECT_EQ(cls.accumulator_drift(), 0.0);
 }
 
 TEST(IncrementalGainClassUpdate, UpdateHandshakeGuardsItsStates) {

@@ -1,13 +1,8 @@
-// Differential suite for the hot-path row kernels and the SoA exact
-// accumulator bank. The row kernels' SIMD dispatch (active under
-// OISCHED_NATIVE AVX2 builds, a scalar alias otherwise) must match the
-// always-scalar reference implementations bit for bit on finite data and
-// on NaN/inf rows; the bank's per-slot add/subtract must match a
-// vector<ExactSum> oracle through its spill/saturation regimes; and the
-// GainStorage row_run seam must serve exactly the bytes at() serves on
-// every backend. CI runs this suite in both the default and the
-// -DOISCHED_NATIVE=ON builds; only the latter exercises the vector paths
-// for real.
+// Differential suite for the SoA exact accumulator bank and the row-run
+// seam the accumulator walks read: the bank's per-slot add/subtract must
+// match a vector<ExactSum> oracle through its spill/saturation regimes,
+// and the GainStorage row_run seam must serve exactly the bytes at()
+// serves on every backend.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,7 +12,6 @@
 #include <vector>
 
 #include "sinr/gain_storage.h"
-#include "sinr/row_kernels.h"
 #include "util/exact_bank.h"
 #include "util/exact_sum.h"
 #include "util/rng.h"
@@ -54,59 +48,6 @@ std::vector<double> edge_row(std::size_t n, Rng& rng) {
     }
   }
   return row;
-}
-
-TEST(RowKernels, AddRowMatchesScalarBitForBit) {
-  Rng rng(101);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> acc_ref = acc;
-    kernels::acc_add_row(acc.data(), row.data(), n);
-    kernels::acc_add_row_scalar(acc_ref.data(), row.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "slot " << i;
-    }
-  }
-}
-
-TEST(RowKernels, SubRowMatchesScalarBitForBit) {
-  Rng rng(202);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> acc_ref = acc;
-    kernels::acc_sub_row(acc.data(), row.data(), n);
-    kernels::acc_sub_row_scalar(acc_ref.data(), row.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "slot " << i;
-    }
-  }
-}
-
-TEST(RowKernels, SubRowCancelMatchesScalarBitForBit) {
-  Rng rng(303);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> cancelled(n, 0.0);
-    for (double& c : cancelled) c = std::abs(rng.uniform(-10.0, 10.0));
-    std::vector<double> acc_ref = acc;
-    std::vector<double> cancelled_ref = cancelled;
-    kernels::acc_sub_row_cancel(acc.data(), cancelled.data(), row.data(), n);
-    kernels::acc_sub_row_cancel_scalar(acc_ref.data(), cancelled_ref.data(), row.data(),
-                                       n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "acc slot " << i;
-      ASSERT_TRUE(same_bits(cancelled[i], cancelled_ref[i])) << "cancel slot " << i;
-    }
-  }
 }
 
 /// Drives a bank and a vector<ExactSum> oracle through the identical
@@ -317,14 +258,6 @@ TEST(RowRunSeam, TiledRunsShareTheResidencyAccounting) {
   const DenseGainStorage dense(8, fill);
   EXPECT_EQ(dense.touched_blocks(), 0u);
   EXPECT_EQ(dense.total_blocks(), 0u);
-}
-
-TEST(RowKernels, SimdGateReportsItsBuildMode) {
-#if defined(OISCHED_NATIVE) && defined(__AVX2__)
-  EXPECT_TRUE(kernels::simd_active());
-#else
-  EXPECT_FALSE(kernels::simd_active());
-#endif
 }
 
 }  // namespace

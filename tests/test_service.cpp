@@ -219,12 +219,17 @@ TEST(OptionParser, DomainFlagsValidateIdentically) {
   {
     OptionParser parser;
     RemovePolicy policy = RemovePolicy::exact;
-    bool given = false;
-    parser.add_remove_policy(policy, &given);
-    Argv argv({"tool", "--remove-policy", "compensated"});
-    EXPECT_TRUE(parser.parse(argv.argc(), argv.data(), 1).ok());
-    EXPECT_EQ(policy, RemovePolicy::compensated);
-    EXPECT_TRUE(given);
+    parser.add_remove_policy(policy);
+    Argv rebuild({"tool", "--remove-policy", "rebuild"});
+    EXPECT_TRUE(parser.parse(rebuild.argc(), rebuild.data(), 1).ok());
+    EXPECT_EQ(policy, RemovePolicy::rebuild);
+    // A removed policy name is a parse error naming the word, never a
+    // silent default.
+    Argv removed({"tool", "--remove-policy", "compensated"});
+    const auto result = parser.parse(removed.argc(), removed.data(), 1);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().find("unknown policy 'compensated'"), std::string::npos);
+    EXPECT_EQ(policy, RemovePolicy::rebuild);
   }
   {
     OptionParser parser;
@@ -401,6 +406,37 @@ TEST(SchedulerService, TraceReplayMatchesOracleAcrossShardCounts) {
     EXPECT_TRUE(service.validate_against_single_shard(trace))
         << shards << " shards diverged from the single-thread oracle";
     EXPECT_EQ(service.active_count(), trace.final_active().size());
+  }
+}
+
+TEST(SchedulerService, PeakColorsTracksTheGlobalPalette) {
+  // Shards own disjoint color planes, so the service's palette is the sum
+  // of the shards' live color counts, and its peak can never be below
+  // the drained palette.
+  const ServiceFixture fx(48, 909);
+  Rng rng(909);
+  PoissonChurnOptions churn;
+  churn.max_events = 400;
+  const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SchedulerService service = fx.make(shards);
+    for (const ChurnEvent& event : trace.events) {
+      ASSERT_TRUE(service.submit(event).ok());
+    }
+    service.drain();
+
+    const int peak = service.stats().scheduler.peak_colors;
+    EXPECT_GE(peak, service.num_colors()) << shards << " shards";
+    int shard_peak_sum = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_GE(peak, service.shard(s).stats().peak_colors);
+      shard_peak_sum += service.shard(s).stats().peak_colors;
+    }
+    EXPECT_LE(peak, shard_peak_sum);
+    if (shards == 1) {
+      EXPECT_EQ(peak, service.shard(0).stats().peak_colors);
+    }
   }
 }
 
