@@ -91,7 +91,7 @@ void BM_MemberSlotsBank(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(kSeed);
   ExactSumBank bank;
-  bank.assign_zero(k);
+  bank.resize(k);
   prefill(k, rng, [&](std::size_t p, double x) { (void)bank.add(p, x); });
   const std::vector<double> row = gain_row(k, rng);
   std::vector<double> readout(k);

@@ -11,8 +11,8 @@
 //   $ ./schedule_tool replay <in.inst> --trace <in.trace> [--out <final.sched>]
 //                            [--storage dense|tiled|computed]
 //                            [--remove-policy rebuild|exact]
-//                            [--shards N] [--rate R] [--farfield G]
-//                            [--near-radius R] [--trace-out <spans.json>]
+//                            [--shards N] [--rate R]
+//                            [--trace-out <spans.json>]
 //                            replay it online
 //   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]
 //                           [--remove-policy rebuild|exact]
@@ -29,13 +29,7 @@
 // latency percentiles, the per-shard event split, and the bit-for-bit
 // oracle verdict (each shard's final state vs a fresh single-thread replay
 // of its sub-trace). `--rate R` paces the service replay open-loop at R
-// events/sec (0 = saturated). `--farfield G` turns on the spatial-cell
-// far-field aggregation layer with ~G grid cells (bare replays only;
-// requires Euclidean geometry and the exact remove policy) and reports how
-// many feasibility tests the interference bounds certified outright;
-// `--near-radius R` widens the exactly-tracked neighborhood (default 1
-// cell ring — larger rings tighten the far bounds and cut fallbacks at
-// the cost of more exact accumulators).
+// events/sec (0 = saturated).
 // `--storage computed` replays off the tableless backend — entries are
 // recomputed on demand, so universes far past any dense table's memory
 // budget fit. `--trace-out` records the replay's phase
@@ -93,8 +87,7 @@ int usage() {
          "[--out <final.sched>] [--storage dense|tiled|computed]\n"
          "                      [--remove-policy rebuild|exact] "
          "[--shards N] [--rate R]\n"
-         "                      [--farfield G] [--near-radius R] "
-         "[--trace-out <spans.json>]\n"
+         "                      [--trace-out <spans.json>]\n"
          "  schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]\n"
          "                      [--remove-policy rebuild|exact] "
          "[--mobility] [--boundary-refresh N]\n";
@@ -358,8 +351,6 @@ int cmd_replay(int argc, char** argv) {
   RemovePolicy policy = RemovePolicy::exact;  // the scheduler default
   std::size_t shards = 0;  // 0 = plain single-scheduler replay
   double rate = 0.0;
-  std::size_t farfield = 0;     // 0 = off; > 0 = target spatial cell count
-  std::size_t near_radius = 0;  // 0 = library default (1-cell ring)
   OptionParser parser;
   parser.add_trace(trace_path);
   parser.add_string("--out", out_path);
@@ -368,8 +359,6 @@ int cmd_replay(int argc, char** argv) {
   parser.add_remove_policy(policy);
   parser.add_shards(shards);
   parser.add_double("--rate", rate);
-  parser.add_size("--farfield", farfield, /*positive=*/false);
-  parser.add_size("--near-radius", near_radius, /*positive=*/false);
   const Expected<std::vector<std::string>> parsed = parser.parse(argc, argv, 2);
   if (!parsed) return fail_loudly(parsed.error());
   const std::vector<std::string>& args = parsed.value();
@@ -392,14 +381,6 @@ int cmd_replay(int argc, char** argv) {
   options.mobility = trace.value().has_link_updates();
   if (trace.value().has_fresh_links() || trace.value().has_link_updates()) {
     options.fresh_power = std::make_shared<SqrtPower>();
-  }
-  if (farfield > 0) {
-    if (shards > 0) return fail_loudly("--farfield applies to bare replays only");
-    options.farfield = true;
-    options.farfield_options.target_cells = farfield;
-    if (near_radius > 0) options.farfield_options.near_radius = near_radius;
-  } else if (near_radius > 0) {
-    return fail_loudly("--near-radius needs --farfield");
   }
 
   // --trace-out: record the replay's phase spans for chrome://tracing.
@@ -437,18 +418,6 @@ int cmd_replay(int argc, char** argv) {
             << stats.max_event_seconds * 1e3 << " ms\n"
             << "final validation vs direct engine: "
             << (result.validated ? "BIT-IDENTICAL, FEASIBLE" : "FAILED") << '\n';
-  if (farfield > 0) {
-    const std::size_t tests = stats.bound_hits + stats.exact_fallbacks;
-    std::cout << "far-field: " << stats.bound_hits << " of " << tests
-              << " feasibility tests certified from cell bounds ("
-              << stats.exact_fallbacks << " exact fallbacks";
-    if (tests > 0) {
-      std::cout << ", fallback fraction "
-                << static_cast<double>(stats.exact_fallbacks) /
-                       static_cast<double>(tests);
-    }
-    std::cout << ")\n";
-  }
   if (!out_path.empty()) {
     save_schedule(out_path, result.final_schedule);
     std::cout << "wrote final schedule -> " << out_path << '\n';

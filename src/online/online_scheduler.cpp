@@ -45,12 +45,6 @@ OnlineMetricIds OnlineMetricIds::register_in(obs::MetricsRegistry& registry,
   ids.removal_rebuilds =
       registry.counter("oisched_removal_rebuilds_total",
                        "Full accumulator replays triggered by removals", labels);
-  ids.bound_hits = registry.counter(
-      "oisched_bound_hits_total",
-      "Feasibility tests certified from far-field bounds alone", labels);
-  ids.exact_fallbacks = registry.counter(
-      "oisched_exact_fallbacks_total",
-      "Feasibility tests that fell back to an exact row reconstruction", labels);
   ids.classes_opened =
       registry.counter("oisched_classes_opened_total", "Color classes opened", labels);
   ids.classes_closed =
@@ -90,21 +84,6 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
     gains_ = instance.gains(powers_, params_.alpha, variant_,
                             /*with_sender_gains=*/false, options_.storage);
   }
-  if (options_.farfield) {
-    require(options_.remove_policy == RemovePolicy::exact,
-            "OnlineScheduler: far-field mode needs the exact remove policy — its "
-            "order-free accumulators are what makes bound-gated tests "
-            "bit-identical to the exact-only path");
-    auto euclid =
-        std::dynamic_pointer_cast<const EuclideanMetric>(instance.metric_ptr());
-    require(euclid != nullptr,
-            "OnlineScheduler: far-field mode needs a Euclidean metric (the cell "
-            "grid partitions coordinates)");
-    farfield_ = std::make_shared<FarFieldContext>(
-        std::move(euclid),
-        std::vector<Request>(instance_.requests().begin(), instance_.requests().end()),
-        powers_, params_.alpha, variant_, options_.farfield_options);
-  }
   if (options_.reuse_slots) {
     slot_of_.resize(instance_.size());
     ext_of_.resize(instance_.size());
@@ -137,16 +116,10 @@ int OnlineScheduler::place(std::size_t slot) {
     classes_[static_cast<std::size_t>(color)].add(slot);
     return color;
   }
-  classes_.emplace_back(*gains_, params_, options_.remove_policy, farfield_.get());
+  classes_.emplace_back(*gains_, params_, options_.remove_policy);
   classes_.back().add(slot);
   ++stats_.classes_opened;
   return static_cast<int>(classes_.size() - 1);
-}
-
-void OnlineScheduler::sync_farfield_stats() {
-  if (farfield_ == nullptr) return;
-  stats_.bound_hits = static_cast<std::size_t>(farfield_->bound_hits());
-  stats_.exact_fallbacks = static_cast<std::size_t>(farfield_->exact_fallbacks());
 }
 
 void OnlineScheduler::publish_event(const OnlineStats& before, double elapsed_seconds) {
@@ -165,8 +138,6 @@ void OnlineScheduler::publish_event(const OnlineStats& before, double elapsed_se
   bump(ids.migrations, stats_.migrations, before.migrations);
   bump(ids.compaction_skips, stats_.compaction_skips, before.compaction_skips);
   bump(ids.removal_rebuilds, stats_.removal_rebuilds, before.removal_rebuilds);
-  bump(ids.bound_hits, stats_.bound_hits, before.bound_hits);
-  bump(ids.exact_fallbacks, stats_.exact_fallbacks, before.exact_fallbacks);
   bump(ids.classes_opened, stats_.classes_opened, before.classes_opened);
   bump(ids.classes_closed, stats_.classes_closed, before.classes_closed);
   shard.set(ids.colors, static_cast<double>(num_colors()));
@@ -186,7 +157,6 @@ int OnlineScheduler::on_arrival(std::size_t link) {
   ++active_count_;
   ++stats_.arrivals;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  sync_farfield_stats();
   const double elapsed = watch.elapsed_seconds();
   stats_.total_event_seconds += elapsed;
   stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
@@ -220,7 +190,6 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
     for (IncrementalGainClass& cls : classes_) cls.begin_link_update(slot);
     owned_gains_->update_request(slot, request, power);
     powers_[slot] = power;
-    if (farfield_ != nullptr) farfield_->update_link(slot, request, power);
     for (IncrementalGainClass& cls : classes_) {
       const std::size_t rebuilds_before = cls.removal_rebuilds();
       cls.finish_link_update(slot);
@@ -232,7 +201,6 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   } else {
     slot = owned_gains_->append_request(request, power);
     powers_.push_back(power);
-    if (farfield_ != nullptr) farfield_->append_link(request, power);
     if (options_.reuse_slots) {
       slot_of_.push_back(slot);
       ext_of_.push_back(link);
@@ -246,7 +214,6 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   ++stats_.arrivals;
   ++stats_.fresh_links;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  sync_farfield_stats();
   const double elapsed = watch.elapsed_seconds();
   stats_.total_event_seconds += elapsed;
   stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
@@ -277,15 +244,13 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
     // Bracket the table refresh: every class first subtracts what it read
-    // from the stale row (and, in far-field mode, the stale cell bounds),
-    // then the matrix and the far-field context move the link, then every
-    // class adds the new row back under the new geometry and re-derives
-    // the link's own slot. Under the exact default only the link's own
-    // class has work; the others store no slot for it.
+    // from the stale row, then the matrix moves the link, then every class
+    // adds the new row back and re-derives the link's own slot. Under the
+    // exact default only the link's own class has work; the others store
+    // no slot for it.
     for (IncrementalGainClass& cls : classes_) cls.begin_link_update(slot);
     owned_gains_->update_request(slot, request, power);
     powers_[slot] = power;
-    if (farfield_ != nullptr) farfield_->update_link(slot, request, power);
     for (IncrementalGainClass& cls : classes_) {
       const std::size_t rebuilds_before = cls.removal_rebuilds();
       cls.finish_link_update(slot);
@@ -311,7 +276,6 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     ++stats_.update_migrations;
     stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
   }
-  sync_farfield_stats();
   const double elapsed = watch.elapsed_seconds();
   stats_.total_event_seconds += elapsed;
   stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
@@ -340,7 +304,6 @@ void OnlineScheduler::on_departure(std::size_t link) {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "compaction");
     compact_from(static_cast<std::size_t>(color));
   }
-  sync_farfield_stats();
   const double elapsed = watch.elapsed_seconds();
   stats_.total_event_seconds += elapsed;
   stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
@@ -562,8 +525,6 @@ ReplayResult replay_trace(OnlineScheduler& scheduler, const ChurnTrace& trace,
   result.stats.migrations -= before.migrations;
   result.stats.compaction_skips -= before.compaction_skips;
   result.stats.removal_rebuilds -= before.removal_rebuilds;
-  result.stats.bound_hits -= before.bound_hits;
-  result.stats.exact_fallbacks -= before.exact_fallbacks;
   result.stats.retired_links -= before.retired_links;
   result.stats.reused_slots -= before.reused_slots;
   result.stats.total_event_seconds -= before.total_event_seconds;

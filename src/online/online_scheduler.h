@@ -16,11 +16,8 @@
 // placement, and each departure with an O(class size) class shrink (under
 // the exact default) plus an opportunistic compaction pass that migrates
 // members out of the last class when earlier ones can absorb them. With
-// the farfield option the per-class feasibility tests consult spatial-cell
-// interference bounds first (sinr/farfield.h) and touch the gain row only
-// on a fallback, and with reuse_slots retired links hand their table rows
-// to future fresh links so the matrix stops growing without bound under
-// churn.
+// reuse_slots retired links hand their table rows to future fresh links
+// so the matrix stops growing without bound under churn.
 // Throughput (events/sec),
 // recolorings and per-event latency are the headline metrics; replay_trace
 // drives a whole ChurnTrace and reports them. The final state re-validates
@@ -41,7 +38,6 @@
 #include "gen/churn.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sinr/farfield.h"
 #include "sinr/gain_matrix.h"
 
 namespace oisched {
@@ -60,8 +56,6 @@ struct OnlineMetricIds {
   obs::MetricId migrations = 0;
   obs::MetricId compaction_skips = 0;
   obs::MetricId removal_rebuilds = 0;
-  obs::MetricId bound_hits = 0;
-  obs::MetricId exact_fallbacks = 0;
   obs::MetricId classes_opened = 0;
   obs::MetricId classes_closed = 0;
   obs::MetricId colors = 0;
@@ -95,6 +89,14 @@ enum class CompactionVictim {
 };
 
 [[nodiscard]] const char* to_string(CompactionVictim victim) noexcept;
+
+/// Grid shape of the deleted far-field layer. Kept only so callers that
+/// still set OnlineSchedulerOptions::farfield_options compile; no field
+/// has any effect.
+struct FarFieldOptions {
+  std::size_t target_cells = 256;
+  std::size_t near_radius = 1;
+};
 
 struct OnlineSchedulerOptions {
   /// How classes restore their accumulators on departure. The default
@@ -131,14 +133,11 @@ struct OnlineSchedulerOptions {
   /// is re-powered by the same rule (its length changed); without one it
   /// keeps its original power.
   std::shared_ptr<const PowerAssignment> fresh_power;
-  /// Far-field mode: build a FarFieldContext over the instance's Euclidean
-  /// metric and hand it to every color class, so feasibility tests are
-  /// answered from per-cell interference bounds and fall back to an exact
-  /// row reconstruction only when the bounds straddle the SINR threshold.
-  /// Decisions (and hence schedules) stay bit-identical to the exact-only
-  /// path. Requires RemovePolicy::exact and a Euclidean metric.
+  /// No effect. The far-field layer it used to enable is gone: every
+  /// exact-policy class tests a candidate in O(|class|) without it, on any
+  /// metric. Kept so existing callers compile; accepted with any policy.
   bool farfield = false;
-  /// Grid shape of far-field mode (ignored unless farfield is set).
+  /// No effect (see farfield).
   FarFieldOptions farfield_options;
   /// Recycle the physical gain-table slots of retired links (appendable
   /// backend only): retire_link frees an inactive link's slot, and the
@@ -175,10 +174,8 @@ struct OnlineStats {
   /// eliminates: 0 there outside the saturation escape hatch, one per
   /// removal under rebuild.
   std::size_t removal_rebuilds = 0;
-  /// Far-field mode only: feasibility tests certified from the per-cell
-  /// interference bounds alone / tests that had to reconstruct an exact
-  /// row sum because the bounds straddled the threshold. Mirrors of the
-  /// FarFieldContext counters, refreshed after every event.
+  /// Always 0: counters of the deleted far-field layer, kept so existing
+  /// readers compile.
   std::size_t bound_hits = 0;
   std::size_t exact_fallbacks = 0;
   /// Slot-reuse mode only: links retired via retire_link, and fresh links
@@ -264,10 +261,6 @@ class OnlineScheduler {
   [[nodiscard]] const std::vector<IncrementalGainClass>& classes() const noexcept {
     return classes_;
   }
-  /// The far-field context (null unless options.farfield).
-  [[nodiscard]] const FarFieldContext* farfield() const noexcept {
-    return farfield_.get();
-  }
   /// Physical gain-table slots currently allocated — equals universe()
   /// except in reuse_slots mode, where it is bounded by the peak number of
   /// simultaneously live (active or unretired) links.
@@ -294,18 +287,14 @@ class OnlineScheduler {
   /// class above it.
   void close_class(std::size_t color);
   /// External link id <-> physical gain-table slot. Identity except in
-  /// reuse_slots mode: classes, the gain matrix, powers_ and the far-field
-  /// context speak physical slots; color_of_, universe() and traces speak
-  /// external ids.
+  /// reuse_slots mode: classes, the gain matrix and powers_ speak physical
+  /// slots; color_of_, universe() and traces speak external ids.
   [[nodiscard]] std::size_t phys(std::size_t link) const noexcept {
     return options_.reuse_slots ? slot_of_[link] : link;
   }
   [[nodiscard]] std::size_t ext(std::size_t slot) const noexcept {
     return options_.reuse_slots ? ext_of_[slot] : slot;
   }
-  /// Mirrors the far-field context's counters into stats_ (no-op without
-  /// a context). Called at the end of every event handler.
-  void sync_farfield_stats();
   /// Publishes one event's worth of counter deltas (stats_ minus the
   /// handler-entry copy), the latency observation, and the colors/active
   /// gauges into the telemetry shard. Called only when a shard is set.
@@ -320,8 +309,6 @@ class OnlineScheduler {
   /// the scheduler's private mutable matrix (gains_ aliases it there).
   std::shared_ptr<GainMatrix> owned_gains_;
   std::shared_ptr<const GainMatrix> gains_;
-  /// Far-field geometry/counters shared by every class (farfield option).
-  std::shared_ptr<FarFieldContext> farfield_;
   std::vector<IncrementalGainClass> classes_;
   std::vector<int> color_of_;
   /// reuse_slots mode only: external -> physical (kNoSlot once retired),

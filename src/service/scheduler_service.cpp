@@ -405,8 +405,6 @@ ServiceStats SchedulerService::stats() const {
     out.scheduler.migrations += s.migrations;
     out.scheduler.compaction_skips += s.compaction_skips;
     out.scheduler.removal_rebuilds += s.removal_rebuilds;
-    out.scheduler.bound_hits += s.bound_hits;
-    out.scheduler.exact_fallbacks += s.exact_fallbacks;
     out.scheduler.retired_links += s.retired_links;
     out.scheduler.reused_slots += s.reused_slots;
     out.scheduler.total_event_seconds += s.total_event_seconds;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/instance.h"
-#include "sinr/farfield.h"
 #include "sinr/row_kernels.h"
 #include "util/error.h"
 
@@ -15,15 +14,6 @@ namespace oisched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Far-field bound gates widen the threshold comparison by this relative
-/// slack before certifying a verdict. The gate arithmetic (a handful of
-/// adds and one multiply over correctly rounded operands) loses at most
-/// ~10 ulp (~2^-49 relative); 2^-40 dominates that by ~500x while staying
-/// negligible against the cell-granularity width of the bounds themselves —
-/// so a certified verdict always equals the exact one, and the slack costs
-/// at most a few extra fallbacks at the margin.
-constexpr double kTestSlack = 0x1p-40;
-
 /// Element generator for one table side: the exact formula of the
 /// historical eager build, evaluated per entry. Captures the shared
 /// request/power stores (not the matrix), so a lazily materialized tile or
@@ -290,129 +280,13 @@ double max_feasible_gain(const GainMatrix& gains, std::span<const std::size_t> a
 
 IncrementalGainClass::IncrementalGainClass(const GainMatrix& gains,
                                            const SinrParams& params,
-                                           RemovePolicy policy,
-                                           const FarFieldContext* farfield)
-    : gains_(&gains), params_(params), policy_(policy), farfield_(farfield) {
+                                           RemovePolicy policy)
+    : gains_(&gains), params_(params), policy_(policy) {
   params_.validate();
   if (!member_mode()) {
     acc_v_.assign(gains_->size(), 0.0);
     if (gains_->variant() == Variant::bidirectional) acc_u_.assign(gains_->size(), 0.0);
   }
-  if (farfield_ != nullptr) {
-    require(policy_ == RemovePolicy::exact,
-            "IncrementalGainClass: far-field mode requires the exact remove policy");
-    exact_v_.assign_zero(acc_v_.size());
-    exact_u_.assign_zero(acc_u_.size());
-    require(farfield_->variant() == gains_->variant(),
-            "IncrementalGainClass: far-field context variant mismatch");
-    require(farfield_->size() == gains_->size(),
-            "IncrementalGainClass: far-field context out of sync with the matrix");
-    far_lo_.resize(farfield_->num_cells());
-    far_hi_.resize(farfield_->num_cells());
-    far_lo_val_.assign(farfield_->num_cells(), 0.0);
-    far_hi_val_.assign(farfield_->num_cells(), 0.0);
-  }
-}
-
-bool IncrementalGainClass::far_test(std::size_t i, std::size_t j,
-                                    bool sender_side) const {
-  const double signal = gains_->signal(i);
-  const std::size_t cell = sender_side ? farfield_->cell_u(i) : farfield_->cell_v(i);
-  const double near_acc = sender_side ? acc_u_[i] : acc_v_[i];
-  double extra_lo = 0.0;
-  double extra_hi = 0.0;
-  double extra = 0.0;
-  bool extra_exact = true;
-  if (j != kNoExtra) {
-    if (farfield_->is_near(j, cell)) {
-      extra = sender_side ? gains_->at_u(j, i) : gains_->at_v(j, i);
-      extra_lo = extra_hi = extra;
-    } else {
-      extra_lo = farfield_->bound_lo(j, cell);
-      extra_hi = farfield_->bound_hi(j, cell);
-      extra_exact = false;
-    }
-  }
-  // Certify from the bracket when it clears the threshold either way; the
-  // slack keeps a certificate valid against the exact expression despite
-  // the bracket arithmetic's own rounding.
-  const double hi =
-      params_.beta * (near_acc + far_hi_val_[cell] + extra_hi + params_.noise);
-  if (signal > hi * (1.0 + kTestSlack)) {
-    farfield_->count_bound_hit();
-    return true;
-  }
-  const double lo =
-      params_.beta * (near_acc + far_lo_val_[cell] + extra_lo + params_.noise);
-  if (!(signal > lo * (1.0 - kTestSlack))) {
-    farfield_->count_bound_hit();
-    return false;
-  }
-  // Straddle: reconstruct the exact-only accumulator and evaluate the
-  // reference expression verbatim.
-  farfield_->count_exact_fallback();
-  if (!extra_exact) extra = sender_side ? gains_->at_u(j, i) : gains_->at_v(j, i);
-  const double acc = far_exact_slot(i, sender_side);
-  return signal > params_.beta * (acc + extra + params_.noise);
-}
-
-double IncrementalGainClass::far_exact_slot(std::size_t i, bool sender_side) const {
-  // The near expansion already holds the exact sum of the members near
-  // slot i's cell; extending it with the far members' exact gains yields
-  // the same member multiset the exact-only class accumulates — and
-  // ExactSum's value is the correct rounding of the infinitely precise
-  // sum regardless of accumulation order, so the readout is bit-identical
-  // to the exact-only accumulator.
-  ExactSum sum = (sender_side ? exact_u_ : exact_v_).extract(i);
-  const std::size_t cell = sender_side ? farfield_->cell_u(i) : farfield_->cell_v(i);
-  for (const std::size_t m : members_) {
-    if (m == i || farfield_->is_near(m, cell)) continue;
-    sum.add(sender_side ? gains_->at_u(m, i) : gains_->at_v(m, i));
-  }
-  return sum.value();
-}
-
-bool IncrementalGainClass::far_apply_member(std::size_t j, bool add_op) {
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  bool saturated = false;
-  // Exact near-field walk: j's gain lands in every slot whose relevant
-  // endpoint cell is near j — the same per-(member, slot) partition the
-  // lookups use, so near banks and far aggregates never double-count.
-  farfield_->near_cells(j, cell_scratch_);
-  for (const std::size_t cell : cell_scratch_) {
-    for (const std::size_t i : farfield_->slots_v(cell)) {
-      if (i == j) continue;
-      const double g = gains_->at_v(j, i);
-      acc_v_[i] = add_op ? exact_v_.add(i, g) : exact_v_.subtract(i, g);
-      saturated |= exact_v_.saturated(i);
-    }
-    if (bidirectional) {
-      for (const std::size_t i : farfield_->slots_u(cell)) {
-        if (i == j) continue;
-        const double g = gains_->at_u(j, i);
-        acc_u_[i] = add_op ? exact_u_.add(i, g) : exact_u_.subtract(i, g);
-        saturated |= exact_u_.saturated(i);
-      }
-    }
-  }
-  // Far cells take j's conservative bound pair; exact aggregation makes
-  // the withdrawal on departure lossless, however long the churn runs.
-  const std::size_t cells = farfield_->num_cells();
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    if (farfield_->is_near(j, cell)) continue;
-    const double lo = farfield_->bound_lo(j, cell);
-    const double hi = farfield_->bound_hi(j, cell);
-    if (add_op) {
-      far_lo_[cell].add(lo);
-      far_hi_[cell].add(hi);
-    } else {
-      far_lo_[cell].subtract(lo);
-      far_hi_[cell].subtract(hi);
-    }
-    far_lo_val_[cell] = far_lo_[cell].value();
-    far_hi_val_[cell] = far_hi_[cell].value();
-  }
-  return saturated;
 }
 
 bool IncrementalGainClass::can_add(std::size_t request_index) const {
@@ -421,23 +295,6 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   const double cand_signal = gains_->signal(request_index);
-
-  if (farfield_ != nullptr) {
-    // Same tests in the same order as below, each answered by far_test —
-    // verdicts are bit-identical, so the scan short-circuits at the same
-    // member and the overall answer matches the exact-only class.
-    for (const std::size_t m : members_) {
-      if (!far_test(m, request_index, /*sender_side=*/false)) return false;
-      if (bidirectional && !far_test(m, request_index, /*sender_side=*/true)) {
-        return false;
-      }
-    }
-    if (!far_test(request_index, kNoExtra, /*sender_side=*/false)) return false;
-    if (bidirectional && !far_test(request_index, kNoExtra, /*sender_side=*/true)) {
-      return false;
-    }
-    return true;
-  }
 
   // Existing members must tolerate the newcomer's extra interference. The
   // cursors serve the candidate's row from cached resident runs — one
@@ -500,11 +357,6 @@ void IncrementalGainClass::add(std::size_t request_index) {
   }
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
-  if (farfield_ != nullptr) {
-    far_apply_member(request_index, /*add_op=*/true);
-    members_.push_back(request_index);
-    return;
-  }
   walk_row_runs_skip(*gains_, request_index, bidirectional, request_index,
                      [&](std::size_t base, const double* row_v, const double* row_u,
                          std::size_t len) {
@@ -697,24 +549,6 @@ void IncrementalGainClass::remove(std::size_t request_index) {
   const auto it = std::find(members_.begin(), members_.end(), request_index);
   require(it != members_.end(), "IncrementalGainClass: remove of a non-member");
   members_.erase(it);
-
-  if (farfield_ != nullptr) {
-    if (far_apply_member(request_index, /*add_op=*/false)) {
-      // Same sticky-saturation escape hatch as member_remove().
-      ++removal_rebuilds_;
-      rebuild();
-      return;
-    }
-    ++removes_since_rebuild_;
-#ifndef NDEBUG
-    if (removes_since_rebuild_ % 8 == 0) {
-      ensure(accumulator_drift() == 0.0,
-             "IncrementalGainClass: far-field accumulator deviated from replay");
-    }
-#endif
-    return;
-  }
-
   ++removal_rebuilds_;
   rebuild();
 }
@@ -737,11 +571,6 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
   // The rebuild policy replays in finish_link_update, and a non-member's
   // stale row is accumulated nowhere.
-  if (farfield_ == nullptr || !contains(link)) return;
-  // Withdraw the member through the STALE geometry — the scheduler updates
-  // the context (cells, slot lists, bounds inputs) only between the two
-  // phases, so this subtraction mirrors what was added.
-  far_apply_member(link, /*add_op=*/false);
 }
 
 void IncrementalGainClass::finish_link_update(std::size_t link) {
@@ -773,62 +602,20 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
 #endif
     return;
   }
-  const bool member = contains(link);
-  if (member && farfield_ == nullptr) {
+  if (contains(link)) {
     // The rebuild policy restores every slot — including slot `link` — by
     // replaying the members over the refreshed tables.
     ++removal_rebuilds_;
     rebuild();
     return;
   }
-  // Far-field: re-admit through the refreshed tables and the refreshed
-  // geometry.
-  if (member && far_apply_member(link, /*add_op=*/true)) {
-    ++removal_rebuilds_;
-    rebuild();
-    return;
-  }
-
-  // Slot `link` reads column `link`, which just changed — and the add /
-  // subtract passes never touch a link's own slot. Re-derive it from the
-  // members in every class, member or not.
+  // Slot `link` reads column `link`, which just changed — and the add
+  // path never touches a link's own slot. Re-derive it from the members.
   rederive_slot(link);
-
-  if (member) {
-    ++removes_since_rebuild_;
-#ifndef NDEBUG
-    if (removes_since_rebuild_ % 8 == 0) {
-      ensure(accumulator_drift() == 0.0,
-             "IncrementalGainClass: exact accumulator deviated after link update");
-    }
-#endif
-  }
 }
 
 void IncrementalGainClass::rederive_slot(std::size_t link) {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  if (farfield_ != nullptr) {
-    // The slot's near partition follows its (possibly moved) cell: rebuild
-    // the near expansion from the members near the CURRENT cell. The far
-    // aggregates are per-cell, not per-slot, so they need no repair — the
-    // lookups simply read the new cell's aggregate.
-    ExactSum sum_v;
-    ExactSum sum_u;
-    const std::size_t cv = farfield_->cell_v(link);
-    const std::size_t cu = farfield_->cell_u(link);
-    for (const std::size_t m : members_) {
-      if (m == link) continue;
-      if (farfield_->is_near(m, cv)) sum_v.add(gains_->at_v(m, link));
-      if (bidirectional && farfield_->is_near(m, cu)) sum_u.add(gains_->at_u(m, link));
-    }
-    exact_v_.store(link, sum_v);
-    acc_v_[link] = sum_v.value();
-    if (bidirectional) {
-      exact_u_.store(link, sum_u);
-      acc_u_[link] = sum_u.value();
-    }
-    return;
-  }
   // The rebuild policy replays the slot in insertion order — the
   // arithmetic of replay_accumulators, restricted to one slot.
   double sum_v = 0.0;
@@ -854,13 +641,6 @@ bool IncrementalGainClass::members_feasible() const {
     }
     return true;
   }
-  if (farfield_ != nullptr) {
-    for (const std::size_t m : members_) {
-      if (!far_test(m, kNoExtra, /*sender_side=*/false)) return false;
-      if (bidirectional && !far_test(m, kNoExtra, /*sender_side=*/true)) return false;
-    }
-    return true;
-  }
   for (const std::size_t m : members_) {
     if (!(gains_->signal(m) > params_.beta * (acc_v_[m] + params_.noise))) return false;
     if (bidirectional &&
@@ -880,33 +660,6 @@ void IncrementalGainClass::sync_universe() {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   acc_v_.resize(n, 0.0);
   if (bidirectional) acc_u_.resize(n, 0.0);
-  if (farfield_ != nullptr) {
-    require(farfield_->size() == n,
-            "IncrementalGainClass: far-field context out of sync with the matrix");
-    exact_v_.resize(acc_v_.size());
-    exact_u_.resize(acc_u_.size());
-    // Each fresh slot's near expansion sums the members near ITS cell —
-    // exactly the state a from-scratch far-field build over the grown
-    // universe holds. Far aggregates are per-cell and unaffected by new
-    // slots.
-    for (std::size_t i = old_n; i < n; ++i) {
-      ExactSum sum_v;
-      ExactSum sum_u;
-      const std::size_t cv = farfield_->cell_v(i);
-      const std::size_t cu = farfield_->cell_u(i);
-      for (const std::size_t m : members_) {
-        if (farfield_->is_near(m, cv)) sum_v.add(gains_->at_v(m, i));
-        if (bidirectional && farfield_->is_near(m, cu)) sum_u.add(gains_->at_u(m, i));
-      }
-      exact_v_.store(i, sum_v);
-      acc_v_[i] = sum_v.value();
-      if (bidirectional) {
-        exact_u_.store(i, sum_u);
-        acc_u_[i] = sum_u.value();
-      }
-    }
-    return;
-  }
   // The fresh slots accumulate the members' contributions in insertion
   // order — exactly the sums a from-scratch replay over the grown universe
   // produces, so exactness guarantees survive growth.
@@ -927,24 +680,6 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   acc_v.assign(gains_->size(), 0.0);
   acc_u.assign(bidirectional ? gains_->size() : 0, 0.0);
-  if (farfield_ != nullptr) {
-    // The canonical near-only state: per slot, the exact sum of the
-    // members near its cell.
-    for (std::size_t i = 0; i < gains_->size(); ++i) {
-      ExactSum sum_v;
-      ExactSum sum_u;
-      const std::size_t cv = farfield_->cell_v(i);
-      const std::size_t cu = farfield_->cell_u(i);
-      for (const std::size_t m : members_) {
-        if (i == m) continue;
-        if (farfield_->is_near(m, cv)) sum_v.add(gains_->at_v(m, i));
-        if (bidirectional && farfield_->is_near(m, cu)) sum_u.add(gains_->at_u(m, i));
-      }
-      acc_v[i] = sum_v.value();
-      if (bidirectional) acc_u[i] = sum_u.value();
-    }
-    return;
-  }
   for (const std::size_t m : members_) {
     walk_row_runs_skip(*gains_, m, bidirectional, m,
                        [&](std::size_t base, const double* row_v, const double* row_u,
@@ -958,25 +693,11 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
 }
 
 void IncrementalGainClass::rebuild() {
-  if (farfield_ != nullptr) {
-    exact_v_.assign_zero(gains_->size());
-    exact_u_.assign_zero(acc_u_.empty() ? 0 : gains_->size());
-    std::fill(acc_v_.begin(), acc_v_.end(), 0.0);
-    std::fill(acc_u_.begin(), acc_u_.end(), 0.0);
-    for (ExactSum& sum : far_lo_) sum = ExactSum();
-    for (ExactSum& sum : far_hi_) sum = ExactSum();
-    std::fill(far_lo_val_.begin(), far_lo_val_.end(), 0.0);
-    std::fill(far_hi_val_.begin(), far_hi_val_.end(), 0.0);
-    for (const std::size_t m : members_) far_apply_member(m, /*add_op=*/true);
-    removes_since_rebuild_ = 0;
-    return;
-  }
   if (member_mode()) {
     member_rebuild();
     return;
   }
   replay_accumulators(acc_v_, acc_u_);
-  removes_since_rebuild_ = 0;
 }
 
 double IncrementalGainClass::accumulator_drift() const {
@@ -989,21 +710,6 @@ double IncrementalGainClass::accumulator_drift() const {
   }
   for (std::size_t i = 0; i < acc_u_.size(); ++i) {
     drift = std::max(drift, std::abs(acc_u_[i] - fresh_u[i]));
-  }
-  if (farfield_ != nullptr) {
-    // The far aggregates are part of the exactness claim too: replay the
-    // members' bound contributions and compare the rounded readouts.
-    for (std::size_t cell = 0; cell < far_lo_.size(); ++cell) {
-      ExactSum lo;
-      ExactSum hi;
-      for (const std::size_t m : members_) {
-        if (farfield_->is_near(m, cell)) continue;
-        lo.add(farfield_->bound_lo(m, cell));
-        hi.add(farfield_->bound_hi(m, cell));
-      }
-      drift = std::max(drift, std::abs(far_lo_val_[cell] - lo.value()));
-      drift = std::max(drift, std::abs(far_hi_val_[cell] - hi.value()));
-    }
   }
   return drift;
 }

@@ -34,7 +34,6 @@
 
 namespace oisched {
 
-class FarFieldContext;
 class Instance;
 
 /// Devirtualized sequential reader of one gain-table row: serves lookups
@@ -270,36 +269,20 @@ enum class RemovePolicy {
 /// full O(n) table row. Classes also shrink: remove() evicts a member
 /// under the configured RemovePolicy.
 ///
-/// Member mode (the exact policy without a far-field context): whether a
-/// class can take a link depends only on gains between its members and
-/// that link, so only the k = |class| member slots are stored, in
-/// insertion order alongside the members. A candidate's own slot is the
-/// exact sum of the members' gains at it, gathered from the table column
-/// and correctly rounded on demand in O(k) — the same double an n-wide
-/// exact slot would hold, since ExactSum's value is order-free. add and
-/// remove update k slots; motion of a non-member touches nothing. The
-/// can_add that accepts a candidate stashes its own-slot sums, and the
-/// add that follows reuses them; any mutation drops the stash.
-///
-/// Far-field mode (a non-null FarFieldContext, exact policy only): the
-/// exact banks hold NEAR-ONLY interference (members within the context's
-/// near radius of each slot's cell), mutations walk the per-cell slot
-/// lists instead of full rows, and the class additionally keeps per-cell
-/// exact aggregates of the far members' conservative gain bounds. Every
-/// feasibility comparison is answered from the [near + far_lo,
-/// near + far_hi] bracket when it clears the threshold either way, and
-/// falls back to an exact reconstruction — extract the near expansion,
-/// add the far members' exact gains — only when the bracket straddles it.
-/// The reconstruction is the correct rounding of the same member multiset
-/// the exact-only class accumulates, so every verdict (and hence every
-/// schedule) is bit-identical to a class without the context; the bounds
-/// only decide how much work a test costs. Counters for both outcomes
-/// live on the context.
+/// Member mode (the exact policy): whether a class can take a link
+/// depends only on gains between its members and that link, so only the
+/// k = |class| member slots are stored, in insertion order alongside the
+/// members. A candidate's own slot is the exact sum of the members' gains
+/// at it, gathered from the table column and correctly rounded on demand
+/// in O(k) — the same double an n-wide exact slot would hold, since
+/// ExactSum's value is order-free. add and remove update k slots; motion
+/// of a non-member touches nothing. The can_add that accepts a candidate
+/// stashes its own-slot sums, and the add that follows reuses them; any
+/// mutation drops the stash.
 class IncrementalGainClass {
  public:
   IncrementalGainClass(const GainMatrix& gains, const SinrParams& params,
-                       RemovePolicy policy = RemovePolicy::rebuild,
-                       const FarFieldContext* farfield = nullptr);
+                       RemovePolicy policy = RemovePolicy::rebuild);
 
   [[nodiscard]] bool can_add(std::size_t request_index) const;
   void add(std::size_t request_index);
@@ -385,7 +368,7 @@ class IncrementalGainClass {
   static constexpr std::size_t kNoExtra = static_cast<std::size_t>(-1);
 
   [[nodiscard]] bool member_mode() const noexcept {
-    return policy_ == RemovePolicy::exact && farfield_ == nullptr;
+    return policy_ == RemovePolicy::exact;
   }
   /// Member mode: the position of `link` in members_ (and its slots), or
   /// kNoExtra for a non-member.
@@ -408,19 +391,6 @@ class IncrementalGainClass {
 
   void replay_accumulators(std::vector<double>& acc_v, std::vector<double>& acc_u) const;
   void rederive_slot(std::size_t link);
-  /// Far-field mode: applies (or withdraws) member j — exact near-field
-  /// walk over the cell slot lists plus bound contributions to every far
-  /// cell's aggregates. Returns true when a near slot is left saturated.
-  bool far_apply_member(std::size_t j, bool add_op);
-  /// Far-field mode: the reference verdict of
-  ///   signal(i) > beta * (acc_full(i) + extra + noise)
-  /// on one side, where acc_full is the exact-only class's accumulator and
-  /// extra is candidate j's gain at slot i (kNoExtra for none) — answered
-  /// from the bounds when they clear the threshold, exactly otherwise.
-  [[nodiscard]] bool far_test(std::size_t i, std::size_t j, bool sender_side) const;
-  /// Far-field mode: the exact-only accumulator of slot i on one side,
-  /// bit-identical by the order-free ExactSum reconstruction.
-  [[nodiscard]] double far_exact_slot(std::size_t i, bool sender_side) const;
 
   const GainMatrix* gains_;
   SinrParams params_;
@@ -431,15 +401,9 @@ class IncrementalGainClass {
   std::vector<std::size_t> members_;
   /// Interference from the members at v_i / u_i, for every request i
   /// (empty in member mode). The slots of members themselves exclude their
-  /// own contribution. In far-field mode these are the correctly rounded
-  /// near-field values of exact_v_/exact_u_, refreshed after every
-  /// mutation.
+  /// own contribution.
   std::vector<double> acc_v_;
   std::vector<double> acc_u_;
-  /// Far-field mode only: the error-free expansions behind the slots,
-  /// holding the near-field part only (util/exact_bank.h).
-  ExactSumBank exact_v_;
-  ExactSumBank exact_u_;
   /// Member mode only: member slots aligned with members_ — the rounded
   /// interference at each member's receiver / sender, and the expansions
   /// behind them.
@@ -454,16 +418,6 @@ class IncrementalGainClass {
   mutable std::size_t stash_link_ = kNoExtra;
   mutable ExactSum stash_v_;
   mutable ExactSum stash_u_;
-  /// Far-field mode only (see class comment). The aggregates are exact
-  /// sums of the members' per-cell bound doubles, so unlimited add/remove
-  /// churn keeps them sound; the *_val_ mirrors cache their correctly
-  /// rounded readouts for the hot comparisons.
-  const FarFieldContext* farfield_ = nullptr;
-  std::vector<ExactSum> far_lo_;
-  std::vector<ExactSum> far_hi_;
-  std::vector<double> far_lo_val_;
-  std::vector<double> far_hi_val_;
-  std::vector<std::size_t> cell_scratch_;
 };
 
 /// greedy_feasible_subset over precomputed gains; identical selection.

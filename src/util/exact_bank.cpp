@@ -37,12 +37,6 @@ double rounded_value(const double* e, std::size_t m) {
 
 }  // namespace
 
-void ExactSumBank::assign_zero(std::size_t n) {
-  for (auto& comp : comp_) comp.assign(n, 0.0);
-  count_.assign(n, 0);
-  spill_.clear();
-}
-
 void ExactSumBank::resize(std::size_t n) {
   for (auto& comp : comp_) comp.resize(n, 0.0);
   count_.resize(n, 0);
@@ -80,14 +74,6 @@ void ExactSumBank::store(std::size_t i, const ExactSum& sum) {
   }
   count_[i] = static_cast<std::uint8_t>(comps.size());
   spill_.erase(i);
-}
-
-ExactSum ExactSumBank::extract(std::size_t i) const {
-  if (count_[i] == kSpilled) return spill_.at(i);
-  double comps[kSlotComponents];
-  const std::size_t cnt = count_[i];
-  for (std::size_t k = 0; k < cnt; ++k) comps[k] = comp_[k][i];
-  return ExactSum::from_expansion({comps, cnt});
 }
 
 double ExactSumBank::fused_value(std::size_t i) const {

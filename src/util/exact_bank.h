@@ -1,9 +1,9 @@
 // Structure-of-arrays bank of exact accumulator slots.
 //
-// The exact remove policy keeps one error-free expansion per member slot,
-// and far-field mode one per near-field slot (see util/exact_sum.h). As
-// a vector<ExactSum> that is an array of ~130-byte objects, each with
-// heap-capable component storage and a separate rounded readout pass.
+// The exact remove policy keeps one error-free expansion per member slot
+// (see util/exact_sum.h). As a vector<ExactSum> that is an array of
+// ~130-byte objects, each with heap-capable component storage and a
+// separate rounded readout pass.
 // ExactSumBank is the same mathematics in a flat layout (the ECS
 // component-storage idiom): the k-th expansion component of every slot
 // lives in one flat array, the per-slot component count in another, so a
@@ -41,8 +41,6 @@ class ExactSumBank {
   /// practice; longer expansions spill to the side map.
   static constexpr std::size_t kSlotComponents = 4;
 
-  /// Resets to `n` zero slots (drops every spill).
-  void assign_zero(std::size_t n);
   /// Grows to `n` slots, new slots zero; existing state is untouched.
   void resize(std::size_t n);
   [[nodiscard]] std::size_t size() const noexcept { return count_.size(); }
@@ -63,12 +61,6 @@ class ExactSumBank {
 
   /// Replaces slot i's state with `sum` (the re-derive path).
   void store(std::size_t i, const ExactSum& sum);
-
-  /// A standalone copy of slot i's exact state — the inverse of store:
-  /// bit-identical to the ExactSum a standalone accumulator with the same
-  /// history holds. The far-field fallback path extends the copy with the
-  /// distant members' gains to reconstruct a full-row exact sum.
-  [[nodiscard]] ExactSum extract(std::size_t i) const;
 
   /// Removes slot i; later slots shift down by one, keeping their state.
   void erase(std::size_t i);

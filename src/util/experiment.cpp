@@ -160,9 +160,6 @@ bool rebuild_twin_agrees(const Instance& instance, std::span<const double> power
                          OnlineSchedulerOptions options, const ChurnTrace& trace,
                          const Schedule& observed) {
   options.remove_policy = RemovePolicy::rebuild;
-  // The rebuild reference predates (and must not depend on) the far-field
-  // layer, and the scheduler only admits far-field under the exact policy.
-  options.farfield = false;
   // The twin must not write into the timed cell's single-writer metric
   // shard (its replay would double every counter).
   options.telemetry = {};
@@ -170,32 +167,6 @@ bool rebuild_twin_agrees(const Instance& instance, std::span<const double> power
   const ReplayResult replay = replay_trace(twin, trace, /*validate_final=*/false);
   return replay.final_schedule.color_of == observed.color_of &&
          replay.final_schedule.num_colors == observed.num_colors;
-}
-
-/// The far-field correctness gate: re-replays the trace with the bounds
-/// layer off — every feasibility test takes the exact path — and compares
-/// final schedules bit for bit. Untimed; the throughput numbers come from
-/// the cell's own (far-field) replay.
-bool farfield_twin_agrees(const Instance& instance, std::span<const double> powers,
-                          const SinrParams& params, Variant variant,
-                          OnlineSchedulerOptions options, const ChurnTrace& trace,
-                          const Schedule& observed) {
-  options.farfield = false;
-  options.telemetry = {};
-  OnlineScheduler twin(instance, powers, params, variant, std::move(options));
-  const ReplayResult replay = replay_trace(twin, trace, /*validate_final=*/false);
-  return replay.final_schedule.color_of == observed.color_of &&
-         replay.final_schedule.num_colors == observed.num_colors;
-}
-
-void record_farfield(const ReplayResult& replay, ScenarioResult& result) {
-  result.dynamic.bound_hits = replay.stats.bound_hits;
-  result.dynamic.exact_fallbacks = replay.stats.exact_fallbacks;
-  const std::size_t tests = replay.stats.bound_hits + replay.stats.exact_fallbacks;
-  result.dynamic.fallback_fraction =
-      tests > 0 ? static_cast<double>(replay.stats.exact_fallbacks) /
-                      static_cast<double>(tests)
-                : 0.0;
 }
 
 /// Runs one dynamic-service scenario: the same trace the bare-scheduler
@@ -294,15 +265,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     options.fresh_power = std::move(assignment);
     options.telemetry.ids = OnlineMetricIds::register_in(registry);
     options.telemetry.shard = &registry.create_shard();
-    if (spec.is_farfield()) {
-      options.farfield = true;
-      options.farfield_options.target_cells = spec.farfield_cells;
-      // Near radius 3 per the recorded flagship sweep: radius 1 leaves
-      // the adjacent far ring's distance bounds loose enough that ~25% of
-      // feasibility tests straddle and fall back; radius 3 certifies >95%
-      // from bounds alone at n=131072 / G=1024 across seeds.
-      options.farfield_options.near_radius = 3;
-    }
     Stopwatch watch;
     OnlineScheduler scheduler(base, base_powers, params, spec.variant, options);
     result.gain_build_ms = watch.elapsed_ms();
@@ -316,11 +278,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
       result.dynamic.policy_identical = rebuild_twin_agrees(
           base, base_powers, params, spec.variant, options, trace, replay.final_schedule);
     }
-    if (spec.is_farfield()) {
-      record_farfield(replay, result);
-      result.dynamic.farfield_identical = farfield_twin_agrees(
-          base, base_powers, params, spec.variant, options, trace, replay.final_schedule);
-    }
     return;
   }
   const bool mobility = is_mobility_trace(spec.trace);
@@ -331,12 +288,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   options.storage = backend;
   options.telemetry.ids = OnlineMetricIds::register_in(registry);
   options.telemetry.shard = &registry.create_shard();
-  if (spec.is_farfield()) {
-    options.farfield = true;
-    options.farfield_options.target_cells = spec.farfield_cells;
-    // Near radius 3 — see the growing-branch comment above.
-    options.farfield_options.near_radius = 3;
-  }
   if (mobility) {
     // Endpoint motion mutates the tables, so the scheduler builds a
     // privately owned matrix — there is no shared cache to warm; time the
@@ -373,11 +324,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     result.dynamic.policy_identical = rebuild_twin_agrees(
         instance, powers, params, spec.variant, options, trace, replay.final_schedule);
   }
-  if (spec.is_farfield()) {
-    record_farfield(replay, result);
-    result.dynamic.farfield_identical = farfield_twin_agrees(
-        instance, powers, params, spec.variant, options, trace, replay.final_schedule);
-  }
   result.dynamic.touched_tiles = scheduler.gains().receiver_storage().touched_blocks();
   result.dynamic.total_tiles = scheduler.gains().receiver_storage().total_blocks();
   if (const GainStorage* sender = scheduler.gains().sender_storage()) {
@@ -400,7 +346,7 @@ JsonValue comparison_json(const EngineComparison& comparison) {
   return value;
 }
 
-JsonValue dynamic_json(const DynamicResult& dynamic, bool farfield) {
+JsonValue dynamic_json(const DynamicResult& dynamic) {
   JsonValue value = JsonValue::object();
   value["events"] = dynamic.events;
   value["wall_ms"] = dynamic.wall_ms;
@@ -435,12 +381,6 @@ JsonValue dynamic_json(const DynamicResult& dynamic, bool farfield) {
     value["max_boundary_gain"] = dynamic.max_boundary_gain;
     value["packable_class_pairs"] = dynamic.packable_class_pairs;
   }
-  if (farfield) {
-    value["bound_hits"] = dynamic.bound_hits;
-    value["exact_fallbacks"] = dynamic.exact_fallbacks;
-    value["fallback_fraction"] = dynamic.fallback_fraction;
-    value["farfield_identical"] = dynamic.farfield_identical;
-  }
   return value;
 }
 
@@ -452,9 +392,6 @@ bool scenario_failed(const ScenarioResult& result) {
   if (!result.backends_identical) return true;
   if (!result.scan_identical) return true;
   if (result.spec.is_dynamic()) {
-    // The far-field layer promises bit-identity with the exact-only path;
-    // a divergence is a wrong answer.
-    if (result.spec.is_farfield() && !result.dynamic.farfield_identical) return true;
     // A service cell additionally promises per-shard bit-identity with a
     // single-thread replay of its sub-trace — a mismatch means an event
     // was lost, duplicated or reordered, a wrong answer.
@@ -482,10 +419,6 @@ std::string ScenarioSpec::name() const {
   // A trace-event cap changes the workload, so it is part of the name
   // (and thereby the derived seed).
   if (is_dynamic() && trace_events > 0) tail += "/e" + std::to_string(trace_events);
-  if (is_farfield()) {
-    return "dynamic-farfield/" + base + "/" + trace + "/" + tail + "/g" +
-           std::to_string(farfield_cells);
-  }
   if (!is_dynamic() && scan_threads > 0) tail += "/t" + std::to_string(scan_threads);
   if (is_service()) {
     // The shard count is always visible (even s1, the service's own
@@ -511,8 +444,8 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     // Seed derives from the scenario name (FNV-1a), not the grid index, so
     // the same scenario measures the same instance in quick and full mode
     // — the CI speedup gate then gates the recorded baseline's instance.
-    // The remove policy, shard count, pacing rate, far-field cell count
-    // and scan-thread count are excluded from the hash: those axes'
+    // The remove policy, shard count, pacing rate and scan-thread count
+    // are excluded from the hash: those axes'
     // variants of one cell replay the identical instance and trace, so
     // their events/sec, latencies and final states are directly
     // comparable (and the service cells share the flagship dynamic cell's
@@ -521,7 +454,6 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     seed_key.remove_policy = "exact";
     seed_key.shards = 0;
     seed_key.service_rate = 0;
-    seed_key.farfield_cells = 0;
     seed_key.scan_threads = 0;
     std::uint64_t hash = 1469598103934665603ULL;
     for (const char c : seed_key.name()) {
@@ -546,20 +478,16 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     spec.service_rate = service_rate;
     push(std::move(spec));
   };
-  /// The dynamic-farfield family: bounds-first feasibility on a spatial
-  /// cell grid. Every cell caps its trace — the churn kinds' 16x-universe
-  /// default is the wrong budget at these sizes, and the exact-only twin
-  /// replays the whole trace a second time.
-  const auto add_farfield = [&](std::size_t n, const std::string& trace,
-                                const std::string& storage, std::size_t cells,
-                                std::size_t events) {
+  /// Large-universe dynamic cells cap their trace: the churn kinds'
+  /// 16x-universe default is the wrong budget at these sizes.
+  const auto add_capped = [&](std::size_t n, const std::string& trace,
+                              const std::string& storage, std::size_t events) {
     ScenarioSpec spec;
     spec.topology = "random";
     spec.n = n;
     spec.power = "sqrt";
     spec.trace = trace;
     spec.storage = storage;
-    spec.farfield_cells = cells;
     spec.trace_events = events;
     push(std::move(spec));
   };
@@ -602,12 +530,10 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
       scan.scan_threads = 4;
       push(std::move(scan));
     }
-    // The flagship far-field cell: n = 131072 Poisson churn over the
-    // tableless backend (a dense table would need ~137 GiB), G = 1024
-    // spatial cells. CI gates its fallback fraction below 0.1 and its
-    // farfield_identical bit — the "schedule 10^5 links by scanning <10%
-    // of each row" claim, recorded.
-    add_farfield(131072, "poisson", "computed", /*cells=*/1024, /*events=*/4000);
+    // The flagship scale cell: n = 131072 Poisson churn over the
+    // tableless backend (a dense table would need ~137 GiB), every test
+    // an O(class size) gather of on-demand gains.
+    add_capped(131072, "poisson", "computed", /*events=*/4000);
     return grid;
   }
   for (const std::string& topology : topologies) {
@@ -673,14 +599,13 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     scan.scan_threads = 4;
     push(std::move(scan));
   }
-  // The dynamic-farfield family: the policy-twin-sized cell (n = 4096 also
-  // runs the rebuild reference), its mobility variant (endpoint motion as
-  // a bound-refresh stressor), the mid-size tableless cell, and the
-  // n = 131072 flagship the CI fallback-fraction gate keys on.
-  add_farfield(4096, "poisson", "", /*cells=*/256, /*events=*/4000);
-  add_farfield(4096, "waypoint", "", /*cells=*/256, /*events=*/4000);
-  add_farfield(16384, "poisson", "computed", /*cells=*/512, /*events=*/6000);
-  add_farfield(131072, "poisson", "computed", /*cells=*/1024, /*events=*/4000);
+  // Large-universe cells: the policy-twin-sized churn and mobility cells
+  // (n = 4096 still runs the rebuild reference), the mid-size tableless
+  // cell, and the n = 131072 flagship.
+  add_capped(4096, "poisson", "", /*events=*/4000);
+  add_capped(4096, "waypoint", "", /*events=*/4000);
+  add_capped(16384, "poisson", "computed", /*events=*/6000);
+  add_capped(131072, "poisson", "computed", /*events=*/4000);
   return grid;
 }
 
@@ -845,7 +770,7 @@ std::vector<ScenarioResult> run_experiment_grid(std::span<const ScenarioSpec> gr
 JsonValue experiment_report(std::span<const ScenarioResult> results,
                             const ExperimentOptions& options) {
   JsonValue root = JsonValue::object();
-  root["schema"] = "oisched-bench-schedule/10";
+  root["schema"] = "oisched-bench-schedule/11";
   root["generator"] = "bench/run_experiments";
   root["mode"] = options.quick ? "quick" : "full";
   root["threads"] = options.threads;
@@ -862,10 +787,8 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
   std::size_t backend_disagreements = 0;
   std::size_t policy_disagreements = 0;
   std::size_t oracle_disagreements = 0;
-  std::size_t farfield_disagreements = 0;
   std::size_t scan_disagreements = 0;
   std::size_t service_scenarios = 0;
-  std::size_t farfield_scenarios = 0;
   std::vector<double> speedups;
   std::vector<double> event_rates;
   for (const ScenarioResult& result : results) {
@@ -881,12 +804,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
     if (result.ok && result.spec.is_service() && !result.dynamic.oracle_identical) {
       ++oracle_disagreements;
     }
-    // Far-field disagreement = a bounds-first replay whose final schedule
-    // diverged from its exact-only twin — the tentpole bit-identity claim
-    // broken. CI gates this count at zero.
-    if (result.ok && result.spec.is_farfield() && !result.dynamic.farfield_identical) {
-      ++farfield_disagreements;
-    }
     if (!result.scan_identical) ++scan_disagreements;
     // Policy disagreement = an exact-policy replay whose final schedule
     // diverged from the rebuild reference on the same trace — a wrong
@@ -899,7 +816,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
     entry["scenario"] = result.spec.name();
     entry["family"] = !result.spec.is_dynamic()        ? "static"
                       : result.spec.is_service()       ? "dynamic-service"
-                      : result.spec.is_farfield()      ? "dynamic-farfield"
                       : is_mobility_trace(result.spec.trace) ? "dynamic-mobility"
                                                              : "dynamic";
     entry["topology"] = result.spec.topology;
@@ -924,14 +840,10 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
       entry["error"] = result.error;
     } else if (result.spec.is_dynamic()) {
       if (result.spec.is_service()) ++service_scenarios;
-      if (result.spec.is_farfield()) {
-        ++farfield_scenarios;
-        entry["farfield_cells"] = result.spec.farfield_cells;
-      }
       entry["trace"] = result.spec.trace;
       entry["remove_policy"] = result.spec.remove_policy;
       entry["gain_build_ms"] = result.gain_build_ms;
-      entry["dynamic"] = dynamic_json(result.dynamic, result.spec.is_farfield());
+      entry["dynamic"] = dynamic_json(result.dynamic);
       if (!result.metrics.is_null()) entry["metrics"] = result.metrics;
       entry["valid"] = result.valid;
       event_rates.push_back(result.dynamic.events_per_sec);
@@ -960,10 +872,8 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
   summary["backend_disagreements"] = backend_disagreements;
   summary["policy_disagreements"] = policy_disagreements;
   summary["oracle_disagreements"] = oracle_disagreements;
-  summary["farfield_disagreements"] = farfield_disagreements;
   summary["scan_disagreements"] = scan_disagreements;
   summary["service_scenarios"] = service_scenarios;
-  summary["farfield_scenarios"] = farfield_scenarios;
   // One sort per series, quantiles via the shared util/stats helper —
   // this used to hand-pick order statistics in place.
   if (!speedups.empty()) {

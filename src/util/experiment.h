@@ -40,9 +40,10 @@ struct ScenarioSpec {
   /// replayed through the in-place update path on a privately owned
   /// matrix.
   std::string trace;
-  /// Gain-table backend: "dense" | "tiled" | "appendable". tiled keeps
-  /// large sparsely-active universes memory-bounded; appendable is the
-  /// growing-universe (dynamic) backend.
+  /// Gain-table backend: "dense" | "tiled" | "appendable" | "computed".
+  /// tiled keeps large sparsely-active universes memory-bounded;
+  /// appendable is the growing-universe (dynamic) backend; computed keeps
+  /// no table at all (the n = 131072 cell).
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild"). exact — the scheduler default — removes
@@ -58,12 +59,6 @@ struct ScenarioSpec {
   /// (0 = saturated — submit as fast as the ingest queues accept). The
   /// saturation sweep varies this axis to trace rate -> latency curves.
   std::size_t service_rate = 0;
-  /// Dynamic-farfield family (> 0): replay with the spatial-cell far-field
-  /// aggregation layer on, targeting this many grid cells. The runner
-  /// re-replays the same trace with far-field off (untimed) and gates the
-  /// final schedules bit for bit — the recorded evidence that bounds-first
-  /// feasibility never changes a decision.
-  std::size_t farfield_cells = 0;
   /// Dynamic families: caps the generated trace at this many events
   /// (0 = the kind's own default, 16x the universe for churn kinds — far
   /// too many at n >= 10^5, where the large cells pin a budget instead).
@@ -75,7 +70,6 @@ struct ScenarioSpec {
 
   [[nodiscard]] bool is_dynamic() const noexcept { return !trace.empty(); }
   [[nodiscard]] bool is_service() const noexcept { return shards > 0; }
-  [[nodiscard]] bool is_farfield() const noexcept { return farfield_cells > 0; }
 
   /// "random/n256/sqrt/bidirectional", or
   /// "dynamic/random/n256/poisson/sqrt/bidirectional" for the dynamic
@@ -84,9 +78,8 @@ struct ScenarioSpec {
   /// "/rebuild" (etc.) one. Service cells use the "dynamic-service/"
   /// prefix and always append "/s<shards>" (plus "/r<rate>" when paced),
   /// e.g. "dynamic-service/random/n256/poisson/sqrt/bidirectional/s4".
-  /// Far-field cells use the "dynamic-farfield/" prefix and append
-  /// "/g<cells>"; a trace-event cap appends "/e<events>" and a static
-  /// parallel-scan cell "/t<threads>".
+  /// A trace-event cap appends "/e<events>" and a static parallel-scan
+  /// cell "/t<threads>".
   [[nodiscard]] std::string name() const;
 };
 
@@ -154,19 +147,6 @@ struct DynamicResult {
   std::size_t boundary_refreshes = 0;
   double max_boundary_gain = 0.0;    // cross-shard far-field bound
   std::size_t packable_class_pairs = 0;
-  /// Dynamic-farfield family only (spec.farfield_cells > 0). How the
-  /// replay's feasibility tests resolved: certified from the per-cell
-  /// interference bounds alone, or straddling the threshold and forced
-  /// into an exact row reconstruction. fallback_fraction is
-  /// exact_fallbacks / (bound_hits + exact_fallbacks) — the n=131072 CI
-  /// cell gates it below 0.1.
-  std::size_t bound_hits = 0;
-  std::size_t exact_fallbacks = 0;
-  double fallback_fraction = 0.0;
-  /// The same trace re-replayed with far-field off produced the
-  /// bit-identical final schedule — the family's correctness gate (a
-  /// failure fails the scenario).
-  bool farfield_identical = true;
 };
 
 /// Timing stability of one cell across --repeat runs. The tracked metric
@@ -267,7 +247,7 @@ struct ExperimentOptions {
     std::size_t repeat = 1);
 
 /// Bundles results into the BENCH_schedule.json document
-/// (schema "oisched-bench-schedule/10"; layout documented in README.md).
+/// (schema "oisched-bench-schedule/11"; layout documented in README.md).
 [[nodiscard]] JsonValue experiment_report(std::span<const ScenarioResult> results,
                                           const ExperimentOptions& options);
 

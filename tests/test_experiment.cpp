@@ -115,14 +115,15 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   // appendable growing, tiled waypoint, appendable waypoint) + the
   // remove-policy cell (flagship poisson under rebuild) + 7
   // dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
-  // rates, waypoint s4) + the n512 parallel-scan cell + 4
-  // dynamic-farfield cells (n4096 poisson/waypoint, n16384 and n131072
-  // tableless).
+  // rates, waypoint s4) + the n512 parallel-scan cell + 4 capped
+  // large-universe dynamic cells (n4096 poisson/waypoint, n16384 and
+  // n131072 tableless). No cell belongs to a far-field family.
   EXPECT_EQ(grid.size(), 55u);
   std::set<std::string> trace_kinds;
   std::set<std::string> storages;
   std::set<std::string> policies;
   for (const auto& spec : grid) {
+    EXPECT_EQ(spec.name().find("farfield"), std::string::npos) << spec.name();
     if (spec.is_dynamic()) {
       trace_kinds.insert(spec.trace);
       policies.insert(spec.remove_policy);
@@ -164,7 +165,7 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
   bool has_tiled_large_n = false;
   bool has_growing = false;
   bool has_mobility = false;
-  bool has_farfield = false;
+  bool has_scale = false;
   bool has_parallel_scan = false;
   for (const auto& spec : grid) {
     if (spec.name() == "dynamic/random/n256/poisson/sqrt/bidirectional") {
@@ -180,11 +181,10 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
       has_mobility = true;
     }
     if (spec.name() ==
-        "dynamic-farfield/random/n131072/poisson/sqrt/bidirectional/computed/"
-        "e4000/g1024") {
-      has_farfield = true;
-      EXPECT_TRUE(spec.is_farfield());
+        "dynamic/random/n131072/poisson/sqrt/bidirectional/computed/e4000") {
+      has_scale = true;
       EXPECT_TRUE(spec.is_dynamic());
+      EXPECT_EQ(spec.remove_policy, "exact");
     }
     if (spec.name() == "random/n256/sqrt/bidirectional/t4") {
       has_parallel_scan = true;
@@ -195,7 +195,7 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
   EXPECT_TRUE(has_tiled_large_n);
   EXPECT_TRUE(has_growing);
   EXPECT_TRUE(has_mobility);
-  EXPECT_TRUE(has_farfield);
+  EXPECT_TRUE(has_scale);
   EXPECT_TRUE(has_parallel_scan);
 }
 
@@ -330,7 +330,9 @@ TEST(ExperimentReport, EmitsSchemaResultsAndSummary) {
   const auto results = run_experiment_grid(grid, params, 2);
   const JsonValue report = experiment_report(results, options);
   const std::string text = report.dump();
-  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/10\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/11\""), std::string::npos);
+  // Schema /11 dropped the far-field fields and summary counters.
+  EXPECT_EQ(text.find("farfield"), std::string::npos);
   EXPECT_NE(text.find("\"repeat\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"backend_disagreements\": 0"), std::string::npos);
   EXPECT_NE(text.find("\"policy_disagreements\": 0"), std::string::npos);

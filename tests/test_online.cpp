@@ -17,6 +17,7 @@
 #include "core/power_assignment.h"
 #include "core/schedule.h"
 #include "gen/churn.h"
+#include "metric/matrix_metric.h"
 #include "online/online_scheduler.h"
 #include "sinr/feasibility.h"
 #include "sinr/gain_matrix.h"
@@ -659,8 +660,8 @@ TEST(OnlineScheduler, ExactPolicyDifferentialFuzzAcrossTracesAndBackends) {
   const auto scenario = random_scenario(48, /*seed=*/123);
   const Instance instance = scenario.instance();
   for (const std::string kind : {"poisson", "flash", "adversarial", "hotspot"}) {
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable}) {
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
+                                      GainBackend::appendable, GainBackend::computed}) {
       Rng rng(911 + static_cast<std::uint64_t>(backend));
       const ChurnTrace trace =
           make_churn_trace(kind, instance.size(), /*target_events=*/800, rng);
@@ -730,10 +731,10 @@ ChurnTrace mobility_trace(const Instance& instance, const std::string& kind,
 
 TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
   // The flagship differential gate of the update path: every mobility kind
-  // replayed on all three storage backends, each run checked against a
+  // replayed on all four storage backends, each run checked against a
   // rebuild-policy twin (bit-identical schedule), every live class against
   // a freshly built exact twin (bit-identical accumulators), zero
-  // removal-triggered rebuilds under the exact default — and the three
+  // removal-triggered rebuilds under the exact default — and the four
   // backends agreeing with each other on the final schedule.
   const auto scenario = random_scenario(40, /*seed=*/321);
   const Instance instance = scenario.instance();
@@ -742,8 +743,8 @@ TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
     const ChurnTrace trace = mobility_trace(instance, kind, seed++);
     ASSERT_TRUE(trace.has_link_updates()) << kind;
     std::vector<ReplayResult> per_backend;
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable}) {
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
+                                      GainBackend::appendable, GainBackend::computed}) {
       const std::string context = kind + "/" + to_string(backend);
       per_backend.push_back(run_policy_differential(
           instance, trace, backend, std::make_shared<SqrtPower>(), context.c_str()));
@@ -1053,59 +1054,6 @@ TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   EXPECT_THROW((void)reuse.on_arrival(n0), PreconditionError);
 }
 
-TEST(OnlineScheduler, SlotReuseUnderFarFieldStaysBitIdentical) {
-  // The reuse bracket must also keep the far-field context in lockstep:
-  // a recycled slot's cell assignment moves with the rewritten row.
-  const auto scenario = random_scenario(24, /*seed=*/51);
-  const Instance full = scenario.instance();
-  const std::size_t n0 = 12;
-  const auto all = full.requests();
-  const Instance base(full.metric_ptr(),
-                      std::vector<Request>(all.begin(), all.begin() + n0));
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = SqrtPower{}.assign(base, params.alpha);
-  OnlineSchedulerOptions options;
-  options.storage = GainBackend::appendable;
-  options.fresh_power = std::make_shared<SqrtPower>();
-  options.reuse_slots = true;
-  options.farfield = true;
-  options.farfield_options.target_cells = 16;
-  OnlineSchedulerOptions exact_only = options;
-  exact_only.farfield = false;
-  OnlineScheduler far(base, powers, params, Variant::bidirectional, options);
-  OnlineScheduler exact(base, powers, params, Variant::bidirectional, exact_only);
-  const auto step_both = [&](auto&& op) {
-    op(far);
-    op(exact);
-  };
-  for (std::size_t i = 0; i < n0; ++i) {
-    step_both([&](OnlineScheduler& s) { (void)s.on_arrival(i); });
-  }
-  for (std::size_t round = 0; round < 3; ++round) {
-    for (std::size_t i = n0; i < full.size(); ++i) {
-      step_both([&](OnlineScheduler& s) { (void)s.on_link_arrival(all[i]); });
-    }
-    const std::size_t grown = far.universe();
-    for (std::size_t link = grown - (full.size() - n0); link < grown; ++link) {
-      step_both([&](OnlineScheduler& s) {
-        s.on_departure(link);
-        s.retire_link(link);
-      });
-    }
-  }
-  // Slot recycling kept the matrix at its peak size across three churn
-  // rounds while the universe kept growing.
-  EXPECT_EQ(far.physical_slots(), full.size());
-  EXPECT_GT(far.universe(), full.size());
-  EXPECT_EQ(far.stats().reused_slots, 2 * (full.size() - n0));
-  EXPECT_EQ(far.snapshot().color_of, exact.snapshot().color_of);
-  EXPECT_GT(far.stats().bound_hits, 0u);
-  EXPECT_TRUE(far.validate_against_direct());
-  EXPECT_TRUE(exact.validate_against_direct());
-}
-
 TEST(OnlineScheduler, RetireGuardsItsPreconditions) {
   const auto scenario = random_scenario(8, /*seed=*/6);
   const Instance instance = scenario.instance();
@@ -1220,6 +1168,52 @@ TEST(OnlineScheduler, RebuildPolicyStillCountsItsReplays) {
   // full replay.
   EXPECT_EQ(result.stats.removal_rebuilds,
             result.stats.departures + result.stats.migrations);
+}
+
+TEST(OnlineScheduler, FarFieldOptionHasNoEffectOnAnyMetric) {
+  // options.farfield and farfield_options outlived the layer they enabled:
+  // setting them must change nothing — not the schedule, not a counter —
+  // under either policy, on a Euclidean metric and on the same distances
+  // as an explicit matrix (which the layer's cell grid could not take).
+  const auto scenario = random_scenario(40, /*seed=*/88);
+  const Instance euclidean = scenario.instance();
+  const Instance matrix(std::make_shared<MatrixMetric>(MatrixMetric::from(*scenario.metric)),
+                        scenario.requests);
+  SinrParams params;
+  params.alpha = 3.0;
+  params.beta = 1.0;
+  const ChurnTrace trace = trace_for("poisson", euclidean.size(), 71);
+  for (const Instance* instance : {&euclidean, &matrix}) {
+    const auto powers = SqrtPower{}.assign(*instance, params.alpha);
+    for (const RemovePolicy policy : {RemovePolicy::exact, RemovePolicy::rebuild}) {
+      const char* metric_name = instance == &matrix ? "matrix" : "euclidean";
+      const std::string context = std::string(metric_name) + "/" + to_string(policy);
+      OnlineSchedulerOptions plain;
+      plain.remove_policy = policy;
+      OnlineSchedulerOptions far = plain;
+      far.farfield = true;
+      far.farfield_options.target_cells = 16;
+      far.farfield_options.near_radius = 3;
+      OnlineScheduler with(*instance, powers, params, Variant::bidirectional, far);
+      OnlineScheduler without(*instance, powers, params, Variant::bidirectional, plain);
+      const ReplayResult a = replay_trace(with, trace);
+      const ReplayResult b = replay_trace(without, trace);
+      EXPECT_TRUE(a.validated) << context;
+      EXPECT_EQ(a.final_schedule.color_of, b.final_schedule.color_of) << context;
+      EXPECT_EQ(a.final_colors, b.final_colors) << context;
+      EXPECT_EQ(a.final_worst_margin, b.final_worst_margin) << context;
+      EXPECT_EQ(a.stats.arrivals, b.stats.arrivals) << context;
+      EXPECT_EQ(a.stats.departures, b.stats.departures) << context;
+      EXPECT_EQ(a.stats.migrations, b.stats.migrations) << context;
+      EXPECT_EQ(a.stats.compaction_skips, b.stats.compaction_skips) << context;
+      EXPECT_EQ(a.stats.classes_opened, b.stats.classes_opened) << context;
+      EXPECT_EQ(a.stats.classes_closed, b.stats.classes_closed) << context;
+      EXPECT_EQ(a.stats.removal_rebuilds, b.stats.removal_rebuilds) << context;
+      EXPECT_EQ(a.stats.peak_colors, b.stats.peak_colors) << context;
+      EXPECT_EQ(a.stats.bound_hits, 0u) << context;
+      EXPECT_EQ(a.stats.exact_fallbacks, 0u) << context;
+    }
+  }
 }
 
 }  // namespace

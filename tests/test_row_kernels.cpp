@@ -59,7 +59,7 @@ void fuzz_bank_against_oracle(std::uint64_t seed, bool edge_rows) {
   Rng rng(seed);
   const std::size_t n = 24;
   ExactSumBank bank;
-  bank.assign_zero(n);
+  bank.resize(n);
   std::vector<ExactSum> oracle(n);
   std::vector<double> acc(n, 0.0);
 
@@ -104,7 +104,7 @@ TEST(ExactSumBankDifferential, EdgeCaseFuzzMatchesExactSumOracle) {
 
 TEST(ExactSumBank, InfinityBookkeepingIsReversible) {
   ExactSumBank bank;
-  bank.assign_zero(4);
+  bank.resize(4);
   std::vector<double> acc(4, 0.0);
   const double row1[] = {1.5, kInf, -kInf, kNaN};
   for (std::size_t i = 0; i < 4; ++i) acc[i] = bank.add(i, row1[i]);
@@ -133,7 +133,7 @@ TEST(ExactSumBank, InfinityBookkeepingIsReversible) {
 
 TEST(ExactSumBank, StickySaturationMatchesExactSum) {
   ExactSumBank bank;
-  bank.assign_zero(2);
+  bank.resize(2);
   ExactSum ref;
   // Two finite near-max addends overflow the double range: sticky
   // saturation, not an infinity count — subtracting one back must NOT
@@ -157,7 +157,7 @@ TEST(ExactSumBank, StickySaturationMatchesExactSum) {
 
 TEST(ExactSumBank, StoreRoundTripsLongAndNonFiniteSums) {
   ExactSumBank bank;
-  bank.assign_zero(2);
+  bank.resize(2);
   ExactSum long_sum;
   // Five pairwise non-overlapping magnitudes compress to > 4 components.
   for (const double x : {1e300, 1e200, 1e100, 1.0, 1e-100}) long_sum.add(x);
@@ -174,7 +174,7 @@ TEST(ExactSumBank, StoreRoundTripsLongAndNonFiniteSums) {
 
 TEST(ExactSumBank, EraseShiftsLaterSlotsWithTheirState) {
   ExactSumBank bank;
-  bank.assign_zero(5);
+  bank.resize(5);
   std::vector<ExactSum> oracle(5);
   // Slot 1 spills (an infinity), slot 3 spills (a long expansion); the
   // rest stay inline. Erasing slot 2 must re-key slot 3's spill to 2.

@@ -440,45 +440,6 @@ TEST(SchedulerService, PeakColorsTracksTheGlobalPalette) {
   }
 }
 
-TEST(SchedulerService, FarFieldShardsStayBitIdenticalAndAggregateCounters) {
-  // The far-field layer rides the per-shard scheduler options: every shard
-  // builds its own bound context over the shared geometry and must decide
-  // exactly what its exact-only twin decides, with the bound-hit /
-  // exact-fallback counters surfacing in the aggregated service stats.
-  const ServiceFixture fx(48, 1213);
-  Rng rng(1213);
-  PoissonChurnOptions churn;
-  churn.max_events = 400;
-  const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    SchedulerServiceOptions options;
-    options.scheduler.farfield = true;
-    options.scheduler.farfield_options.target_cells = 16;
-    SchedulerService service = fx.make(shards, options);
-    for (const ChurnEvent& event : trace.events) {
-      ASSERT_TRUE(service.submit(event).ok());
-    }
-    service.drain();
-
-    SchedulerService twin = fx.make(shards);
-    for (const ChurnEvent& event : trace.events) {
-      ASSERT_TRUE(twin.submit(event).ok());
-    }
-    twin.drain();
-
-    const Schedule got = service.snapshot();
-    const Schedule want = twin.snapshot();
-    EXPECT_EQ(got.num_colors, want.num_colors) << shards << " shards";
-    EXPECT_EQ(got.color_of, want.color_of) << shards << " shards";
-    EXPECT_TRUE(service.validate_against_direct());
-    EXPECT_TRUE(service.validate_against_single_shard(trace));
-    const ServiceStats stats = service.stats();
-    EXPECT_GT(stats.scheduler.bound_hits, 0u) << shards << " shards";
-    EXPECT_EQ(twin.stats().scheduler.bound_hits, 0u);
-  }
-}
-
 TEST(SchedulerService, SingleShardEqualsPlainSchedulerBitForBit) {
   const ServiceFixture fx(32, 404);
   Rng rng(404);
