@@ -16,7 +16,7 @@
 //                            replay it online
 //   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]
 //                           [--remove-policy rebuild|exact]
-//                           [--mobility] [--boundary-refresh N]
+//                           [--mobility]
 //                           interactive admission service on stdin
 //
 // `run` defaults to the Section-5 sqrt coloring on the gain-matrix engine;
@@ -33,11 +33,11 @@
 // `--storage computed` replays off the tableless backend — entries are
 // recomputed on demand, so universes far past any dense table's memory
 // budget fit. `--trace-out` records the replay's phase
-// spans (queue wait, feasibility scan, accumulator update, compaction,
-// boundary refresh) into a Chrome trace-event JSON file — open it in
+// spans (queue wait, feasibility scan, accumulator update, compaction)
+// into a Chrome trace-event JSON file — open it in
 // chrome://tracing or Perfetto. `serve` exposes the same typed API
 // interactively: one command per stdin line (admit/release/update/stats/
-// metrics/prometheus/boundary/drain/quit), one structured response per
+// metrics/prometheus/drain/quit), one structured response per
 // line on stdout; `metrics` (and `stats`, its alias) print the service's
 // telemetry registry as one-line JSON (schema oisched-metrics/1), and
 // `prometheus` prints the same snapshot in Prometheus text exposition.
@@ -90,7 +90,7 @@ int usage() {
          "                      [--trace-out <spans.json>]\n"
          "  schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]\n"
          "                      [--remove-policy rebuild|exact] "
-         "[--mobility] [--boundary-refresh N]\n";
+         "[--mobility]\n";
   return 2;
 }
 
@@ -328,10 +328,6 @@ int replay_via_service(const Instance& base, const ChurnTrace& trace,
             << " colors (disjoint per-shard planes), "
             << result.stats.scheduler.migrations << " migrations, "
             << result.stats.scheduler.removal_rebuilds << " removal rebuilds\n"
-            << "boundary: min class margin " << result.boundary.min_worst_margin
-            << ", max cross-shard gain " << result.boundary.max_boundary_gain << ", "
-            << result.boundary.packable_class_pairs << " packable class pairs ("
-            << result.stats.boundary_refreshes << " refreshes)\n"
             << "final validation vs direct engine: "
             << (result.validated ? "BIT-IDENTICAL, FEASIBLE" : "FAILED") << '\n'
             << "oracle (single-shard sub-trace replay): "
@@ -441,13 +437,11 @@ int cmd_serve(int argc, char** argv) {
   std::size_t shards = 1;
   GainBackend storage = GainBackend::dense;
   RemovePolicy policy = RemovePolicy::exact;
-  std::size_t boundary_refresh = 1024;
   bool mobility = false;
   OptionParser parser;
   parser.add_shards(shards);
   parser.add_storage(storage);
   parser.add_remove_policy(policy);
-  parser.add_size("--boundary-refresh", boundary_refresh, /*positive=*/false);
   parser.add_switch("--mobility", [&mobility] { mobility = true; });
   const Expected<std::vector<std::string>> parsed = parser.parse(argc, argv, 2);
   if (!parsed) return fail_loudly(parsed.error());
@@ -464,7 +458,6 @@ int cmd_serve(int argc, char** argv) {
   obs::MetricsRegistry registry;
   SchedulerServiceOptions options;
   options.num_shards = shards;
-  options.boundary_refresh_events = boundary_refresh;
   options.registry = &registry;
   options.scheduler.remove_policy = policy;
   options.scheduler.storage = storage;
@@ -477,7 +470,7 @@ int cmd_serve(int argc, char** argv) {
             << ", remove policy " << to_string(policy)
             << (mobility ? ", mobility" : "") << ")\n"
             << "commands: admit <link> | release <link> | update <link> <u> <v> | "
-               "stats | metrics | prometheus | boundary | drain | quit\n";
+               "stats | metrics | prometheus | drain | quit\n";
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream words(line);
@@ -499,19 +492,6 @@ int cmd_serve(int argc, char** argv) {
     if (verb == "prometheus") {
       service.drain();
       std::cout << registry.scrape().to_prometheus();
-      continue;
-    }
-    if (verb == "boundary") {
-      service.drain();
-      const BoundaryReport report = service.refresh_boundary();
-      std::cout << "boundary min_margin=" << report.min_worst_margin
-                << " max_cross_gain=" << report.max_boundary_gain
-                << " packable_pairs=" << report.packable_class_pairs;
-      for (std::size_t s = 0; s < report.shards.size(); ++s) {
-        std::cout << " shard" << s << "=[active=" << report.shards[s].active.size()
-                  << " classes=" << report.shards[s].classes.size() << "]";
-      }
-      std::cout << '\n';
       continue;
     }
     std::size_t link = 0;

@@ -21,7 +21,7 @@
 //     MetricsSnapshot — plain values with JSON and Prometheus-text
 //     expositions. Scrape-time collectors fill gauges that are cheaper
 //     to read on demand than to maintain per event (queue depths,
-//     resident table memory, boundary headroom).
+//     resident table memory).
 //
 // Latency percentiles come from fixed-bucket base-2 log-scale histograms
 // instead of sorted raw vectors: bounded memory (322 buckets however many
@@ -241,10 +241,9 @@ class MetricsRegistry {
   /// finished thread's numbers keep scraping.
   [[nodiscard]] MetricsShard& create_shard();
 
-  /// Scrape-time gauge filler (queue depths, resident memory, boundary
-  /// headroom): runs at the START of every scrape, writing into a
-  /// registry-owned collector shard. Must not call back into this
-  /// registry.
+  /// Scrape-time gauge filler (queue depths, resident memory): runs at
+  /// the START of every scrape, writing into a registry-owned collector
+  /// shard. Must not call back into this registry.
   void add_collector(std::function<void(MetricsShard&)> collector);
 
   /// Runs the collectors, then merges every shard into plain values.

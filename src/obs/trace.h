@@ -6,7 +6,7 @@
 // construction to destruction. The output loads directly into
 // chrome://tracing or https://ui.perfetto.dev, giving a per-event
 // breakdown of where time goes (queue wait vs. feasibility scan vs.
-// accumulator update vs. compaction vs. boundary refresh).
+// accumulator update vs. compaction).
 //
 // Cost contract: tracing is OFF unless the caller holds a non-null
 // TraceTrack* — the OISCHED_TRACE_SPAN macro then expands to a single

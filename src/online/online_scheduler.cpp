@@ -66,9 +66,6 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
       color_of_(instance.size(), -1) {
   require(powers_.size() == instance_.size(), "OnlineScheduler: one power per link");
   params_.validate();
-  require(!options_.reuse_slots || options_.storage == GainBackend::appendable,
-          "OnlineScheduler: slot reuse recycles rows of a growable matrix — it "
-          "needs the appendable backend");
   if (options_.storage == GainBackend::appendable ||
       options_.storage == GainBackend::computed || options_.mobility) {
     // A matrix that mutates (growth or endpoint motion) cannot be shared
@@ -83,11 +80,6 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
   } else {
     gains_ = instance.gains(powers_, params_.alpha, variant_,
                             /*with_sender_gains=*/false, options_.storage);
-  }
-  if (options_.reuse_slots) {
-    slot_of_.resize(instance_.size());
-    ext_of_.resize(instance_.size());
-    for (std::size_t i = 0; i < instance_.size(); ++i) slot_of_[i] = ext_of_[i] = i;
   }
 }
 
@@ -147,8 +139,7 @@ void OnlineScheduler::publish_event(const OnlineStats& before, double elapsed_se
 int OnlineScheduler::on_arrival(std::size_t link) {
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   require(color_of_[link] < 0, "OnlineScheduler: arrival of an already active link");
-  require(!options_.reuse_slots || slot_of_[link] != kNoSlot,
-          "OnlineScheduler: arrival of a retired link");
+  require(phys(link) != kNoSlot, "OnlineScheduler: arrival of a retired link");
   const bool telemetry = options_.telemetry.shard != nullptr;
   const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
@@ -181,7 +172,7 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   const double power = options_.fresh_power->power_for_loss(loss);
   const std::size_t link = color_of_.size();
   std::size_t slot;
-  if (options_.reuse_slots && !free_slots_.empty()) {
+  if (!free_slots_.empty()) {
     // Recycle a retired slot: rewrite its row/column in place, bracketed
     // like a link_update so every class swaps the zombie's stale (inactive,
     // so never consulted) contribution for the fresh link's.
@@ -201,7 +192,7 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   } else {
     slot = owned_gains_->append_request(request, power);
     powers_.push_back(power);
-    if (options_.reuse_slots) {
+    if (!slot_of_.empty()) {
       slot_of_.push_back(slot);
       ext_of_.push_back(link);
     }
@@ -311,12 +302,19 @@ void OnlineScheduler::on_departure(std::size_t link) {
 }
 
 void OnlineScheduler::retire_link(std::size_t link) {
-  require(options_.reuse_slots,
-          "OnlineScheduler: retiring links needs the reuse_slots option");
+  require(options_.storage == GainBackend::appendable,
+          "OnlineScheduler: slot reuse recycles rows of a growable matrix — "
+          "retiring links needs the appendable backend");
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   require(color_of_[link] < 0, "OnlineScheduler: retire of an active link");
-  const std::size_t slot = slot_of_[link];
+  const std::size_t slot = phys(link);
   require(slot != kNoSlot, "OnlineScheduler: link already retired");
+  if (slot_of_.empty()) {
+    // First retirement: the identity slot maps over the current universe.
+    slot_of_.resize(color_of_.size());
+    ext_of_.resize(color_of_.size());
+    for (std::size_t i = 0; i < color_of_.size(); ++i) slot_of_[i] = ext_of_[i] = i;
+  }
   slot_of_[link] = kNoSlot;
   ext_of_[slot] = kNoSlot;
   free_slots_.push_back(slot);
@@ -338,7 +336,6 @@ void OnlineScheduler::close_class(std::size_t color) {
 void OnlineScheduler::compact_from(std::size_t color) {
   // Drop the shrunken class outright when the departure emptied it.
   if (classes_[color].size() == 0) close_class(color);
-  if (!options_.compact_on_departure) return;
   if (options_.compaction_victim == CompactionVictim::smallest_first) {
     compact_smallest();
     return;

@@ -15,8 +15,8 @@
 // work), each fresh link with an O(n) table append plus the same first-fit
 // placement, and each departure with an O(class size) class shrink (under
 // the exact default) plus an opportunistic compaction pass that migrates
-// members out of the last class when earlier ones can absorb them. With
-// reuse_slots retired links hand their table rows to future fresh links
+// members out of the last class when earlier ones can absorb them.
+// Retired links (retire_link) hand their table rows to future fresh links
 // so the matrix stops growing without bound under churn.
 // Throughput (events/sec),
 // recolorings and per-event latency are the headline metrics; replay_trace
@@ -106,15 +106,9 @@ struct OnlineSchedulerOptions {
   /// historical O(|class| * n) replay-on-remove (same guarantee, paid for
   /// on every departure) and the reference exact is gated against.
   RemovePolicy remove_policy = RemovePolicy::exact;
-  /// After a departure, try to dissolve the trailing class by migrating its
-  /// members into earlier classes — keeps the color count tight under
-  /// churn at the cost of recolorings (counted in stats().migrations).
-  /// Immovable members are skipped, not pass-ending: the rest of the class
-  /// still gets its chance to move (skips land in
-  /// stats().compaction_skips).
-  bool compact_on_departure = true;
-  /// Victim-selection rule of the compaction pass (see CompactionVictim).
-  /// The default keeps the historical trailing-only behaviour.
+  /// Victim-selection rule of the compaction pass that runs after every
+  /// departure (see CompactionVictim). The default keeps the historical
+  /// trailing-only behaviour.
   CompactionVictim compaction_victim = CompactionVictim::trailing;
   /// Gain-table backend. dense/tiled serve a fixed universe from the
   /// instance's shared cache (tiled keeps huge, sparsely active universes
@@ -139,13 +133,6 @@ struct OnlineSchedulerOptions {
   bool farfield = false;
   /// No effect (see farfield).
   FarFieldOptions farfield_options;
-  /// Recycle the physical gain-table slots of retired links (appendable
-  /// backend only): retire_link frees an inactive link's slot, and the
-  /// next fresh link rewrites that row in place instead of growing the
-  /// matrix — the fix for the churn leak where an appendable universe
-  /// only ever grew. External link ids stay stable and keep growing; the
-  /// remap is invisible in color_of()/snapshot().
-  bool reuse_slots = false;
   /// Metric/trace sinks (see OnlineTelemetry); both null by default. The
   /// shard and track must outlive the scheduler.
   OnlineTelemetry telemetry;
@@ -178,8 +165,8 @@ struct OnlineStats {
   /// readers compile.
   std::size_t bound_hits = 0;
   std::size_t exact_fallbacks = 0;
-  /// Slot-reuse mode only: links retired via retire_link, and fresh links
-  /// that recycled a retired slot instead of growing the matrix.
+  /// Links retired via retire_link, and fresh links that recycled a
+  /// retired slot instead of growing the matrix.
   std::size_t retired_links = 0;
   std::size_t reused_slots = 0;
   int peak_colors = 0;
@@ -228,15 +215,21 @@ class OnlineScheduler {
   /// color.
   int on_link_update(std::size_t link, const Request& request);
 
-  /// Deactivates a link (must be active), compacting classes per options.
+  /// Deactivates a link (must be active), then runs a compaction pass:
+  /// members of a victim class (per options.compaction_victim) migrate
+  /// into other classes that can absorb them (counted in
+  /// stats().migrations); immovable members are skipped and counted in
+  /// stats().compaction_skips.
   void on_departure(std::size_t link);
 
   /// Frees an inactive link's physical gain-table slot for reuse by a
-  /// future fresh link (reuse_slots option only). The external link id
-  /// stays allocated but can never become active again; color_of() keeps
-  /// reporting -1 for it. Retiring is the caller's promise that the trace
-  /// will not revive this id — growing traces recycle departed fresh
-  /// links, so departure alone must never retire.
+  /// future fresh link (appendable backend only): the next fresh link
+  /// rewrites that row in place instead of growing the matrix. The
+  /// external link id stays allocated but can never become active again;
+  /// color_of() keeps reporting -1 for it, and the remap is invisible in
+  /// color_of()/snapshot(). Retiring is the caller's promise that the
+  /// trace will not revive this id — growing traces recycle departed
+  /// fresh links, so departure alone must never retire.
   void retire_link(std::size_t link);
 
   /// Dispatches one trace event to on_arrival/on_link_arrival/
@@ -262,8 +255,8 @@ class OnlineScheduler {
     return classes_;
   }
   /// Physical gain-table slots currently allocated — equals universe()
-  /// except in reuse_slots mode, where it is bounded by the peak number of
-  /// simultaneously live (active or unretired) links.
+  /// until the first retire_link; from then on it is bounded by the peak
+  /// number of simultaneously live (active or unretired) links.
   [[nodiscard]] std::size_t physical_slots() const noexcept { return powers_.size(); }
 
   /// The current coloring: -1 for inactive links, colors dense in
@@ -281,19 +274,20 @@ class OnlineScheduler {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   int place(std::size_t slot);           // first-fit; returns the color used
-  void compact_from(std::size_t color);  // drop empty / migrate per options
+  void compact_from(std::size_t color);  // drop empty, then migrate
   void compact_smallest();               // smallest_first victim loop
   /// Erases the (empty) class `color` and renumbers the members of every
   /// class above it.
   void close_class(std::size_t color);
-  /// External link id <-> physical gain-table slot. Identity except in
-  /// reuse_slots mode: classes, the gain matrix and powers_ speak physical
-  /// slots; color_of_, universe() and traces speak external ids.
+  /// External link id <-> physical gain-table slot. Identity until the
+  /// first retire_link builds the slot maps: classes, the gain matrix and
+  /// powers_ speak physical slots; color_of_, universe() and traces speak
+  /// external ids.
   [[nodiscard]] std::size_t phys(std::size_t link) const noexcept {
-    return options_.reuse_slots ? slot_of_[link] : link;
+    return slot_of_.empty() ? link : slot_of_[link];
   }
   [[nodiscard]] std::size_t ext(std::size_t slot) const noexcept {
-    return options_.reuse_slots ? ext_of_[slot] : slot;
+    return ext_of_.empty() ? slot : ext_of_[slot];
   }
   /// Publishes one event's worth of counter deltas (stats_ minus the
   /// handler-entry copy), the latency observation, and the colors/active
@@ -311,8 +305,9 @@ class OnlineScheduler {
   std::shared_ptr<const GainMatrix> gains_;
   std::vector<IncrementalGainClass> classes_;
   std::vector<int> color_of_;
-  /// reuse_slots mode only: external -> physical (kNoSlot once retired),
-  /// physical -> external, and the LIFO free list of retired slots.
+  /// Empty until the first retire_link: external -> physical (kNoSlot
+  /// once retired), physical -> external, and the LIFO free list of
+  /// retired slots.
   std::vector<std::size_t> slot_of_;
   std::vector<std::size_t> ext_of_;
   std::vector<std::size_t> free_slots_;

@@ -39,7 +39,6 @@ struct SchedulerService::Shard {
   /// used to retain one double per event forever.
   obs::LatencyHistogram latency;
   OnlineStats stats_snapshot;
-  ShardBoundarySummary summary;
 
   // Telemetry sinks (set iff the service has a registry / recorder):
   // obs_shard is written by this shard's thread only.
@@ -94,18 +93,6 @@ SchedulerService::SchedulerService(const Instance& instance,
     }
     submitted_metric_ = registry->counter("oisched_service_submitted_total",
                                           "Events accepted into a shard queue");
-    boundary_refreshes_metric_ =
-        registry->counter("oisched_service_boundary_refreshes_total",
-                          "Boundary-summary publications across all shards");
-    boundary_margin_metric_ =
-        registry->gauge("oisched_boundary_min_worst_margin",
-                        "Min published class margin across shards (0 if none)");
-    boundary_gain_metric_ = registry->gauge(
-        "oisched_boundary_max_gain",
-        "Max gain any remote active link contributes at a shard's links");
-    boundary_packable_metric_ =
-        registry->gauge("oisched_boundary_packable_pairs",
-                        "Conservative cross-shard packable class pairs");
     gain_resident_metric_ = registry->gauge(
         "oisched_gain_resident_doubles",
         "Gain-table entries resident across the shards' distinct matrices");
@@ -146,23 +133,19 @@ SchedulerService::SchedulerService(const Instance& instance,
     }
   }
   if (registry != nullptr) {
-    // Queue depths and boundary aggregates are cheaper to sample at
-    // scrape than to maintain per event. Lock order is registry mutex →
-    // state_mutex_ / queue mutexes; shard threads never take the
-    // registry mutex, so the order is acyclic.
+    // Queue depths and residency are cheaper to sample at scrape than to
+    // maintain per event. Lock order is registry mutex → queue mutexes;
+    // shard threads never take the registry mutex, so the order is
+    // acyclic.
     registry->add_collector([this](obs::MetricsShard& sink) {
       for (const auto& shard : shards_) {
         sink.set(shard->queue_depth_metric,
                  static_cast<double>(shard->queue.pending()));
       }
-      const BoundaryReport report = boundary_report();
-      sink.set(boundary_margin_metric_, report.min_worst_margin);
-      sink.set(boundary_gain_metric_, report.max_boundary_gain);
-      sink.set(boundary_packable_metric_,
-               static_cast<double>(report.packable_class_pairs));
       // Gain-storage residency over the DISTINCT matrices (dense/tiled
-      // shards share the instance's cached tables; mobility gives each
-      // shard a private one). The tiled accessors are atomic-backed, so
+      // shards share the instance's cached tables; mobility and computed
+      // give each shard a private one). Residency is fixed on dense and
+      // atomic-backed on tiled and computed (appendable is rejected), so
       // sampling while shards run is safe.
       std::vector<const GainMatrix*> seen;
       std::size_t resident = 0;
@@ -173,15 +156,11 @@ SchedulerService::SchedulerService(const Instance& instance,
         if (std::find(seen.begin(), seen.end(), gains) != seen.end()) continue;
         seen.push_back(gains);
         resident += gains->resident_doubles();
-        if (const auto* tiled =
-                dynamic_cast<const TiledGainStorage*>(&gains->receiver_storage())) {
-          touched += tiled->touched_tiles();
-          total += tiled->total_tiles();
-        }
-        if (const auto* tiled =
-                dynamic_cast<const TiledGainStorage*>(gains->sender_storage())) {
-          touched += tiled->touched_tiles();
-          total += tiled->total_tiles();
+        touched += gains->receiver_storage().touched_blocks();
+        total += gains->receiver_storage().total_blocks();
+        if (const GainStorage* sender = gains->sender_storage()) {
+          touched += sender->touched_blocks();
+          total += sender->total_blocks();
         }
       }
       sink.set(gain_resident_metric_, static_cast<double>(resident));
@@ -298,14 +277,10 @@ AdmitResult SchedulerService::process_event(Shard& shard, const ServiceEvent& ev
 void SchedulerService::shard_loop(std::size_t index) {
   Shard& shard = *shards_[index];
   std::vector<ServiceEvent> batch;
-  std::size_t since_refresh = 0;
-  std::uint64_t refreshes = 0;
   int colors = shard.scheduler.num_colors();
   while (shard.queue.drain(batch)) {
     obs::LatencyHistogram latency;  // this batch's observations
     std::size_t rejected = 0;
-    bool publish_summary = false;
-    ShardBoundarySummary summary;
     if (shard.obs_shard != nullptr) {
       shard.obs_shard->observe(shard.batch_metric, static_cast<double>(batch.size()));
     }
@@ -331,14 +306,6 @@ void SchedulerService::shard_loop(std::size_t index) {
       if (event.completion != nullptr) {
         event.completion->promise.set_value(std::move(result));
       }
-      if (options_.boundary_refresh_events > 0 &&
-          ++since_refresh >= options_.boundary_refresh_events) {
-        OISCHED_TRACE_SPAN(shard.track, "boundary_refresh");
-        summary = compute_summary(index);
-        summary.refreshes = ++refreshes;
-        publish_summary = true;
-        since_refresh = 0;
-      }
     }
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
@@ -346,12 +313,6 @@ void SchedulerService::shard_loop(std::size_t index) {
       shard.rejected += rejected;
       shard.latency.merge(latency);
       shard.stats_snapshot = shard.scheduler.stats();
-      if (publish_summary) {
-        summary.events_at_refresh = shard.processed;
-        shard.summary = std::move(summary);
-        ++boundary_refreshes_;
-        if (ingest_shard_ != nullptr) ingest_shard_->add(boundary_refreshes_metric_);
-      }
     }
     drained_cv_.notify_all();
   }
@@ -387,7 +348,6 @@ ServiceStats SchedulerService::stats() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   ServiceStats out;
   out.submitted = submitted_;
-  out.boundary_refreshes = boundary_refreshes_;
   obs::LatencyHistogram latency;
   for (const auto& shard : shards_) {
     out.processed += shard->processed;
@@ -517,116 +477,6 @@ bool SchedulerService::validate_against_single_shard(const ChurnTrace& trace) co
   return true;
 }
 
-ShardBoundarySummary SchedulerService::compute_summary(std::size_t index) const {
-  const Shard& shard = *shards_[index];
-  const OnlineScheduler& sched = shard.scheduler;
-  const GainMatrix& gains = sched.gains();
-  ShardBoundarySummary out;
-  for (const IncrementalGainClass& cls : sched.classes()) {
-    ShardClassSummary summary;
-    summary.size = cls.size();
-    if (!cls.members().empty()) {
-      // Exact intra-shard margin via the from-scratch checker — periodic
-      // control-plane work, never on the admission path.
-      summary.worst_margin = check_feasible(gains, cls.members(), params_).worst_margin;
-    }
-    double headroom = std::numeric_limits<double>::infinity();
-    for (std::size_t pos = 0; pos < cls.size(); ++pos) {
-      // Slack in interference units at m's constrained endpoints: the
-      // admission rule is signal > beta * (acc + noise), so the class
-      // absorbs up to signal/beta - noise - acc more interference at m.
-      const std::size_t m = cls.members()[pos];
-      const double budget = gains.signal(m) / params_.beta - params_.noise;
-      headroom = std::min(headroom, budget - cls.member_accumulator_v(pos));
-      if (variant_ == Variant::bidirectional) {
-        headroom = std::min(headroom, budget - cls.member_accumulator_u(pos));
-      }
-      summary.total_power += gains.powers()[m];
-    }
-    summary.headroom = cls.members().empty() ? 0.0 : headroom;
-    out.classes.push_back(summary);
-    out.active.insert(out.active.end(), cls.members().begin(), cls.members().end());
-  }
-  std::sort(out.active.begin(), out.active.end());
-  // Far-field bound: the strongest contribution any remote active link
-  // (per the latest remote publications) makes at any of this shard's
-  // active links. Under mobility a remote link's row in this shard's
-  // private matrix keeps its last-seen geometry — a monitoring bound, not
-  // an admission input.
-  std::vector<std::size_t> remote;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (s == index) continue;
-      remote.insert(remote.end(), shards_[s]->summary.active.begin(),
-                    shards_[s]->summary.active.end());
-    }
-  }
-  for (const std::size_t r : remote) {
-    for (const std::size_t m : out.active) {
-      out.max_boundary_gain = std::max(out.max_boundary_gain, gains.at_v(r, m));
-      if (variant_ == Variant::bidirectional) {
-        out.max_boundary_gain = std::max(out.max_boundary_gain, gains.at_u(r, m));
-      }
-    }
-  }
-  return out;
-}
-
-BoundaryReport SchedulerService::aggregate_boundary_locked() const {
-  BoundaryReport report;
-  report.min_worst_margin = std::numeric_limits<double>::infinity();
-  bool any_class = false;
-  for (const auto& shard : shards_) {
-    report.shards.push_back(shard->summary);
-    report.max_boundary_gain =
-        std::max(report.max_boundary_gain, shard->summary.max_boundary_gain);
-    for (const ShardClassSummary& cls : shard->summary.classes) {
-      any_class = true;
-      report.min_worst_margin = std::min(report.min_worst_margin, cls.worst_margin);
-    }
-  }
-  if (!any_class) report.min_worst_margin = 0.0;
-  // Conservative cross-shard packing estimate: classes a (shard s) and b
-  // (shard t) could share a color if each side's headroom absorbs the
-  // other side even when every remote member contributes the max-gain
-  // bound.
-  for (std::size_t s = 0; s < report.shards.size(); ++s) {
-    for (std::size_t t = s + 1; t < report.shards.size(); ++t) {
-      const double bound_s = report.shards[s].max_boundary_gain;
-      const double bound_t = report.shards[t].max_boundary_gain;
-      for (const ShardClassSummary& a : report.shards[s].classes) {
-        for (const ShardClassSummary& b : report.shards[t].classes) {
-          if (a.size == 0 || b.size == 0) continue;
-          const bool a_absorbs = static_cast<double>(b.size) * bound_s <= a.headroom;
-          const bool b_absorbs = static_cast<double>(a.size) * bound_t <= b.headroom;
-          if (a_absorbs && b_absorbs) ++report.packable_class_pairs;
-        }
-      }
-    }
-  }
-  return report;
-}
-
-BoundaryReport SchedulerService::refresh_boundary() {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardBoundarySummary summary = compute_summary(s);
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    summary.refreshes = shards_[s]->summary.refreshes + 1;
-    summary.events_at_refresh = shards_[s]->processed;
-    shards_[s]->summary = std::move(summary);
-    ++boundary_refreshes_;
-    if (ingest_shard_ != nullptr) ingest_shard_->add(boundary_refreshes_metric_);
-  }
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return aggregate_boundary_locked();
-}
-
-BoundaryReport SchedulerService::boundary_report() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return aggregate_boundary_locked();
-}
-
 Expected<ServiceReplayResult> replay_trace(SchedulerService& service,
                                            const ChurnTrace& trace,
                                            ServiceReplayOptions options) {
@@ -669,7 +519,6 @@ Expected<ServiceReplayResult> replay_trace(SchedulerService& service,
   const double wall = Stopwatch::seconds_between(start, Stopwatch::now());
 
   ServiceReplayResult result;
-  result.boundary = service.refresh_boundary();
   result.stats = service.stats();
   result.wall_seconds = wall;
   result.events_per_sec =

@@ -29,19 +29,6 @@
 // accumulator slots), so the per-event work shrinks with the shard count
 // even before thread-level parallelism.
 //
-// Each shard additionally publishes a periodically refreshed
-// boundary-interference summary (per-class margins and headroom, the
-// shard's active set, and the max gain any remote active link contributes
-// at the shard's links — the near/far-field decomposition of distributed
-// SIR-aware scheduling). The summaries never influence admission verdicts
-// (plane disjointness already makes those exact); they quantify the
-// cross-shard coupling a later shared-color packing / spatial-sharding PR
-// will consume, and the service aggregates them into a conservative
-// "packable class pairs" estimate. Under the mobility option a remote
-// link's row in a shard's private matrix keeps its last-seen geometry, so
-// the boundary gain bound is a monitoring quantity, not a correctness
-// input — documented here so nobody promotes it without refreshing it.
-//
 // DETERMINISM AND THE ORACLE GATE. Link-id hashing fixes each link's owner
 // shard for the service's lifetime; the ingest queue preserves per-shard
 // submission order. A shard's final state is therefore bit-for-bit
@@ -116,53 +103,10 @@ struct AdmitResult {
   std::string error;
 };
 
-/// One shard's view of one of its color classes, as of the last refresh.
-struct ShardClassSummary {
-  std::size_t size = 0;
-  /// Exact intra-shard margin: min over members of
-  /// signal / (beta * (interference + noise)); > 1 iff feasible.
-  double worst_margin = 0.0;
-  /// Extra interference (absolute, at the tightest member endpoint) the
-  /// class absorbs before a member's constraint breaks — what a
-  /// cross-shard packer would spend.
-  double headroom = 0.0;
-  /// Sum of the members' transmit powers.
-  double total_power = 0.0;
-};
-
-/// A shard's periodically published boundary-interference summary.
-struct ShardBoundarySummary {
-  std::uint64_t refreshes = 0;          // publications so far
-  std::size_t events_at_refresh = 0;    // shard events processed when published
-  std::vector<std::size_t> active;      // the shard's active links, ascending
-  std::vector<ShardClassSummary> classes;
-  /// Max gain any remote active link (per the latest remote publications)
-  /// contributes at any of this shard's active links' constrained
-  /// endpoints — the far-field bound of the boundary exchange. 0 with no
-  /// remote activity (or a single shard).
-  double max_boundary_gain = 0.0;
-};
-
-/// Service-level aggregation of the shard summaries.
-struct BoundaryReport {
-  std::vector<ShardBoundarySummary> shards;
-  double min_worst_margin = 0.0;   // min over all published classes; 0 if none
-  double max_boundary_gain = 0.0;  // max over shards
-  /// Cross-shard class pairs whose published headroom would absorb the
-  /// other side even under the max-gain bound (|other| * bound per
-  /// member) — the conservative packing candidates a shared-color PR
-  /// would start from.
-  std::size_t packable_class_pairs = 0;
-};
-
 struct SchedulerServiceOptions {
   /// Shard count (>= 1). Links partition by a link-id hash; each shard
   /// schedules its partition in its own color planes.
   std::size_t num_shards = 1;
-  /// Events a shard processes between boundary-summary publications
-  /// (0 = publish only on drain). Refreshing is O(active^2 / shards)
-  /// per publication — periodic, never on the admission path.
-  std::size_t boundary_refresh_events = 1024;
   /// Per-shard scheduler knobs (storage backend, remove policy, mobility,
   /// fresh_power, compaction). The appendable backend is rejected: a
   /// sharded universe cannot grow yet (fresh links would need a
@@ -175,15 +119,15 @@ struct SchedulerServiceOptions {
   /// per-shard `shard="s"`-labelled series (the scheduler's oisched_*
   /// set plus service latency/batch-size histograms, processed/rejected
   /// counters, and a collector-sampled queue-depth gauge) and
-  /// service-level submitted/boundary series (see README
-  /// "Observability"). Register any sibling metrics BEFORE constructing
+  /// the service-level submitted counter and gain-storage gauges (see
+  /// README "Observability"). Register any sibling metrics BEFORE constructing
   /// the service — shard slot tables are fixed here. The registry must
   /// outlive the service, and the service installs a scrape-time
   /// collector referencing it: scrape only while the service is alive.
   obs::MetricsRegistry* registry = nullptr;
   /// When set, each shard thread records spans ("shard0", "shard1", …
-  /// tracks): queue_wait per event, the scheduler's per-phase spans, and
-  /// boundary_refresh. Must outlive the service.
+  /// tracks): queue_wait per event and the scheduler's per-phase spans.
+  /// Must outlive the service.
   obs::TraceRecorder* trace = nullptr;
 };
 
@@ -193,6 +137,8 @@ struct ServiceStats {
   std::size_t processed = 0;   // events completed by shard threads
   std::size_t rejected = 0;    // completed with success == false
   std::size_t batches = 0;     // consumer-side queue drains
+  /// Always 0: the boundary exchange it counted is gone. Kept so existing
+  /// readers compile.
   std::size_t boundary_refreshes = 0;
   /// Summed across shards; max_event_seconds is the maximum, and
   /// peak_colors the peak of the global palette (the sum of the shards'
@@ -282,12 +228,6 @@ class SchedulerService {
   /// scheduler on the whole trace. Quiesced callers only.
   [[nodiscard]] bool validate_against_single_shard(const ChurnTrace& trace) const;
 
-  /// Publishes fresh summaries for every shard (control-plane; quiesced
-  /// callers only) and returns the aggregate.
-  [[nodiscard]] BoundaryReport refresh_boundary();
-  /// The latest published summaries without forcing a refresh.
-  [[nodiscard]] BoundaryReport boundary_report() const;
-
  private:
   struct Completion;
   struct ServiceEvent {
@@ -302,11 +242,6 @@ class SchedulerService {
   AdmitResult call(const ChurnEvent& event);
   void shard_loop(std::size_t index);
   AdmitResult process_event(Shard& shard, const ServiceEvent& event);
-  /// Shard-thread-side summary computation: own classes from own
-  /// accumulators (exact), boundary gain against the latest published
-  /// remote active sets.
-  ShardBoundarySummary compute_summary(std::size_t index) const;
-  BoundaryReport aggregate_boundary_locked() const;  // state_mutex_ held
 
   const Instance& instance_;
   std::vector<double> powers_;
@@ -318,13 +253,9 @@ class SchedulerService {
   // Service-level telemetry (set iff options_.registry): an ingest-side
   // obs shard written only under state_mutex_ (mutex-serialized, so the
   // single-writer contract holds) plus the service-wide metric ids. The
-  // boundary gauges are collector-filled at scrape time.
+  // gain-storage gauges are collector-filled at scrape time.
   obs::MetricsShard* ingest_shard_ = nullptr;
   obs::MetricId submitted_metric_ = 0;
-  obs::MetricId boundary_refreshes_metric_ = 0;
-  obs::MetricId boundary_margin_metric_ = 0;
-  obs::MetricId boundary_gain_metric_ = 0;
-  obs::MetricId boundary_packable_metric_ = 0;
   obs::MetricId gain_resident_metric_ = 0;
   obs::MetricId gain_touched_metric_ = 0;
   obs::MetricId gain_total_metric_ = 0;
@@ -332,7 +263,6 @@ class SchedulerService {
   mutable std::mutex state_mutex_;
   std::condition_variable drained_cv_;
   std::size_t submitted_ = 0;       // guarded by state_mutex_
-  std::size_t boundary_refreshes_ = 0;
   bool stopped_ = false;
   /// The global palette: each shard thread adds its color-count delta
   /// after every event and raises the peak.
@@ -356,7 +286,6 @@ struct ServiceReplayResult {
   bool validated = false;         // validate_against_direct
   bool oracle_identical = false;  // validate_against_single_shard
   double final_worst_margin = 0.0;
-  BoundaryReport boundary;
 };
 
 struct ServiceReplayOptions {

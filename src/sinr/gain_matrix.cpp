@@ -258,26 +258,6 @@ FeasibilityReport check_feasible(const GainMatrix& gains,
   return report;
 }
 
-double max_feasible_gain(const GainMatrix& gains, std::span<const std::size_t> active) {
-  double best = kInf;
-  const bool bidirectional = gains.variant() == Variant::bidirectional;
-  for (std::size_t pos = 0; pos < active.size(); ++pos) {
-    const std::size_t i = active[pos];
-    const double signal = gains.signal(i);
-    const int num_constraints = bidirectional ? 2 : 1;
-    for (int c = 0; c < num_constraints; ++c) {
-      double interference = 0.0;
-      for (std::size_t other = 0; other < active.size(); ++other) {
-        if (other == pos) continue;
-        const std::size_t j = active[other];
-        interference += c == 0 ? gains.at_v(j, i) : gains.at_u(j, i);
-      }
-      if (interference > 0.0) best = std::min(best, signal / interference);
-    }
-  }
-  return best;
-}
-
 IncrementalGainClass::IncrementalGainClass(const GainMatrix& gains,
                                            const SinrParams& params,
                                            RemovePolicy policy)

@@ -219,10 +219,6 @@ class GainMatrix {
                                                std::span<const std::size_t> active,
                                                const SinrParams& params);
 
-/// max_feasible_gain over precomputed gains; identical to the direct one.
-[[nodiscard]] double max_feasible_gain(const GainMatrix& gains,
-                                       std::span<const std::size_t> active);
-
 /// The accumulator arithmetic of an IncrementalGainClass.
 ///
 /// Plain floating-point accumulators are order-sensitive: subtracting a

@@ -205,7 +205,7 @@ std::span<const double> ComputedGainStorage::row_run(std::size_t j,
     }
     cache_row_ = j;
     cache_start_ = i;
-    ++rows_materialized_;
+    resident_.store(n_, std::memory_order_relaxed);
   }
   return {cache_.data() + i, n_ - i};
 }
@@ -216,6 +216,7 @@ void ComputedGainStorage::refresh_link(std::size_t link, const GainFiller& fill)
                // updated request/power stores on the next materialization
   cache_row_ = kNoRow;
   cache_start_ = 0;
+  resident_.store(0, std::memory_order_relaxed);
 }
 
 std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend, std::size_t n,

@@ -241,8 +241,8 @@ class AppendableGainStorage final : public GainStorage {
 /// run of the same row from the cache, so a feasibility scan over k classes
 /// costs one filler pass per candidate row, not k. The cache belongs to the
 /// storage (not the cursor), so it survives across GainRowCursor instances
-/// within one event. NOT thread-safe (mutable cache, no locks); the online
-/// scheduler is its only intended owner.
+/// within one event. NOT thread-safe (mutable cache, no locks) apart from
+/// resident_doubles(); the online scheduler is its only intended owner.
 class ComputedGainStorage final : public GainStorage {
  public:
   ComputedGainStorage(std::size_t n, GainFiller fill);
@@ -256,15 +256,12 @@ class ComputedGainStorage final : public GainStorage {
   }
   [[nodiscard]] std::span<const double> row_run(std::size_t j,
                                                 std::size_t i) const override;
+  /// Safe to sample while the owner runs (e.g. a metrics scrape): reads
+  /// only the atomic residency that row_run and refresh_link store.
   [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return cache_row_ == kNoRow ? 0 : cache_.size();
+    return resident_.load(std::memory_order_relaxed);
   }
   void refresh_link(std::size_t link, const GainFiller& fill) override;
-
-  /// Row materializations so far — how often the cache missed.
-  [[nodiscard]] std::size_t rows_materialized() const noexcept {
-    return rows_materialized_;
-  }
 
  private:
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
@@ -274,7 +271,8 @@ class ComputedGainStorage final : public GainStorage {
   mutable std::vector<double> cache_;
   mutable std::size_t cache_row_ = kNoRow;
   mutable std::size_t cache_start_ = 0;
-  mutable std::size_t rows_materialized_ = 0;
+  /// cache_.size() while a row is cached, else 0.
+  mutable std::atomic<std::size_t> resident_{0};
 };
 
 /// Factory over the backend enum.

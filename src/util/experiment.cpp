@@ -194,7 +194,7 @@ void run_service_scenario(const ScenarioSpec& spec, const SinrParams& params,
     options.scheduler.fresh_power = assignment;
   }
   // Every cell scrapes its own registry into the report: the service
-  // wires per-shard series itself (queue depth, latency, boundary).
+  // wires per-shard series itself (queue depth, latency, batch size).
   obs::MetricsRegistry registry;
   options.registry = &registry;
   const ChurnTrace trace =
@@ -230,9 +230,6 @@ void run_service_scenario(const ScenarioSpec& spec, const SinrParams& params,
   result.dynamic.latency_p50_ms = replay.stats.latency.p50 * 1e3;
   result.dynamic.latency_p99_ms = replay.stats.latency.p99 * 1e3;
   result.dynamic.oracle_identical = replay.oracle_identical;
-  result.dynamic.boundary_refreshes = replay.stats.boundary_refreshes;
-  result.dynamic.max_boundary_gain = replay.boundary.max_boundary_gain;
-  result.dynamic.packable_class_pairs = replay.boundary.packable_class_pairs;
   result.valid = replay.validated && replay.stats.rejected == 0;
 }
 
@@ -377,9 +374,6 @@ JsonValue dynamic_json(const DynamicResult& dynamic) {
     value["shards"] = dynamic.shards;
     value["arrival_rate"] = dynamic.arrival_rate;  // 0 = saturated
     value["oracle_identical"] = dynamic.oracle_identical;
-    value["boundary_refreshes"] = dynamic.boundary_refreshes;
-    value["max_boundary_gain"] = dynamic.max_boundary_gain;
-    value["packable_class_pairs"] = dynamic.packable_class_pairs;
   }
   return value;
 }
@@ -770,7 +764,7 @@ std::vector<ScenarioResult> run_experiment_grid(std::span<const ScenarioSpec> gr
 JsonValue experiment_report(std::span<const ScenarioResult> results,
                             const ExperimentOptions& options) {
   JsonValue root = JsonValue::object();
-  root["schema"] = "oisched-bench-schedule/11";
+  root["schema"] = "oisched-bench-schedule/12";
   root["generator"] = "bench/run_experiments";
   root["mode"] = options.quick ? "quick" : "full";
   root["threads"] = options.threads;

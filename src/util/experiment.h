@@ -144,9 +144,6 @@ struct DynamicResult {
   /// OnlineScheduler replay of its sub-trace bit for bit — the service's
   /// no-lost-no-duplicated-events gate (a failure fails the scenario).
   bool oracle_identical = true;
-  std::size_t boundary_refreshes = 0;
-  double max_boundary_gain = 0.0;    // cross-shard far-field bound
-  std::size_t packable_class_pairs = 0;
 };
 
 /// Timing stability of one cell across --repeat runs. The tracked metric
@@ -247,7 +244,7 @@ struct ExperimentOptions {
     std::size_t repeat = 1);
 
 /// Bundles results into the BENCH_schedule.json document
-/// (schema "oisched-bench-schedule/11"; layout documented in README.md).
+/// (schema "oisched-bench-schedule/12"; layout documented in README.md).
 [[nodiscard]] JsonValue experiment_report(std::span<const ScenarioResult> results,
                                           const ExperimentOptions& options);
 

@@ -330,7 +330,7 @@ TEST(ExperimentReport, EmitsSchemaResultsAndSummary) {
   const auto results = run_experiment_grid(grid, params, 2);
   const JsonValue report = experiment_report(results, options);
   const std::string text = report.dump();
-  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/11\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/12\""), std::string::npos);
   // Schema /11 dropped the far-field fields and summary counters.
   EXPECT_EQ(text.find("farfield"), std::string::npos);
   EXPECT_NE(text.find("\"repeat\": 1"), std::string::npos);

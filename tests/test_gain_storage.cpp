@@ -110,7 +110,6 @@ TEST(GainStorageBackends, VerdictsAndMarginsAgreeOnRandomSubsets) {
           EXPECT_EQ(got.feasible, expect.feasible);
           EXPECT_EQ(got.worst_margin, expect.worst_margin);
           EXPECT_EQ(got.worst_request, expect.worst_request);
-          EXPECT_EQ(max_feasible_gain(*gains, active), max_feasible_gain(dense, active));
         }
       }
     }

@@ -224,27 +224,6 @@ TEST(OnlineScheduler, ReplayedFinalStateRevalidatesAgainstOfflineEngines) {
   }
 }
 
-TEST(OnlineScheduler, CompactionDisabledKeepsTrailingClasses) {
-  const auto scenario = random_scenario(32, /*seed=*/31);
-  const Instance instance = scenario.instance();
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = SqrtPower{}.assign(instance, params.alpha);
-  OnlineSchedulerOptions no_compact;
-  no_compact.compact_on_departure = false;
-  OnlineScheduler plain(instance, powers, params, Variant::bidirectional, no_compact);
-  OnlineScheduler compacting(instance, powers, params, Variant::bidirectional);
-  const ChurnTrace trace = trace_for("poisson", instance.size(), 13);
-  const ReplayResult plain_result = replay_trace(plain, trace);
-  const ReplayResult compact_result = replay_trace(compacting, trace);
-  EXPECT_TRUE(plain_result.validated);
-  EXPECT_TRUE(compact_result.validated);
-  EXPECT_EQ(plain_result.stats.migrations, 0u);
-  // Compaction can only help the color count.
-  EXPECT_LE(compact_result.final_colors, plain_result.final_colors);
-}
-
 TEST(OnlineScheduler, ReusedSchedulerReportsPerReplayStats) {
   const auto scenario = random_scenario(16, /*seed=*/3);
   const Instance instance = scenario.instance();
@@ -995,7 +974,8 @@ TEST(OnlineScheduler, LegacySchemasOneAndTwoReplayIdentically) {
 
 // ---------------------------------------------------------------------------
 // Slot reuse: retired links hand their gain-table rows to future fresh
-// links, so the appendable universe stops growing without bound.
+// links, so the appendable universe stops growing without bound. Reuse
+// needs no option: the first retire_link switches it on.
 
 TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   const auto scenario = random_scenario(16, /*seed=*/41);
@@ -1011,11 +991,9 @@ TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   OnlineSchedulerOptions options;
   options.storage = GainBackend::appendable;
   options.fresh_power = std::make_shared<SqrtPower>();
-  options.reuse_slots = true;
-  OnlineSchedulerOptions no_reuse = options;
-  no_reuse.reuse_slots = false;
+  // Same options on both sides: only the calls differ.
   OnlineScheduler reuse(base, powers, params, Variant::bidirectional, options);
-  OnlineScheduler twin(base, powers, params, Variant::bidirectional, no_reuse);
+  OnlineScheduler twin(base, powers, params, Variant::bidirectional, options);
   const auto both_arrive = [&](const Request& r) {
     (void)reuse.on_link_arrival(r);
     (void)twin.on_link_arrival(r);
@@ -1028,8 +1006,8 @@ TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   // Eight fresh links grow both universes...
   for (std::size_t i = n0; i < full.size(); ++i) both_arrive(all[i]);
   EXPECT_EQ(reuse.physical_slots(), full.size());
-  // ...then four of them leave forever. Only the reuse scheduler may
-  // reclaim their rows.
+  // ...then four of them leave forever. Only the reuse scheduler retires
+  // them and may reclaim their rows.
   for (std::size_t link = n0; link < n0 + 4; ++link) {
     both_depart(link);
     reuse.retire_link(link);
@@ -1047,6 +1025,22 @@ TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   EXPECT_EQ(reuse.universe(), twin.universe());
   EXPECT_EQ(reuse.snapshot().color_of, twin.snapshot().color_of);
   EXPECT_EQ(reuse.num_colors(), twin.num_colors());
+  // Classes hold physical slots, which differ, but admit in the same
+  // order: every member accumulator is bit-identical position by position.
+  ASSERT_EQ(reuse.classes().size(), twin.classes().size());
+  for (std::size_t c = 0; c < reuse.classes().size(); ++c) {
+    const IncrementalGainClass& a = reuse.classes()[c];
+    const IncrementalGainClass& b = twin.classes()[c];
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t pos = 0; pos < a.size(); ++pos) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.member_accumulator_v(pos)),
+                std::bit_cast<std::uint64_t>(b.member_accumulator_v(pos)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.member_accumulator_u(pos)),
+                std::bit_cast<std::uint64_t>(b.member_accumulator_u(pos)));
+    }
+  }
+  EXPECT_EQ(reuse.stats().migrations, twin.stats().migrations);
+  EXPECT_EQ(reuse.stats().classes_opened, twin.stats().classes_opened);
   EXPECT_TRUE(reuse.validate_against_direct());
   EXPECT_TRUE(twin.validate_against_direct());
   // Retired ids stay retired: they can never become active again.
@@ -1060,19 +1054,15 @@ TEST(OnlineScheduler, RetireGuardsItsPreconditions) {
   SinrParams params;
   const auto powers = SqrtPower{}.assign(instance, params.alpha);
   {
+    // Slot reuse recycles rows of a growable matrix: retire_link on a
+    // dense scheduler throws and leaves the link arrivable.
     OnlineScheduler dense(instance, powers, params, Variant::bidirectional);
     EXPECT_THROW(dense.retire_link(0), PreconditionError);
-  }
-  {
-    OnlineSchedulerOptions options;
-    options.reuse_slots = true;  // without the appendable backend
-    EXPECT_THROW(OnlineScheduler(instance, powers, params, Variant::bidirectional,
-                                 options),
-                 PreconditionError);
+    EXPECT_EQ(dense.stats().retired_links, 0u);
+    EXPECT_GE(dense.on_arrival(0), 0);
   }
   OnlineSchedulerOptions options;
   options.storage = GainBackend::appendable;
-  options.reuse_slots = true;
   OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
   (void)scheduler.on_arrival(0);
   EXPECT_THROW(scheduler.retire_link(0), PreconditionError);  // still active

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -470,16 +471,14 @@ TEST(SchedulerService, SingleShardEqualsPlainSchedulerBitForBit) {
   EXPECT_TRUE(service.validate_against_single_shard(trace));
 }
 
-TEST(SchedulerService, ReplayHelperReportsThroughputLatencyAndBoundary) {
+TEST(SchedulerService, ReplayHelperReportsThroughputAndLatency) {
   const ServiceFixture fx(48, 11);
   Rng rng(11);
   PoissonChurnOptions churn;
   churn.max_events = 256;
   const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
 
-  SchedulerServiceOptions options;
-  options.boundary_refresh_events = 64;
-  SchedulerService service = fx.make(4, options);
+  SchedulerService service = fx.make(4);
   const auto replayed = replay_trace(service, trace);
   ASSERT_TRUE(replayed.ok()) << replayed.error();
   const ServiceReplayResult& result = replayed.value();
@@ -495,11 +494,12 @@ TEST(SchedulerService, ReplayHelperReportsThroughputLatencyAndBoundary) {
   for (const std::size_t count : result.shard_events) sum += count;
   EXPECT_EQ(sum, trace.events.size());
   EXPECT_EQ(result.final_active, trace.final_active().size());
-  ASSERT_EQ(result.boundary.shards.size(), 4u);
-  EXPECT_GT(result.stats.boundary_refreshes, 0u);
-  // Feasible drained classes publish margins > 1 by definition.
+  EXPECT_EQ(result.stats.latency.count, trace.events.size());
+  EXPECT_GT(result.stats.latency.p99, 0.0);
+  EXPECT_LE(result.stats.latency.p50, result.stats.latency.p99);
+  // Feasible drained classes have margins > 1 by definition.
   if (result.final_active > 0) {
-    EXPECT_GT(result.boundary.min_worst_margin, 1.0);
+    EXPECT_GT(result.final_worst_margin, 1.0);
   }
 }
 
@@ -513,6 +513,74 @@ TEST(SchedulerService, ReplayRejectsUniverseMismatch) {
   const auto replayed = replay_trace(service, trace);
   ASSERT_FALSE(replayed.ok());
   EXPECT_FALSE(replayed.error().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry
+
+TEST(SchedulerService, RegistryExportsNoBoundarySeries) {
+  const ServiceFixture fx(48, 17);
+  Rng rng(17);
+  PoissonChurnOptions churn;
+  churn.max_events = 256;
+  const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
+  obs::MetricsRegistry registry;
+  SchedulerServiceOptions options;
+  options.registry = &registry;
+  SchedulerService service = fx.make(3, options);
+  const auto replayed = replay_trace(service, trace);
+  ASSERT_TRUE(replayed.ok()) << replayed.error();
+  EXPECT_EQ(service.stats().boundary_refreshes, 0u);
+  const obs::MetricsSnapshot snapshot = registry.scrape();
+  EXPECT_EQ(snapshot.counter_total("oisched_service_submitted_total"), trace.events.size());
+  for (const obs::MetricsSnapshot::Entry& entry : snapshot.entries) {
+    EXPECT_EQ(entry.name.find("boundary"), std::string::npos) << entry.name;
+  }
+}
+
+TEST(SchedulerService, ScrapeDuringComputedReplayIsRaceFree) {
+  // The scrape collector samples every shard's gain-storage residency
+  // while the shard threads run. On the computed backend each shard owns
+  // its matrix, and rebuild-policy classes walk rows through its row
+  // cache, so residency changes under the scraper's feet: TSan checks the
+  // two sides stay synchronized.
+  const ServiceFixture fx(128, 23);
+  Rng rng(23);
+  PoissonChurnOptions churn;
+  churn.max_events = 4000;
+  const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
+  obs::MetricsRegistry registry;
+  SchedulerServiceOptions options;
+  options.registry = &registry;
+  options.scheduler.storage = GainBackend::computed;
+  options.scheduler.remove_policy = RemovePolicy::rebuild;
+  SchedulerService service = fx.make(2, options);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      (void)registry.scrape();
+      ++scrapes;
+    }
+  });
+  // Replay only once the scraper is running, so the two overlap.
+  while (scrapes.load() == 0) std::this_thread::yield();
+  ServiceReplayOptions replay_options;
+  replay_options.check_oracle = false;
+  const auto replayed = replay_trace(service, trace, replay_options);
+  done.store(true);
+  scraper.join();
+  ASSERT_TRUE(replayed.ok()) << replayed.error();
+  EXPECT_EQ(replayed.value().stats.processed, trace.events.size());
+  EXPECT_TRUE(replayed.value().validated);
+  // Each shard's matrix holds its n signals plus at most one cached row
+  // per side (bidirectional: v and u).
+  const obs::MetricsSnapshot snapshot = registry.scrape();
+  const obs::MetricsSnapshot::Entry* resident = snapshot.find("oisched_gain_resident_doubles");
+  ASSERT_NE(resident, nullptr);
+  EXPECT_GT(resident->gauge, 0.0);
+  EXPECT_LE(resident->gauge, 2.0 * 3.0 * static_cast<double>(fx.instance.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +631,6 @@ std::vector<std::vector<ChurnEvent>> shard_sequences(const SchedulerService& ser
 void run_concurrent_fuzz(std::size_t shards, bool with_updates, std::uint64_t seed) {
   const ServiceFixture fx(64, seed);
   SchedulerServiceOptions options;
-  options.boundary_refresh_events = 128;
   options.scheduler.mobility = with_updates;
   SchedulerService service = fx.make(shards, options);
 
@@ -614,7 +681,6 @@ void run_concurrent_fuzz(std::size_t shards, bool with_updates, std::uint64_t se
   EXPECT_TRUE(service.validate_against_single_shard(merged))
       << shards << " shards diverged under concurrent submission";
   EXPECT_TRUE(service.validate_against_direct());
-  (void)service.refresh_boundary();  // exercise the control plane post-fuzz
 }
 
 TEST(SchedulerServiceFuzz, ConcurrentAdmitReleaseOneShard) {
