@@ -32,7 +32,8 @@ int usage() {
                "  becomes the median run (the stable value CI floors gate on).\n"
                "  --storage sets the default gain-table backend of the grid cells that\n"
                "  do not pin one (the large-n tiled and growing appendable cells always\n"
-               "  do); scenario names grow a suffix for non-dense backends.\n"
+               "  do, and mobility cells always move links on computed); scenario\n"
+               "  names grow a suffix for non-dense backends.\n"
                "  --remove-policy sets the default accumulator policy of the dynamic\n"
                "  cells that do not pin one (the policy-axis cells always do); scenario\n"
                "  names grow a suffix for non-exact policies.\n";

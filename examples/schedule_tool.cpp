@@ -14,9 +14,9 @@
 //                            [--shards N] [--rate R]
 //                            [--trace-out <spans.json>]
 //                            replay it online
-//   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]
+//   $ ./schedule_tool serve <in.inst> [--shards N]
+//                           [--storage dense|tiled|computed]
 //                           [--remove-policy rebuild|exact]
-//                           [--mobility]
 //                           interactive admission service on stdin
 //
 // `run` defaults to the Section-5 sqrt coloring on the gain-matrix engine;
@@ -32,13 +32,17 @@
 // events/sec (0 = saturated).
 // `--storage computed` replays off the tableless backend — entries are
 // recomputed on demand, so universes far past any dense table's memory
-// budget fit. `--trace-out` records the replay's phase
+// budget fit. A trace that moves links always replays on computed, and a
+// growing one on appendable; the summary line names the backend that ran.
+// `--trace-out` records the replay's phase
 // spans (queue wait, feasibility scan, accumulator update, compaction)
 // into a Chrome trace-event JSON file — open it in
 // chrome://tracing or Perfetto. `serve` exposes the same typed API
 // interactively: one command per stdin line (admit/release/update/stats/
 // metrics/prometheus/drain/quit), one structured response per
-// line on stdout; `metrics` (and `stats`, its alias) print the service's
+// line on stdout. `update` moves a link and re-powers it by the sqrt rule;
+// it needs `--storage computed`, the backend that moves links in each
+// shard's own matrix. `metrics` (and `stats`, its alias) print the service's
 // telemetry registry as one-line JSON (schema oisched-metrics/1), and
 // `prometheus` prints the same snapshot in Prometheus text exposition.
 //
@@ -88,9 +92,9 @@ int usage() {
          "                      [--remove-policy rebuild|exact] "
          "[--shards N] [--rate R]\n"
          "                      [--trace-out <spans.json>]\n"
-         "  schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]\n"
-         "                      [--remove-policy rebuild|exact] "
-         "[--mobility]\n";
+         "  schedule_tool serve <in.inst> [--shards N] "
+         "[--storage dense|tiled|computed]\n"
+         "                      [--remove-policy rebuild|exact]\n";
   return 2;
 }
 
@@ -370,11 +374,12 @@ int cmd_replay(int argc, char** argv) {
 
   OnlineSchedulerOptions options;
   options.remove_policy = policy;
-  options.storage = trace.value().has_fresh_links() ? GainBackend::appendable : storage;
-  // Endpoint motion mutates the gain tables, so the scheduler needs its
-  // own matrix; moved links are re-powered by the same sqrt rule the
-  // replay assigns everywhere else.
-  options.mobility = trace.value().has_link_updates();
+  // Growth needs the appendable backend and motion the computed one (the
+  // shared dense and tiled tables never change); fresh and moved links are
+  // powered by the same sqrt rule the replay assigns everywhere else.
+  options.storage = storage;
+  if (trace.value().has_link_updates()) options.storage = GainBackend::computed;
+  if (trace.value().has_fresh_links()) options.storage = GainBackend::appendable;
   if (trace.value().has_fresh_links() || trace.value().has_link_updates()) {
     options.fresh_power = std::make_shared<SqrtPower>();
   }
@@ -384,7 +389,8 @@ int cmd_replay(int argc, char** argv) {
   if (!trace_out_path.empty()) recorder = std::make_unique<obs::TraceRecorder>();
 
   if (shards > 0) {
-    options.storage = storage;  // the service rejects appendable itself
+    // The service rejects appendable itself.
+    if (options.storage == GainBackend::appendable) options.storage = storage;
     const int rc = replay_via_service(base.value(), trace.value(), out_path, shards,
                                       rate, options, recorder.get());
     write_trace_out(recorder.get(), trace_out_path);
@@ -403,7 +409,7 @@ int cmd_replay(int argc, char** argv) {
             << stats.departures << " departures, " << stats.link_updates
             << " link updates) in " << result.wall_seconds * 1e3
             << " ms: " << result.events_per_sec << " events/sec (storage "
-            << to_string(options.storage) << ", remove policy " << to_string(policy)
+            << to_string(scheduler.gains().backend()) << ", remove policy " << to_string(policy)
             << ")\n"
             << "final state: " << result.final_active << " active links of "
             << result.final_universe << " in " << result.final_colors << " colors (peak "
@@ -437,12 +443,10 @@ int cmd_serve(int argc, char** argv) {
   std::size_t shards = 1;
   GainBackend storage = GainBackend::dense;
   RemovePolicy policy = RemovePolicy::exact;
-  bool mobility = false;
   OptionParser parser;
   parser.add_shards(shards);
   parser.add_storage(storage);
   parser.add_remove_policy(policy);
-  parser.add_switch("--mobility", [&mobility] { mobility = true; });
   const Expected<std::vector<std::string>> parsed = parser.parse(argc, argv, 2);
   if (!parsed) return fail_loudly(parsed.error());
   const std::vector<std::string>& args = parsed.value();
@@ -461,14 +465,13 @@ int cmd_serve(int argc, char** argv) {
   options.registry = &registry;
   options.scheduler.remove_policy = policy;
   options.scheduler.storage = storage;
-  options.scheduler.mobility = mobility;
-  if (mobility) options.scheduler.fresh_power = std::make_shared<SqrtPower>();
+  // A moved link is re-powered by the rule every link started under.
+  options.scheduler.fresh_power = std::make_shared<SqrtPower>();
   SchedulerService service(instance, powers, params, Variant::bidirectional, options);
 
   std::cout << "serving " << instance.size() << " links across "
             << service.num_shards() << " shards (storage " << to_string(storage)
-            << ", remove policy " << to_string(policy)
-            << (mobility ? ", mobility" : "") << ")\n"
+            << ", remove policy " << to_string(policy) << ")\n"
             << "commands: admit <link> | release <link> | update <link> <u> <v> | "
                "stats | metrics | prometheus | drain | quit\n";
   std::string line;

@@ -68,8 +68,9 @@ std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers
           "Instance::gains: appendable tables grow and cannot be shared through the "
           "cache; construct a GainMatrix directly");
   require(backend != GainBackend::computed,
-          "Instance::gains: computed tables carry a single-owner row cache and "
-          "cannot be shared through the cache; construct a GainMatrix directly");
+          "Instance::gains: computed matrices hold no table worth sharing (one "
+          "O(n) signal pass builds them) and move links in place; construct a "
+          "GainMatrix directly");
   // The bidirectional variant always builds the sender-side table, so the
   // flag changes nothing there — normalize it out of the key to avoid a
   // bit-identical duplicate build.

@@ -10,7 +10,6 @@
 #include "core/power_assignment.h"
 #include "lp/simplex.h"
 #include "sinr/feasibility.h"
-#include "sinr/row_kernels.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -93,25 +92,16 @@ class RoundSelector {
   /// Appends `chosen` to the selection, keeping the per-request interference
   /// accumulators of the gain path in sync (accumulation order matches the
   /// order selection_interference sums in, so both paths agree bit-for-bit).
-  /// The full-row accumulation walks resident row runs and streams them
-  /// through the slot-wise kernels — each acc slot still receives exactly
-  /// one add per chosen row, in ascending index order, so the sums match
-  /// the per-element loop this replaces bit for bit.
+  /// Each acc slot receives exactly one add per chosen row, on every
+  /// backend.
   void extend_selection(std::span<const std::size_t> chosen) {
     selection_.insert(selection_.end(), chosen.begin(), chosen.end());
     if (gains_ == nullptr) return;
     const std::size_t n = instance_.size();
     for (const std::size_t s : chosen) {
-      for (std::size_t i = 0; i < n;) {
-        const std::span<const double> run = gains_->row_run_v(s, i);
-        kernels::acc_add_row(acc_v_.data() + i, run.data(), run.size());
-        i += run.size();
-      }
-      if (variant_ != Variant::bidirectional) continue;
-      for (std::size_t i = 0; i < n;) {
-        const std::span<const double> run = gains_->row_run_u(s, i);
-        kernels::acc_add_row(acc_u_.data() + i, run.data(), run.size());
-        i += run.size();
+      gains_->add_row_to(s, /*sender_side=*/false, 0, n, acc_v_.data());
+      if (variant_ == Variant::bidirectional) {
+        gains_->add_row_to(s, /*sender_side=*/true, 0, n, acc_u_.data());
       }
     }
   }

@@ -70,12 +70,15 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
       options_.storage == GainBackend::computed || options_.mobility) {
     // A matrix that mutates (growth or endpoint motion) cannot be shared
     // through the instance cache — the scheduler owns it and is the only
-    // writer. The computed backend's single-owner row cache keeps it out
-    // of the cache too.
+    // writer. Growth and slot reuse need appendable; anything else it owns
+    // is computed, whose moves rewrite no table and whose build is one
+    // O(n) signal pass.
+    const GainBackend backend = options_.storage == GainBackend::appendable
+                                    ? GainBackend::appendable
+                                    : GainBackend::computed;
     owned_gains_ = std::make_shared<GainMatrix>(instance_.metric(), instance_.requests(),
                                                 powers_, params_.alpha, variant_,
-                                                /*with_sender_gains=*/false,
-                                                options_.storage);
+                                                /*with_sender_gains=*/false, backend);
     gains_ = owned_gains_;
   } else {
     gains_ = instance.gains(powers_, params_.alpha, variant_,
@@ -214,8 +217,8 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
 
 int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   require(owned_gains_ != nullptr,
-          "OnlineScheduler: endpoint motion needs the mobility option (or the "
-          "appendable backend) — the shared gain cache must never mutate");
+          "OnlineScheduler: endpoint motion needs the computed (or appendable) "
+          "backend — the shared gain cache must never mutate");
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   const int color = color_of_[link];
   require(color >= 0, "OnlineScheduler: update of an inactive link");

@@ -1,8 +1,8 @@
 // Online scheduling: incremental maintenance of a valid coloring under a
 // stream of link arrivals and departures — and, on the appendable gain
-// backend, under universe growth; with the mobility option, under
-// endpoint motion too (link_update events refresh the moved link's gain
-// row/column in place and re-validate its class).
+// backend, under universe growth; on the computed (or appendable) backend,
+// under endpoint motion too (link_update events move the link in the
+// scheduler's own matrix and re-validate its class).
 //
 // The paper's oblivious power assignments are exactly the regime where the
 // request set is NOT known in advance — a power depends only on a link's
@@ -112,14 +112,13 @@ struct OnlineSchedulerOptions {
   CompactionVictim compaction_victim = CompactionVictim::trailing;
   /// Gain-table backend. dense/tiled serve a fixed universe from the
   /// instance's shared cache (tiled keeps huge, sparsely active universes
-  /// memory-bounded); appendable gives the scheduler its own growable
-  /// matrix and unlocks on_link_arrival.
+  /// memory-bounded) and accept no link_update; appendable gives the
+  /// scheduler its own growable matrix and unlocks on_link_arrival and
+  /// retire_link; computed gives it its own tableless matrix. Both private
+  /// backends accept link_update (endpoint motion).
   GainBackend storage = GainBackend::dense;
-  /// Accept link_update (endpoint motion) events: gives the scheduler a
-  /// privately owned gain matrix on every backend — the instance's shared
-  /// gain cache must never mutate — whose row/column for a moved link is
-  /// refreshed in place. The appendable backend always owns its matrix,
-  /// so it accepts motion regardless of this flag.
+  /// A synonym for storage = computed (ignored on appendable, which moves
+  /// links already). Kept only because the benchmark sets it.
   bool mobility = false;
   /// Oblivious power rule for fresh links (required to accept
   /// link_arrival events): a new link's power is derived from its own
@@ -204,10 +203,11 @@ class OnlineScheduler {
   /// afterwards.
   int on_link_arrival(const Request& request);
 
-  /// Moves an active link to new endpoints (mobility option or appendable
-  /// backend only): re-derives its oblivious power from the new length
-  /// (when a fresh_power rule is set), refreshes its gain row/column in
-  /// place, updates every class's accumulators exactly, and re-validates
+  /// Moves an active link to new endpoints (computed or appendable backend
+  /// only): re-derives its oblivious power from the new length (when a
+  /// fresh_power rule is set), moves it in the gain matrix (computed
+  /// rewrites no table; appendable rewrites its row and column), updates
+  /// every class's accumulators exactly, and re-validates
   /// the moved link's class — when motion broke it, the link is evicted
   /// and re-placed first-fit (counted in stats().update_migrations). Only
   /// the moved link's own class can break: everywhere else the stale
@@ -299,8 +299,9 @@ class OnlineScheduler {
   SinrParams params_;
   Variant variant_;
   OnlineSchedulerOptions options_;
-  /// Set on the appendable backend and whenever options.mobility is on:
-  /// the scheduler's private mutable matrix (gains_ aliases it there).
+  /// Set on the appendable and computed backends (and under
+  /// options.mobility): the scheduler's private mutable matrix (gains_
+  /// aliases it there).
   std::shared_ptr<GainMatrix> owned_gains_;
   std::shared_ptr<const GainMatrix> gains_;
   std::vector<IncrementalGainClass> classes_;

@@ -103,7 +103,7 @@ SchedulerService::SchedulerService(const Instance& instance,
     ingest_shard_ = &registry->create_shard();
   }
   // Sequential construction: the first shard pays the instance's gain-table
-  // build (or its own, under mobility), the rest hit the cache.
+  // build (or its own, on computed), the rest hit the cache.
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     OnlineSchedulerOptions scheduler_options = options_.scheduler;
@@ -143,10 +143,10 @@ SchedulerService::SchedulerService(const Instance& instance,
                  static_cast<double>(shard->queue.pending()));
       }
       // Gain-storage residency over the DISTINCT matrices (dense/tiled
-      // shards share the instance's cached tables; mobility and computed
-      // give each shard a private one). Residency is fixed on dense and
-      // atomic-backed on tiled and computed (appendable is rejected), so
-      // sampling while shards run is safe.
+      // shards share the instance's cached tables; computed gives each
+      // shard a private one). Residency is fixed on dense and computed and
+      // atomic-backed on tiled (appendable is rejected), so sampling while
+      // shards run is safe.
       std::vector<const GainMatrix*> seen;
       std::size_t resident = 0;
       std::size_t touched = 0;

@@ -107,8 +107,9 @@ struct SchedulerServiceOptions {
   /// Shard count (>= 1). Links partition by a link-id hash; each shard
   /// schedules its partition in its own color planes.
   std::size_t num_shards = 1;
-  /// Per-shard scheduler knobs (storage backend, remove policy, mobility,
-  /// fresh_power, compaction). The appendable backend is rejected: a
+  /// Per-shard scheduler knobs (storage backend, remove policy,
+  /// fresh_power, compaction). Endpoint motion (update) needs the computed
+  /// backend. The appendable backend is rejected: a
   /// sharded universe cannot grow yet (fresh links would need a
   /// coordinated index across all shards' matrices). The telemetry field
   /// is ignored — the service wires each shard's own sinks (below); a
@@ -153,8 +154,8 @@ class SchedulerService {
   /// universe, powers/params/variant are fixed for the service lifetime
   /// (sound under oblivious assignments). Builds one scheduler per shard —
   /// on the dense/tiled backends they share the instance's cached gain
-  /// tables; under mobility each shard owns a private matrix and only ever
-  /// mutates rows of its own links. Spawns the shard threads.
+  /// tables; on computed each shard owns a private tableless matrix and
+  /// only ever moves its own links. Spawns the shard threads.
   SchedulerService(const Instance& instance, std::span<const double> powers,
                    const SinrParams& params, Variant variant,
                    SchedulerServiceOptions options = {});

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/instance.h"
-#include "sinr/row_kernels.h"
 #include "util/error.h"
 
 namespace oisched {
@@ -16,9 +15,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Element generator for one table side: the exact formula of the
 /// historical eager build, evaluated per entry. Captures the shared
-/// request/power stores (not the matrix), so a lazily materialized tile or
-/// an appended row reads the same data — and a grown store is visible to
-/// later fills without rewiring anything.
+/// request/power stores (not the matrix), so a lazily materialized tile,
+/// an appended row or an on-demand entry reads the same data — and a grown
+/// or moved store is visible to later fills without rewiring anything.
 GainFiller make_gain_filler(const MetricSpace* metric,
                             std::shared_ptr<std::vector<Request>> requests,
                             std::shared_ptr<std::vector<double>> powers, double alpha,
@@ -36,51 +35,17 @@ GainFiller make_gain_filler(const MetricSpace* metric,
   };
 }
 
-/// Walks columns [begin, end) of gain-table row j as contiguous resident
-/// runs: body(base, row_v, row_u, len) with row_u == nullptr for
-/// single-table classes. One virtual row_run call per run (dense and
-/// appendable serve the whole range in one; tiled one per tile), instead
-/// of one at_v/at_u dispatch per element — the devirtualized feed of
-/// every accumulator row walk below. Both tables share a backend, so
-/// their runs align; the min() is belt and braces.
-template <typename Body>
-void walk_row_runs(const GainMatrix& gains, std::size_t j, bool bidirectional,
-                   std::size_t begin, std::size_t end, Body&& body) {
-  std::size_t i = begin;
-  while (i < end) {
-    const std::span<const double> run_v = gains.row_run_v(j, i);
-    std::size_t len = std::min(run_v.size(), end - i);
-    const double* row_u = nullptr;
-    if (bidirectional) {
-      const std::span<const double> run_u = gains.row_run_u(j, i);
-      len = std::min(len, run_u.size());
-      row_u = run_u.data();
-    }
-    body(i, run_v.data(), row_u, len);
-    i += len;
-  }
-}
-
-/// walk_row_runs over [0, n) minus the diagonal entry `skip` — a member
-/// never interferes with itself, and skipping by splitting the walk keeps
-/// the slot untouched instead of relying on += 0.0 (which would flip the
-/// sign of a -0.0 slot and is not a no-op on the exact expansions).
-template <typename Body>
-void walk_row_runs_skip(const GainMatrix& gains, std::size_t j, bool bidirectional,
-                        std::size_t skip, Body&& body) {
-  walk_row_runs(gains, j, bidirectional, 0, skip, body);
-  walk_row_runs(gains, j, bidirectional, skip + 1, gains.size(), body);
+/// Adds row j of one table to acc over [0, n) minus the diagonal entry
+/// `skip` — a member never interferes with itself, and skipping by
+/// splitting the walk keeps the slot untouched instead of relying on
+/// += 0.0 (which would flip the sign of a -0.0 slot).
+void add_row_skipping(const GainMatrix& gains, std::size_t j, bool sender_side,
+                      std::size_t skip, double* acc) {
+  gains.add_row_to(j, sender_side, 0, skip, acc);
+  gains.add_row_to(j, sender_side, skip + 1, gains.size(), acc);
 }
 
 }  // namespace
-
-double GainRowCursor::refill(std::size_t i) {
-  const std::span<const double> run = storage_->row_run(j_, i);
-  run_ = run.data();
-  base_ = i;
-  len_ = run.size();
-  return run_[0];
-}
 
 const char* to_string(FeasibilityEngine engine) {
   switch (engine) {
@@ -201,6 +166,8 @@ std::size_t GainMatrix::append_request(const Request& request, double power) {
 
 void GainMatrix::update_request(std::size_t link, const Request& request,
                                 double power) {
+  require(backend_ == GainBackend::appendable || backend_ == GainBackend::computed,
+          "GainMatrix: only the appendable and computed backends move links");
   require(link < n_, "GainMatrix: update of an out-of-range link");
   require(request.u < metric_->size() && request.v < metric_->size(),
           "GainMatrix: request endpoint out of metric range");
@@ -208,18 +175,28 @@ void GainMatrix::update_request(std::size_t link, const Request& request,
   require(l > 0.0, "GainMatrix: request endpoints must be distinct points");
   require(std::isfinite(power) && power > 0.0,
           "GainMatrix: powers must be positive and finite");
-  // Update the shared stores first, then refresh through fillers that read
-  // them — the refreshed entries are exactly what an eager build over the
-  // moved universe would compute.
+  // The fillers read the shared stores, so computed entries follow them at
+  // once; an appendable table then rewrites the link's row and column
+  // through the same fillers — exactly what an eager build over the moved
+  // universe would compute.
   (*requests_store_)[link] = request;
   (*powers_store_)[link] = power;
   signal_[link] = power / l;
-  at_v_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
-                                             alpha_, variant_, /*sender_side=*/false));
-  if (at_u_ != nullptr) {
-    at_u_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
-                                               alpha_, variant_, /*sender_side=*/true));
+  if (backend_ == GainBackend::appendable) {
+    static_cast<AppendableGainStorage&>(*at_v_).refresh_link(link);
+    if (at_u_ != nullptr) static_cast<AppendableGainStorage&>(*at_u_).refresh_link(link);
   }
+}
+
+void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, std::size_t end,
+                            double* acc) const {
+  if (const double* dense = sender_side ? dense_u_ : dense_v_) {
+    const double* row = dense + j * n_;
+    for (std::size_t i = begin; i < end; ++i) acc[i] += row[i];
+    return;
+  }
+  const GainStorage& table = sender_side ? *at_u_ : *at_v_;
+  for (std::size_t i = begin; i < end; ++i) acc[i] += table.at(j, i);
 }
 
 std::size_t GainMatrix::resident_doubles() const noexcept {
@@ -276,18 +253,14 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   const double cand_signal = gains_->signal(request_index);
 
-  // Existing members must tolerate the newcomer's extra interference. The
-  // cursors serve the candidate's row from cached resident runs — one
-  // virtual dispatch per run, not per member.
-  GainRowCursor row_v = gains_->row_cursor_v(request_index);
-  GainRowCursor row_u = gains_->row_cursor_u(request_index);
+  // Existing members must tolerate the newcomer's extra interference.
   for (const std::size_t m : members_) {
-    const double extra_v = row_v.at(m);
+    const double extra_v = gains_->at_v(request_index, m);
     if (!(gains_->signal(m) > params_.beta * (acc_v_[m] + extra_v + params_.noise))) {
       return false;
     }
     if (bidirectional) {
-      const double extra_u = row_u.at(m);
+      const double extra_u = gains_->at_u(request_index, m);
       if (!(gains_->signal(m) > params_.beta * (acc_u_[m] + extra_u + params_.noise))) {
         return false;
       }
@@ -337,14 +310,11 @@ void IncrementalGainClass::add(std::size_t request_index) {
   }
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
-  walk_row_runs_skip(*gains_, request_index, bidirectional, request_index,
-                     [&](std::size_t base, const double* row_v, const double* row_u,
-                         std::size_t len) {
-                       kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-                       if (row_u != nullptr) {
-                         kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-                       }
-                     });
+  add_row_skipping(*gains_, request_index, /*sender_side=*/false, request_index, acc_v_.data());
+  if (bidirectional) {
+    add_row_skipping(*gains_, request_index, /*sender_side=*/true, request_index,
+                     acc_u_.data());
+  }
   members_.push_back(request_index);
 }
 
@@ -359,8 +329,7 @@ std::size_t IncrementalGainClass::position_of(std::size_t link) const {
 
 ExactSum IncrementalGainClass::own_slot_sum(std::size_t link, bool sender_side) const {
   // Gather the column entries first, so the strided loads overlap, and
-  // only then accumulate. Point lookups, not a row cursor: on the
-  // computed backend a cursor would rematerialize a row tail per member.
+  // only then accumulate.
   gather_.resize(members_.size());
   std::size_t count = 0;
   if (sender_side) {
@@ -644,14 +613,8 @@ void IncrementalGainClass::sync_universe() {
   // order — exactly the sums a from-scratch replay over the grown universe
   // produces, so exactness guarantees survive growth.
   for (const std::size_t m : members_) {
-    walk_row_runs(*gains_, m, bidirectional, old_n, n,
-                  [&](std::size_t base, const double* row_v, const double* row_u,
-                      std::size_t len) {
-                    kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-                    if (row_u != nullptr) {
-                      kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-                    }
-                  });
+    gains_->add_row_to(m, /*sender_side=*/false, old_n, n, acc_v_.data());
+    if (bidirectional) gains_->add_row_to(m, /*sender_side=*/true, old_n, n, acc_u_.data());
   }
 }
 
@@ -661,14 +624,8 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
   acc_v.assign(gains_->size(), 0.0);
   acc_u.assign(bidirectional ? gains_->size() : 0, 0.0);
   for (const std::size_t m : members_) {
-    walk_row_runs_skip(*gains_, m, bidirectional, m,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         kernels::acc_add_row(acc_v.data() + base, row_v, len);
-                         if (row_u != nullptr) {
-                           kernels::acc_add_row(acc_u.data() + base, row_u, len);
-                         }
-                       });
+    add_row_skipping(*gains_, m, /*sender_side=*/false, m, acc_v.data());
+    if (bidirectional) add_row_skipping(*gains_, m, /*sender_side=*/true, m, acc_u.data());
   }
 }
 

@@ -36,36 +36,6 @@ namespace oisched {
 
 class Instance;
 
-/// Devirtualized sequential reader of one gain-table row: serves lookups
-/// from a cached contiguous resident run (GainStorage::row_run), paying
-/// one virtual call per run instead of one per element. A dense-backed
-/// cursor caches the whole row up front, so every lookup is a raw load;
-/// tiled pays one refill per tile crossed. Lookups outside the cached run
-/// refill, so access order is free — the can_add member scan walks its
-/// scattered member indices through one cursor per row.
-class GainRowCursor {
- public:
-  [[nodiscard]] double at(std::size_t i) {
-    const std::size_t off = i - base_;
-    if (off < len_) return run_[off];
-    return refill(i);
-  }
-
- private:
-  friend class GainMatrix;
-  GainRowCursor(const GainStorage* storage, std::size_t j)
-      : storage_(storage), j_(j) {}
-  GainRowCursor(const double* dense_row, std::size_t n)
-      : run_(dense_row), len_(n) {}
-  double refill(std::size_t i);
-
-  const GainStorage* storage_ = nullptr;
-  std::size_t j_ = 0;
-  const double* run_ = nullptr;
-  std::size_t base_ = 0;
-  std::size_t len_ = 0;
-};
-
 /// Which machinery answers feasibility queries inside an algorithm. Both
 /// produce bit-for-bit identical results; they differ only in cost.
 enum class FeasibilityEngine {
@@ -101,9 +71,10 @@ enum class FeasibilityEngine {
 /// `tiled` materializes B x B tiles lazily so huge universes with
 /// localized activity stay memory-bounded; `appendable` grows —
 /// append_request gives a fresh link its row and column in O(n), the
-/// foundation of the online scheduler's growing universe. Every backend
-/// computes each entry with the same formula from the same inputs, so
-/// queries are bit-for-bit identical across backends.
+/// foundation of the online scheduler's growing universe; `computed`
+/// keeps no table, so update_request moves a link by rewriting only the
+/// stores. Every backend computes each entry with the same formula from
+/// the same inputs, so queries are bit-for-bit identical across backends.
 ///
 /// Lifetime: the matrix copies the requests and powers it was built from
 /// (requests()/powers() view the copies), but only references the metric —
@@ -143,29 +114,13 @@ class GainMatrix {
     return at_u_ == nullptr ? 0.0 : at_u_->at(j, i);
   }
 
-  /// Longest contiguous resident run of receiver-table row j starting at
-  /// column i (i < size()); never empty. One call serves the whole row
-  /// tail on dense/appendable and a tile width on tiled — what the
-  /// accumulator row walks iterate instead of per-element at_v.
-  [[nodiscard]] std::span<const double> row_run_v(std::size_t j, std::size_t i) const {
-    if (dense_v_ != nullptr) return {dense_v_ + j * n_ + i, n_ - i};
-    return at_v_->row_run(j, i);
-  }
-  /// Sender-side counterpart; requires the sender table (bidirectional or
-  /// with_sender_gains builds).
-  [[nodiscard]] std::span<const double> row_run_u(std::size_t j, std::size_t i) const {
-    if (dense_u_ != nullptr) return {dense_u_ + j * n_ + i, n_ - i};
-    return at_u_->row_run(j, i);
-  }
-  /// Cached-run reader of row j for scattered lookups (the member scans).
-  [[nodiscard]] GainRowCursor row_cursor_v(std::size_t j) const {
-    if (dense_v_ != nullptr) return {dense_v_ + j * n_, n_};
-    return {at_v_.get(), j};
-  }
-  [[nodiscard]] GainRowCursor row_cursor_u(std::size_t j) const {
-    if (dense_u_ != nullptr) return {dense_u_ + j * n_, n_};
-    return {at_u_.get(), j};
-  }
+  /// acc[i] += the gain row j contributes at column i, for every i in
+  /// [begin, end), on the receiver side (or the sender side, which must
+  /// have been built). One IEEE add per slot in column order, so every
+  /// backend yields the same sums. The dense table is read through its raw
+  /// row pointer, every other backend through point lookups.
+  void add_row_to(std::size_t j, bool sender_side, std::size_t begin, std::size_t end,
+                  double* acc) const;
 
   /// Grows the universe by one link (appendable backend only): copies the
   /// request, computes its signal and its table row/column in O(n), and
@@ -173,16 +128,15 @@ class GainMatrix {
   /// before the append are invalidated. Not thread-safe.
   std::size_t append_request(const Request& request, double power);
 
-  /// Re-points link `link` at new endpoints (endpoint motion), possibly
-  /// with a new power: updates the stores, recomputes the link's signal
-  /// and refreshes its table row and column in place — O(n) element
-  /// evaluations on every backend (the tiled backend rewrites only
-  /// resident tiles; untouched tiles read the updated stores on first
-  /// touch). Each refreshed entry is computed by the same formula from the
-  /// same stores as an eager build over the moved universe, so queries
-  /// stay bit-for-bit identical to a freshly constructed matrix. Only
-  /// legal on a privately owned matrix (Instance's shared gain cache must
-  /// never mutate); not thread-safe.
+  /// Re-points link `link` at new endpoints (endpoint motion or slot
+  /// reuse), possibly with a new power: updates the request and power
+  /// stores and the link's signal. Requires the appendable backend, which
+  /// also rewrites the link's table row and column (O(n) evaluations), or
+  /// the computed backend, which has no table and is done in O(1). Either
+  /// way queries stay bit-for-bit identical to a freshly constructed
+  /// matrix over the moved universe. Dense and tiled tables are frozen,
+  /// and Instance's shared cache never holds a movable backend. Not
+  /// thread-safe.
   void update_request(std::size_t link, const Request& request, double power);
 
   /// The receiver-side storage — tests and the memory model observe tile
@@ -290,17 +244,17 @@ class IncrementalGainClass {
   void remove(std::size_t request_index);
 
   /// Endpoint-motion bracket, phase 1 of 2: called on EVERY class (member
-  /// or not) BEFORE GainMatrix::update_request rewrites link `link`'s row
-  /// and column. Under exact a member class subtracts the link's stale row
-  /// contribution from the other slots, error-free; a non-member class has
-  /// nothing to read from the old tables (member mode drops its can_add
-  /// stash, nothing else). Under rebuild nothing happens here, because
+  /// or not) BEFORE GainMatrix::update_request moves link `link`. Under
+  /// exact a member class subtracts the link's stale row contribution from
+  /// the other slots, error-free; a non-member class has nothing to read
+  /// from the old gains (member mode drops its can_add stash, nothing
+  /// else). Under rebuild nothing happens here, because
   /// finish_link_update replays.
   /// Must be paired with finish_link_update on the same link, with no
   /// other mutation in between.
   void begin_link_update(std::size_t link);
   /// Endpoint-motion bracket, phase 2 of 2: called AFTER the matrix
-  /// refresh. A member class adds the link's new row contribution; every
+  /// update. A member class adds the link's new row contribution; every
   /// class then re-derives slot `link` from its members, because the
   /// column behind that slot changed and the add/remove paths never touch
   /// a link's own slot (member mode stores no non-member slot, so a

@@ -1,6 +1,6 @@
 #include "sinr/gain_storage.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/error.h"
 
@@ -50,15 +50,6 @@ DenseGainStorage::DenseGainStorage(std::size_t n, std::vector<double> data)
   require(data_.size() == n_ * n_, "DenseGainStorage: need an n x n table");
 }
 
-void DenseGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
-  require(link < n_, "DenseGainStorage: refresh of an out-of-range link");
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (i == link) continue;
-    data_[link * n_ + i] = fill(link, i);
-    data_[i * n_ + link] = fill(i, link);
-  }
-}
-
 TiledGainStorage::TiledGainStorage(std::size_t n, GainFiller fill)
     : n_(n),
       tiles_per_side_((n + kTileSize - 1) / kTileSize),
@@ -67,28 +58,13 @@ TiledGainStorage::TiledGainStorage(std::size_t n, GainFiller fill)
   require(static_cast<bool>(fill_), "TiledGainStorage: filler must be callable");
 }
 
-const double* TiledGainStorage::tile_data(std::size_t jb, std::size_t ib) const {
+double TiledGainStorage::at(std::size_t j, std::size_t i) const {
+  const std::size_t jb = j / kTileSize;
+  const std::size_t ib = i / kTileSize;
   Tile& tile = tiles_[jb * tiles_per_side_ + ib];
   const double* data = tile.ready.load(std::memory_order_acquire);
   if (data == nullptr) data = materialize(tile, jb, ib);
-  return data;
-}
-
-double TiledGainStorage::at(std::size_t j, std::size_t i) const {
-  const double* data = tile_data(j / kTileSize, i / kTileSize);
   return data[(j % kTileSize) * kTileSize + (i % kTileSize)];
-}
-
-std::span<const double> TiledGainStorage::row_run(std::size_t j, std::size_t i) const {
-  // One tile's worth of row j: contiguous inside the tile's row-major
-  // buffer, clipped to the table edge (edge tiles pad with zeros past n_,
-  // but runs never expose the padding).
-  const std::size_t jb = j / kTileSize;
-  const std::size_t ib = i / kTileSize;
-  const double* data = tile_data(jb, ib);
-  const std::size_t di = i % kTileSize;
-  const std::size_t len = std::min(kTileSize - di, n_ - i);
-  return {data + (j % kTileSize) * kTileSize + di, len};
 }
 
 const double* TiledGainStorage::materialize(Tile& tile, std::size_t jb,
@@ -113,33 +89,6 @@ const double* TiledGainStorage::materialize(Tile& tile, std::size_t jb,
   return tile.ready.load(std::memory_order_acquire);
 }
 
-void TiledGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
-  require(link < n_, "TiledGainStorage: refresh of an out-of-range link");
-  const std::size_t lb = link / kTileSize;
-  const std::size_t lo = link % kTileSize;
-  // Row `link` crosses tile-row lb; column `link` crosses tile-column lb.
-  // Only resident tiles are rewritten — a tile not yet materialized will
-  // evaluate the stored filler on first touch and see the new values then.
-  for (std::size_t tb = 0; tb < tiles_per_side_; ++tb) {
-    Tile& row_tile = tiles_[lb * tiles_per_side_ + tb];
-    if (row_tile.ready.load(std::memory_order_acquire) != nullptr) {
-      double* data = row_tile.data.get();
-      for (std::size_t di = 0; di < kTileSize; ++di) {
-        const std::size_t i = tb * kTileSize + di;
-        data[lo * kTileSize + di] = (i < n_ && i != link) ? fill(link, i) : 0.0;
-      }
-    }
-    Tile& col_tile = tiles_[tb * tiles_per_side_ + lb];
-    if (col_tile.ready.load(std::memory_order_acquire) != nullptr) {
-      double* data = col_tile.data.get();
-      for (std::size_t dj = 0; dj < kTileSize; ++dj) {
-        const std::size_t j = tb * kTileSize + dj;
-        data[dj * kTileSize + lo] = (j < n_ && j != link) ? fill(j, link) : 0.0;
-      }
-    }
-  }
-}
-
 AppendableGainStorage::AppendableGainStorage(std::size_t n, GainFiller fill)
     : fill_(std::move(fill)), rows_(n) {
   require(static_cast<bool>(fill_), "AppendableGainStorage: filler must be callable");
@@ -158,14 +107,14 @@ std::size_t AppendableGainStorage::resident_doubles() const noexcept {
   return total;
 }
 
-void AppendableGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
+void AppendableGainStorage::refresh_link(std::size_t link) {
   require(link < rows_.size(),
           "AppendableGainStorage: refresh of an out-of-range link");
   const std::size_t n = rows_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i == link) continue;
-    rows_[link][i] = fill(link, i);
-    rows_[i][link] = fill(i, link);
+    rows_[link][i] = fill_(link, i);
+    rows_[i][link] = fill_(i, link);
   }
 }
 
@@ -191,32 +140,6 @@ void AppendableGainStorage::grow_to(std::size_t new_n) {
 ComputedGainStorage::ComputedGainStorage(std::size_t n, GainFiller fill)
     : n_(n), fill_(std::move(fill)) {
   require(static_cast<bool>(fill_), "ComputedGainStorage: filler must be callable");
-}
-
-std::span<const double> ComputedGainStorage::row_run(std::size_t j,
-                                                     std::size_t i) const {
-  // Serve from the cache when it already covers [i, n) of row j; otherwise
-  // materialize that tail in one filler pass. Runs are always full tails,
-  // so a walk that advances i within one row re-reads the same buffer.
-  if (cache_row_ != j || i < cache_start_) {
-    cache_.resize(n_);
-    for (std::size_t k = i; k < n_; ++k) {
-      cache_[k] = (k == j) ? 0.0 : fill_(j, k);
-    }
-    cache_row_ = j;
-    cache_start_ = i;
-    resident_.store(n_, std::memory_order_relaxed);
-  }
-  return {cache_.data() + i, n_ - i};
-}
-
-void ComputedGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
-  require(link < n_, "ComputedGainStorage: refresh of an out-of-range link");
-  (void)fill;  // nothing resident to rewrite — the stored filler sees the
-               // updated request/power stores on the next materialization
-  cache_row_ = kNoRow;
-  cache_start_ = 0;
-  resident_.store(0, std::memory_order_relaxed);
 }
 
 std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend, std::size_t n,

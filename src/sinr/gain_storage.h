@@ -12,7 +12,7 @@
 // already computed).
 //
 // GainStorage is the seam: one n x n table of doubles behind a tiny
-// virtual interface, with three backends —
+// virtual interface, with four backends —
 //
 //   DenseGainStorage       today's layout, filled eagerly; exposes its
 //                          contiguous buffer so the hot path stays a raw
@@ -23,10 +23,13 @@
 //                          tiles, not n^2.
 //   AppendableGainStorage  per-row vectors with amortized growth; a fresh
 //                          link gets its row and column in O(n).
+//   ComputedGainStorage    no table: every entry is evaluated on demand,
+//                          so a moved link costs nothing to refresh.
 //
 // Entries are computed per element by a GainFiller, so every backend holds
 // bit-for-bit the values the dense build would — backends differ in cost
-// and residency, never in results.
+// and residency, never in results. Dense and tiled tables are frozen;
+// only appendable (growth, slot reuse) and computed (motion) change.
 #ifndef OISCHED_SINR_GAIN_STORAGE_H
 #define OISCHED_SINR_GAIN_STORAGE_H
 
@@ -35,7 +38,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -56,10 +58,10 @@ enum class GainBackend {
   /// table by one row and one column in O(n) without rebuilding.
   appendable,
   /// No table at all: every entry is evaluated through the filler on
-  /// demand, with a single-row cache so a row walk costs one filler pass.
-  /// O(n) resident; the only backend whose footprint lets n >= 10^5
-  /// universes replay at all. Not thread-safe; single-owner like
-  /// appendable.
+  /// demand. Nothing resident, reads are thread-safe, and a moved link
+  /// needs no rewrite (its entries read the updated request and power
+  /// stores); the only backend whose footprint lets n >= 10^5 universes
+  /// replay at all.
   computed,
 };
 
@@ -89,15 +91,6 @@ class GainStorage {
   /// Contiguous row-major buffer when the layout has one, else nullptr —
   /// lets callers skip the virtual dispatch on the dense fast path.
   [[nodiscard]] virtual const double* dense_data() const noexcept { return nullptr; }
-  /// The longest contiguous resident run of row `j` starting at column `i`
-  /// (i < size()); never empty. Lazy backends materialize the containing
-  /// block first, so one virtual call serves a whole row tail (dense /
-  /// appendable) or a tile width (tiled) — the devirtualized feed of the
-  /// accumulator row walks, and the SAME materialization path the residency
-  /// counters observe (at() routes through it too, so resident_doubles and
-  /// row runs cannot drift apart).
-  [[nodiscard]] virtual std::span<const double> row_run(std::size_t j,
-                                                        std::size_t i) const = 0;
   /// Doubles currently resident — the observable of the memory model.
   [[nodiscard]] virtual std::size_t resident_doubles() const noexcept = 0;
   /// Lazily materialized blocks touched so far / in total — 0/0 for eager
@@ -106,15 +99,6 @@ class GainStorage {
   /// need no backend downcasts.
   [[nodiscard]] virtual std::size_t touched_blocks() const noexcept { return 0; }
   [[nodiscard]] virtual std::size_t total_blocks() const noexcept { return 0; }
-  /// Recomputes row `link` and column `link` through `fill` — the
-  /// endpoint-motion path. The caller has already updated the request and
-  /// power stores the filler captures, so re-evaluating those entries
-  /// yields the moved link's new gains. Lazy backends rewrite only what is
-  /// resident; unmaterialized tiles pick the new values up on first touch
-  /// through their stored filler. NOT thread-safe against concurrent
-  /// reads; the online scheduler (the only mutating owner) is
-  /// single-threaded per instance.
-  virtual void refresh_link(std::size_t link, const GainFiller& fill) = 0;
 };
 
 /// Eager contiguous table (the historical layout).
@@ -131,14 +115,9 @@ class DenseGainStorage final : public GainStorage {
     return data_[j * n_ + i];
   }
   [[nodiscard]] const double* dense_data() const noexcept override { return data_.data(); }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override {
-    return {data_.data() + j * n_ + i, n_ - i};
-  }
   [[nodiscard]] std::size_t resident_doubles() const noexcept override {
     return data_.size();
   }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
 
  private:
   std::size_t n_;
@@ -160,8 +139,6 @@ class TiledGainStorage final : public GainStorage {
   [[nodiscard]] GainBackend kind() const noexcept override { return GainBackend::tiled; }
   [[nodiscard]] std::size_t size() const noexcept override { return n_; }
   [[nodiscard]] double at(std::size_t j, std::size_t i) const override;
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override;
   [[nodiscard]] std::size_t resident_doubles() const noexcept override {
     return touched_tiles() * kTileSize * kTileSize;
   }
@@ -171,7 +148,6 @@ class TiledGainStorage final : public GainStorage {
   [[nodiscard]] std::size_t total_blocks() const noexcept override {
     return total_tiles();
   }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
 
   /// Tiles materialized so far — what the sparse-schedule smoke tests and
   /// the memory model reason about.
@@ -189,10 +165,6 @@ class TiledGainStorage final : public GainStorage {
     std::unique_ptr<double[]> data;
   };
 
-  /// The one materialization gate: both at() and row_run() resolve a
-  /// (j, i) coordinate to its resident tile buffer through here, so lookup
-  /// paths and the touched-tile residency count can never disagree.
-  const double* tile_data(std::size_t jb, std::size_t ib) const;
   const double* materialize(Tile& tile, std::size_t jb, std::size_t ib) const;
 
   std::size_t n_;
@@ -218,12 +190,13 @@ class AppendableGainStorage final : public GainStorage {
   [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
     return rows_[j][i];
   }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override {
-    return {rows_[j].data() + i, rows_[j].size() - i};
-  }
   [[nodiscard]] std::size_t resident_doubles() const noexcept override;
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
+  /// Recomputes row `link` and column `link` through the stored filler —
+  /// the endpoint-motion and slot-reuse path. The caller has already
+  /// updated the request and power stores the filler reads, so the
+  /// rewritten entries are the moved link's new gains. Not thread-safe,
+  /// like growth.
+  void refresh_link(std::size_t link);
 
   /// Extends the table to new_n rows/columns, filling the fresh row and
   /// column entries through the stored filler (which must already see the
@@ -235,14 +208,10 @@ class AppendableGainStorage final : public GainStorage {
   std::vector<std::vector<double>> rows_;
 };
 
-/// Tableless storage: entries are recomputed through the filler on every
-/// query. A one-row cache makes row walks affordable — row_run(j, i)
-/// materializes the tail [i, n) of row j once and serves every subsequent
-/// run of the same row from the cache, so a feasibility scan over k classes
-/// costs one filler pass per candidate row, not k. The cache belongs to the
-/// storage (not the cursor), so it survives across GainRowCursor instances
-/// within one event. NOT thread-safe (mutable cache, no locks) apart from
-/// resident_doubles(); the online scheduler is its only intended owner.
+/// Tableless storage: every query evaluates the filler, so nothing is
+/// resident and reads are thread-safe. The filler reads the matrix's
+/// request and power stores, so a moved link's entries follow the stores
+/// with nothing to rewrite.
 class ComputedGainStorage final : public GainStorage {
  public:
   ComputedGainStorage(std::size_t n, GainFiller fill);
@@ -254,25 +223,11 @@ class ComputedGainStorage final : public GainStorage {
   [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
     return (i == j) ? 0.0 : fill_(j, i);
   }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override;
-  /// Safe to sample while the owner runs (e.g. a metrics scrape): reads
-  /// only the atomic residency that row_run and refresh_link store.
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return resident_.load(std::memory_order_relaxed);
-  }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
+  [[nodiscard]] std::size_t resident_doubles() const noexcept override { return 0; }
 
  private:
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
   std::size_t n_;
   GainFiller fill_;
-  mutable std::vector<double> cache_;
-  mutable std::size_t cache_row_ = kNoRow;
-  mutable std::size_t cache_start_ = 0;
-  /// cache_.size() while a row is cached, else 0.
-  mutable std::atomic<std::size_t> resident_{0};
 };
 
 /// Factory over the backend enum.

@@ -189,10 +189,7 @@ void run_service_scenario(const ScenarioSpec& spec, const SinrParams& params,
   options.num_shards = spec.shards;
   options.scheduler.remove_policy = policy;
   options.scheduler.storage = backend;
-  if (mobility) {
-    options.scheduler.mobility = true;
-    options.scheduler.fresh_power = assignment;
-  }
+  if (mobility) options.scheduler.fresh_power = assignment;
   // Every cell scrapes its own registry into the report: the service
   // wires per-shard series itself (queue depth, latency, batch size).
   obs::MetricsRegistry registry;
@@ -278,6 +275,11 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     return;
   }
   const bool mobility = is_mobility_trace(spec.trace);
+  // The scheduler owns its matrix on the backends that move or grow links;
+  // dense and tiled come from the instance's shared cache.
+  const bool owned = backend == GainBackend::appendable || backend == GainBackend::computed;
+  require(owned || !mobility,
+          "experiment: mobility cells run on the computed or appendable backend");
   const std::vector<double> powers = assignment->assign(instance, params.alpha);
   obs::MetricsRegistry registry;
   OnlineSchedulerOptions options;
@@ -285,19 +287,13 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   options.storage = backend;
   options.telemetry.ids = OnlineMetricIds::register_in(registry);
   options.telemetry.shard = &registry.create_shard();
-  if (mobility) {
-    // Endpoint motion mutates the tables, so the scheduler builds a
-    // privately owned matrix — there is no shared cache to warm; time the
-    // scheduler's own build instead. The moved links are re-powered by the
-    // cell's oblivious assignment.
-    options.mobility = true;
-    options.fresh_power = assignment;
-  } else if (backend != GainBackend::computed) {
+  // Moved links are re-powered by the cell's oblivious assignment.
+  if (mobility) options.fresh_power = assignment;
+  if (!owned) {
     // Cold build of the shared gain tables on the cell's backend (lazy ones
-    // only pay their signal pass here); the replay hits the cache. The
-    // computed backend has no tables to warm (and its single-owner row
-    // cache is banned from the shared cache anyway) — the scheduler builds
-    // its own, timed below.
+    // only pay their signal pass here); the replay hits the cache. An owned
+    // matrix has no shared cache to warm — the scheduler's own build is
+    // timed below.
     Stopwatch watch;
     (void)instance.gains(powers, params.alpha, spec.variant,
                          /*with_sender_gains=*/false, backend);
@@ -305,9 +301,7 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   }
   Stopwatch build_watch;
   OnlineScheduler scheduler(instance, powers, params, spec.variant, options);
-  if (mobility || backend == GainBackend::computed) {
-    result.gain_build_ms = build_watch.elapsed_ms();
-  }
+  if (owned) result.gain_build_ms = build_watch.elapsed_ms();
   register_gain_metrics(registry, scheduler);
   const ChurnTrace trace =
       build_trace(spec, instance.size(), {}, mobility ? &instance : nullptr);
@@ -404,8 +398,10 @@ std::string ScenarioSpec::name() const {
   const std::string base = topology + "/n" + std::to_string(n);
   std::string tail = power + "/" + std::string(variant_name(variant));
   // Historical (dense) names stay stable — so do their derived seeds and
-  // the CI gates keyed on them; other backends are a visible suffix.
-  if (!storage.empty() && storage != "dense") tail += "/" + storage;
+  // the CI gates keyed on them; other backends are a visible suffix, except
+  // computed on a mobility cell, which is that family's default.
+  const bool mobility_default = is_mobility_trace(trace) && storage == "computed";
+  if (!storage.empty() && storage != "dense" && !mobility_default) tail += "/" + storage;
   // Same for the scheduler-default remove policy: only deviations show.
   if (is_dynamic() && !remove_policy.empty() && remove_policy != "exact") {
     tail += "/" + remove_policy;
@@ -430,7 +426,11 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   const std::vector<std::string> topologies = {"line", "grid", "random", "adversarial"};
   std::vector<ScenarioSpec> grid;
   const auto push = [&](ScenarioSpec spec) {
-    if (spec.storage.empty()) spec.storage = options.storage;
+    // Mobility cells move links, so they default to computed whatever
+    // --storage says; their names stay unsuffixed (see name()).
+    if (spec.storage.empty()) {
+      spec.storage = is_mobility_trace(spec.trace) ? "computed" : options.storage;
+    }
     if (spec.remove_policy.empty()) spec.remove_policy = options.remove_policy;
     // The Theorem-1 adversarial family lives in the directed variant.
     spec.variant =
@@ -504,7 +504,7 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     add("random", 16384, "sqrt", "hotspot", "tiled");
     add("random", 128, "sqrt", "growing", "appendable");
     // The flagship mobility cell: endpoint motion over Poisson churn,
-    // replayed through the in-place update path.
+    // replayed on the computed backend.
     add("random", 256, "sqrt", "waypoint");
     // The flagship service cells: the same workload as the flagship churn
     // cell (identical seed, instance and trace — shards are excluded from
@@ -544,7 +544,7 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     }
   }
   // The dynamic-mobility family: the three motion regimes at both sweep
-  // sizes, each replayed through the in-place update path.
+  // sizes, each replayed on the computed backend.
   for (const char* trace : {"waypoint", "commuter", "flashmob"}) {
     for (const std::size_t n : {std::size_t{64}, std::size_t{256}}) {
       add("random", n, "sqrt", trace);
@@ -552,13 +552,12 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   }
   // Storage-backend cells: the flagship churn scenario replayed off tiled
   // tables, the large-n hotspot only the tiled backend can hold, the
-  // growing universe over the appendable backend, and the flagship
-  // mobility cell on both non-dense backends (in-place row/column refresh
-  // exercised on every storage layout).
+  // growing universe over the appendable backend, and motion on appendable
+  // (row/column rewrite) next to the computed default of every other
+  // mobility cell.
   add("random", 256, "sqrt", "poisson", "tiled");
   add("random", 16384, "sqrt", "hotspot", "tiled");
   add("random", 512, "sqrt", "growing", "appendable");
-  add("random", 256, "sqrt", "waypoint", "tiled");
   add("random", 128, "sqrt", "waypoint", "appendable");
   // The remove-policy axis on the flagship churn cell: the same instance
   // and trace under both accumulator policies — the recorded evidence
@@ -580,8 +579,8 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   for (const std::size_t rate : {std::size_t{20000}, std::size_t{80000}}) {
     add("random", 256, "sqrt", "poisson", "", "", /*shards=*/4, rate);
   }
-  // The service also serves the mobility regime (in-place motion inside
-  // each shard's private matrix) — one sharded cell pins that path.
+  // The service also serves the mobility regime (each shard moves links in
+  // its own computed matrix) — one sharded cell pins that path.
   add("random", 256, "sqrt", "waypoint", "", "", /*shards=*/4);
   // The parallel candidate-scan cell (bit-identity gated against the
   // sequential sweep on the same instance).

@@ -37,13 +37,13 @@ struct ScenarioSpec {
   /// the other half as fresh links (appendable storage required). The
   /// mobility kinds ("waypoint" | "commuter" | "flashmob") select the
   /// dynamic-mobility family: churn interleaved with endpoint motion,
-  /// replayed through the in-place update path on a privately owned
-  /// matrix.
+  /// replayed on a privately owned computed (or appendable) matrix.
   std::string trace;
   /// Gain-table backend: "dense" | "tiled" | "appendable" | "computed".
   /// tiled keeps large sparsely-active universes memory-bounded;
   /// appendable is the growing-universe (dynamic) backend; computed keeps
-  /// no table at all (the n = 131072 cell).
+  /// no table at all (the n = 131072 cell) and is the default of mobility
+  /// cells, which only move links on computed or appendable.
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild"). exact — the scheduler default — removes
@@ -74,7 +74,8 @@ struct ScenarioSpec {
   /// "random/n256/sqrt/bidirectional", or
   /// "dynamic/random/n256/poisson/sqrt/bidirectional" for the dynamic
   /// family — stable scenario identifiers. Non-default storage backends
-  /// append a "/tiled" (etc.) segment; non-default remove policies a
+  /// append a "/tiled" (etc.) segment (dense is the default, and computed
+  /// too on mobility cells); non-default remove policies a
   /// "/rebuild" (etc.) one. Service cells use the "dynamic-service/"
   /// prefix and always append "/s<shards>" (plus "/r<rate>" when paced),
   /// e.g. "dynamic-service/random/n256/poisson/sqrt/bidirectional/s4".
@@ -212,7 +213,8 @@ struct ExperimentOptions {
   std::uint64_t base_seed = 1;
   SinrParams params;        // alpha/beta/noise shared by every scenario
   /// Default storage backend for grid cells that do not pin one
-  /// ("dense" | "tiled"); the large-n and growing cells always pin theirs.
+  /// ("dense" | "tiled"); the large-n and growing cells always pin theirs,
+  /// and mobility cells default to computed regardless.
   std::string storage = "dense";
   /// Default remove policy for dynamic cells that do not pin one
   /// ("exact" | "rebuild"); the policy-axis cell always pins its own.

@@ -1,8 +1,6 @@
-// Differential suite for the SoA exact accumulator bank and the row-run
-// seam the accumulator walks read: the bank's per-slot add/subtract must
-// match a vector<ExactSum> oracle through its spill/saturation regimes,
-// and the GainStorage row_run seam must serve exactly the bytes at()
-// serves on every backend.
+// Differential suite for the SoA exact accumulator bank: its per-slot
+// add/subtract must match a vector<ExactSum> oracle through its
+// spill/saturation regimes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,7 +9,6 @@
 #include <limits>
 #include <vector>
 
-#include "sinr/gain_storage.h"
 #include "util/exact_bank.h"
 #include "util/exact_sum.h"
 #include "util/rng.h"
@@ -207,57 +204,6 @@ TEST(ExactSumBank, EraseShiftsLaterSlotsWithTheirState) {
     oracle[i].add(0.5);
   }
   expect_matches("after erase");
-}
-
-TEST(RowRunSeam, RunsServeExactlyTheBytesAtServes) {
-  const std::size_t n = 140;  // spans multiple 64-wide tiles
-  const GainFiller fill = [](std::size_t j, std::size_t i) {
-    return 1.0 / (1.0 + static_cast<double>(j * 1000 + i));
-  };
-  const DenseGainStorage dense(n, fill);
-  const TiledGainStorage tiled(n, fill);
-  const AppendableGainStorage appendable(n, fill);
-  const std::vector<const GainStorage*> backends = {&dense, &tiled, &appendable};
-  Rng rng(7);
-  for (const GainStorage* storage : backends) {
-    for (int probes = 0; probes < 40; ++probes) {
-      const std::size_t j = rng.uniform_index(n);
-      std::size_t i = rng.uniform_index(n);
-      // Walking runs from any start covers the row tail contiguously.
-      while (i < n) {
-        const std::span<const double> run = storage->row_run(j, i);
-        ASSERT_FALSE(run.empty());
-        ASSERT_LE(i + run.size(), n);
-        for (std::size_t k = 0; k < run.size(); ++k) {
-          ASSERT_TRUE(same_bits(run[k], storage->at(j, i + k)))
-              << "row " << j << " col " << i + k;
-        }
-        i += run.size();
-      }
-    }
-  }
-}
-
-TEST(RowRunSeam, TiledRunsShareTheResidencyAccounting) {
-  const std::size_t n = 140;
-  const GainFiller fill = [](std::size_t j, std::size_t i) {
-    return static_cast<double>(j) + static_cast<double>(i) * 1e-3;
-  };
-  const TiledGainStorage tiled(n, fill);
-  EXPECT_EQ(tiled.touched_blocks(), 0u);
-  EXPECT_EQ(tiled.total_blocks(), 9u);  // ceil(140/64)^2
-  (void)tiled.row_run(0, 0);
-  EXPECT_EQ(tiled.touched_blocks(), 1u);
-  // at() on the same tile reuses the run's materialization; a new tile
-  // through row_run counts once, exactly like at() would.
-  (void)tiled.at(0, 1);
-  EXPECT_EQ(tiled.touched_blocks(), 1u);
-  (void)tiled.row_run(0, 64);
-  EXPECT_EQ(tiled.touched_blocks(), 2u);
-  // Dense/appendable backends have no blocks to count.
-  const DenseGainStorage dense(8, fill);
-  EXPECT_EQ(dense.touched_blocks(), 0u);
-  EXPECT_EQ(dense.total_blocks(), 0u);
 }
 
 }  // namespace

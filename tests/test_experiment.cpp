@@ -110,15 +110,15 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   ExperimentOptions options;
   const auto grid = experiment_grid(options);
   // 24 static cells + the n512 flagship + 6 dynamic (3 trace kinds x 2
-  // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes) + 5
-  // storage-backend cells (tiled poisson, tiled large-n hotspot,
-  // appendable growing, tiled waypoint, appendable waypoint) + the
+  // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes, on computed)
+  // + 4 storage-backend cells (tiled poisson, tiled large-n hotspot,
+  // appendable growing, appendable waypoint) + the
   // remove-policy cell (flagship poisson under rebuild) + 7
   // dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
   // rates, waypoint s4) + the n512 parallel-scan cell + 4 capped
   // large-universe dynamic cells (n4096 poisson/waypoint, n16384 and
   // n131072 tableless). No cell belongs to a far-field family.
-  EXPECT_EQ(grid.size(), 55u);
+  EXPECT_EQ(grid.size(), 54u);
   std::set<std::string> trace_kinds;
   std::set<std::string> storages;
   std::set<std::string> policies;
@@ -443,6 +443,7 @@ TEST(ExperimentRunner, MobilityCellReplaysInPlaceAndMatchesRebuildReference) {
     spec.variant = Variant::bidirectional;
     spec.seed = 27;
     spec.trace = trace;
+    spec.storage = "computed";  // what the grid gives every mobility cell
     SinrParams params;
     const ScenarioResult result = run_scenario(spec, params);
     ASSERT_TRUE(result.ok) << trace << ": " << result.error;
@@ -462,9 +463,40 @@ TEST(ExperimentRunner, MobilityCellReplaysInPlaceAndMatchesRebuildReference) {
   spec.power = "sqrt";
   spec.seed = 27;
   spec.trace = "waypoint";
+  spec.storage = "computed";
   const std::vector<ScenarioResult> results = {run_scenario(spec, SinrParams{})};
   const JsonValue report = experiment_report(results, ExperimentOptions{});
   EXPECT_NE(report.dump().find("\"family\": \"dynamic-mobility\""), std::string::npos);
+}
+
+TEST(ExperimentRunner, MobilityCellsMoveLinksOnlyOnComputedOrAppendable) {
+  // Dense and tiled tables are frozen, so a mobility cell pinned to one
+  // fails loudly instead of silently running elsewhere.
+  ScenarioSpec spec;
+  spec.topology = "random";
+  spec.n = 16;
+  spec.power = "sqrt";
+  spec.seed = 3;
+  spec.trace = "waypoint";
+  spec.storage = "tiled";
+  const ScenarioResult result = run_scenario(spec, SinrParams{});
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("computed or appendable"), std::string::npos) << result.error;
+}
+
+TEST(ExperimentGrid, MobilityCellsDefaultToComputedWhateverTheStorageFlag) {
+  // --storage tiled must not rename (or re-seed) the mobility cells the CI
+  // gates select by name: they run on computed and keep their names.
+  ExperimentOptions options;
+  options.storage = "tiled";
+  bool seen = false;
+  for (const ScenarioSpec& spec : experiment_grid(options)) {
+    if (spec.trace != "waypoint" || spec.n != 256 || spec.shards > 0) continue;
+    seen = true;
+    EXPECT_EQ(spec.storage, "computed");
+    EXPECT_EQ(spec.name(), "dynamic/random/n256/waypoint/sqrt/bidirectional");
+  }
+  EXPECT_TRUE(seen);
 }
 
 TEST(ExperimentRunner, UnknownRemovePolicyFailsSoftly) {

@@ -6,6 +6,7 @@
 // large universe touches a small fraction of the tiles.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/greedy.h"
 #include "core/power_assignment.h"
 #include "core/schedule.h"
+#include "core/sqrt_coloring.h"
 #include "gen/adversarial.h"
 #include "online/online_scheduler.h"
 #include "sinr/feasibility.h"
@@ -46,7 +48,8 @@ std::vector<Variant> both_variants() {
 }
 
 std::vector<GainBackend> all_backends() {
-  return {GainBackend::dense, GainBackend::tiled, GainBackend::appendable};
+  return {GainBackend::dense, GainBackend::tiled, GainBackend::appendable,
+          GainBackend::computed};
 }
 
 TEST(GainBackendNames, RoundTrip) {
@@ -243,47 +246,10 @@ TEST(ComputedBackend, AnswersMatchDenseBitForBit) {
           ASSERT_EQ(computed.at_v(j, i), dense.at_v(j, i)) << j << "," << i;
           ASSERT_EQ(computed.at_u(j, i), dense.at_u(j, i)) << j << "," << i;
         }
-        // Row runs serve the same values from the one-row cache.
-        std::size_t i = 0;
-        while (i < dense.size()) {
-          const auto run = computed.row_run_v(j, i);
-          ASSERT_FALSE(run.empty());
-          for (std::size_t k = 0; k < run.size(); ++k) {
-            ASSERT_EQ(run[k], dense.at_v(j, i + k)) << j << "," << (i + k);
-          }
-          i += run.size();
-        }
       }
-      // The whole point: no n^2 tables. One cached row plus signals.
-      EXPECT_LE(computed.resident_doubles(), 3 * computed.size());
-      EXPECT_LT(computed.resident_doubles(), dense.resident_doubles());
-    }
-  }
-}
-
-TEST(ComputedBackend, UpdateRequestInvalidatesTheRowCache) {
-  const auto scenario = random_scenario(12, /*seed=*/23);
-  const Instance instance = scenario.instance();
-  const auto powers = SqrtPower{}.assign(instance, 3.0);
-  GainMatrix computed(instance, powers, 3.0, Variant::bidirectional,
-                      /*with_sender_gains=*/true, GainBackend::computed);
-  // Warm the cache on the row we are about to move.
-  const std::size_t moved = 5;
-  (void)computed.row_run_v(moved, 0);
-  (void)computed.row_run_v(3, 0);
-  std::vector<Request> requests(instance.requests().begin(),
-                                instance.requests().end());
-  requests[moved] = Request{requests[moved].v, requests[moved].u};  // flip
-  computed.update_request(moved, requests[moved], powers[moved]);
-  const Instance after(instance.metric_ptr(), requests);
-  const GainMatrix dense(after, powers, 3.0, Variant::bidirectional,
-                         /*with_sender_gains=*/true, GainBackend::dense);
-  for (std::size_t j = 0; j < dense.size(); ++j) {
-    EXPECT_EQ(computed.signal(j), dense.signal(j));
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      if (i == j) continue;
-      ASSERT_EQ(computed.at_v(j, i), dense.at_v(j, i)) << j << "," << i;
-      ASSERT_EQ(computed.at_u(j, i), dense.at_u(j, i)) << j << "," << i;
+      // The whole point: no tables. Only the signals are resident.
+      EXPECT_EQ(computed.receiver_storage().resident_doubles(), 0u);
+      EXPECT_EQ(computed.resident_doubles(), computed.size());
     }
   }
 }
@@ -296,8 +262,8 @@ TEST(ComputedBackend, CannotGrowOrEnterTheInstanceCache) {
                       /*with_sender_gains=*/false, GainBackend::computed);
   EXPECT_THROW((void)computed.append_request(instance.request(0), 1.0),
                PreconditionError);
-  // The single-owner row cache makes shared const access a data race, so
-  // the per-instance cache refuses the backend outright.
+  // Computed matrices move links in place and cost one signal pass to
+  // build, so the per-instance cache refuses the backend outright.
   EXPECT_THROW((void)instance.gains(powers, 3.0, Variant::bidirectional, false,
                                     GainBackend::computed),
                PreconditionError);
@@ -368,47 +334,120 @@ TEST(IncrementalGainClassGrowth, ExactPolicySyncedSlotsMatchAFreshExactBuild) {
   }
 }
 
-TEST(GainStorageBackends, ExactAccumulatorsBitIdenticalAcrossBackends) {
-  // The exact expansions consume table entries, so every backend — whose
-  // entries are bit-identical — must yield bit-identical exact
-  // accumulator states through an add/remove workout.
+/// Drives one class per backend through the same add/remove workout and
+/// asserts bit-identical verdicts and accumulator slots after every step.
+/// The classes consume table entries — point lookups, or the raw dense row
+/// under the rebuild policy's row walks — whose values agree bit for bit,
+/// so every backend must yield the same class states.
+void expect_accumulators_identical_across_backends(RemovePolicy policy) {
   const auto scenario = random_scenario(24, /*seed=*/51);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
   SinrParams params;
   params.alpha = 3.0;
   params.beta = 0.5;
-  const GainMatrix dense(instance, powers, params.alpha, Variant::bidirectional);
-  const GainMatrix tiled(instance, powers, params.alpha, Variant::bidirectional,
-                         /*with_sender_gains=*/false, GainBackend::tiled);
-  const GainMatrix appendable(instance, powers, params.alpha, Variant::bidirectional,
-                              /*with_sender_gains=*/false, GainBackend::appendable);
-  IncrementalGainClass on_dense(dense, params, RemovePolicy::exact);
-  IncrementalGainClass on_tiled(tiled, params, RemovePolicy::exact);
-  IncrementalGainClass on_appendable(appendable, params, RemovePolicy::exact);
-  Rng rng(404);
-  std::vector<std::size_t> in_class;
-  for (int step = 0; step < 120; ++step) {
-    if (!in_class.empty() && rng.bernoulli(0.4)) {
-      const std::size_t pos = rng.uniform_index(in_class.size());
-      const std::size_t victim = in_class[pos];
-      in_class.erase(in_class.begin() + static_cast<std::ptrdiff_t>(pos));
-      on_dense.remove(victim);
-      on_tiled.remove(victim);
-      on_appendable.remove(victim);
-    } else {
-      const std::size_t cand = rng.uniform_index(instance.size());
-      if (on_dense.contains(cand) || !on_dense.can_add(cand)) continue;
-      on_dense.add(cand);
-      on_tiled.add(cand);
-      on_appendable.add(cand);
-      in_class.push_back(cand);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Variant variant : both_variants()) {
+    std::vector<std::unique_ptr<GainMatrix>> matrices;
+    std::vector<IncrementalGainClass> classes;
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
+                                      GainBackend::appendable, GainBackend::computed}) {
+      matrices.push_back(std::make_unique<GainMatrix>(instance, powers, params.alpha, variant,
+                                                      /*with_sender_gains=*/false, backend));
+      classes.emplace_back(*matrices.back(), params, policy);
     }
-    for (std::size_t i = 0; i < instance.size(); ++i) {
-      ASSERT_EQ(on_dense.accumulator_v(i), on_tiled.accumulator_v(i)) << i;
-      ASSERT_EQ(on_dense.accumulator_v(i), on_appendable.accumulator_v(i)) << i;
-      ASSERT_EQ(on_dense.accumulator_u(i), on_tiled.accumulator_u(i)) << i;
-      ASSERT_EQ(on_dense.accumulator_u(i), on_appendable.accumulator_u(i)) << i;
+    Rng rng(404);
+    std::vector<std::size_t> in_class;
+    for (int step = 0; step < 120; ++step) {
+      if (!in_class.empty() && rng.bernoulli(0.4)) {
+        const std::size_t pos = rng.uniform_index(in_class.size());
+        const std::size_t victim = in_class[pos];
+        in_class.erase(in_class.begin() + static_cast<std::ptrdiff_t>(pos));
+        for (IncrementalGainClass& cls : classes) cls.remove(victim);
+      } else {
+        const std::size_t cand = rng.uniform_index(instance.size());
+        if (classes[0].contains(cand)) continue;
+        const bool accepted = classes[0].can_add(cand);
+        for (std::size_t b = 1; b < classes.size(); ++b) {
+          ASSERT_EQ(classes[b].can_add(cand), accepted)
+              << to_string(matrices[b]->backend()) << " step " << step;
+        }
+        if (!accepted) continue;
+        for (IncrementalGainClass& cls : classes) cls.add(cand);
+        in_class.push_back(cand);
+      }
+      for (std::size_t b = 1; b < classes.size(); ++b) {
+        for (std::size_t i = 0; i < instance.size(); ++i) {
+          ASSERT_EQ(bits(classes[b].accumulator_v(i)), bits(classes[0].accumulator_v(i)))
+              << to_string(matrices[b]->backend()) << " step " << step << " slot " << i;
+          ASSERT_EQ(bits(classes[b].accumulator_u(i)), bits(classes[0].accumulator_u(i)))
+              << to_string(matrices[b]->backend()) << " step " << step << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(GainStorageBackends, ExactAccumulatorsBitIdenticalAcrossBackends) {
+  expect_accumulators_identical_across_backends(RemovePolicy::exact);
+}
+
+TEST(GainStorageBackends, RebuildAccumulatorsBitIdenticalAcrossBackends) {
+  expect_accumulators_identical_across_backends(RemovePolicy::rebuild);
+}
+
+TEST(GainStorageBackends, RowAdditionIsBitIdenticalAcrossBackends) {
+  // add_row_to is the row walk of the rebuild policy and of the sqrt
+  // coloring's selection sums: raw row pointer on dense, point lookups
+  // everywhere else, one add per slot in column order on all of them.
+  for (const Instance& instance : fixture_instances()) {
+    const auto powers = SqrtPower{}.assign(instance, 3.0);
+    const std::size_t n = instance.size();
+    for (const Variant variant : both_variants()) {
+      const GainMatrix dense(instance, powers, 3.0, variant,
+                             /*with_sender_gains=*/true, GainBackend::dense);
+      std::vector<double> expect_v(n, 0.25);
+      std::vector<double> expect_u(n, -0.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        dense.add_row_to(j, /*sender_side=*/false, 0, n, expect_v.data());
+        dense.add_row_to(j, /*sender_side=*/true, j / 2, n, expect_u.data());
+      }
+      for (const GainBackend backend :
+           {GainBackend::tiled, GainBackend::appendable, GainBackend::computed}) {
+        const GainMatrix other(instance, powers, 3.0, variant,
+                               /*with_sender_gains=*/true, backend);
+        std::vector<double> got_v(n, 0.25);
+        std::vector<double> got_u(n, -0.0);
+        for (std::size_t j = 0; j < n; ++j) {
+          other.add_row_to(j, /*sender_side=*/false, 0, n, got_v.data());
+          other.add_row_to(j, /*sender_side=*/true, j / 2, n, got_u.data());
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got_v[i]),
+                    std::bit_cast<std::uint64_t>(expect_v[i]))
+              << to_string(backend) << " slot " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got_u[i]),
+                    std::bit_cast<std::uint64_t>(expect_u[i]))
+              << to_string(backend) << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(GainStorageBackends, SqrtColoringIdenticalOnTiled) {
+  for (const Instance& instance : fixture_instances()) {
+    SinrParams params;
+    params.alpha = 3.0;
+    params.beta = 1.0;
+    for (const Variant variant : both_variants()) {
+      SqrtColoringOptions options;
+      options.seed = 5;
+      const SqrtColoringResult dense = sqrt_coloring(instance, params, variant, options);
+      options.storage = GainBackend::tiled;
+      const SqrtColoringResult tiled = sqrt_coloring(instance, params, variant, options);
+      EXPECT_EQ(dense.schedule.color_of, tiled.schedule.color_of);
+      EXPECT_EQ(dense.schedule.num_colors, tiled.schedule.num_colors);
     }
   }
 }
@@ -481,56 +520,25 @@ TEST(GainStorageUnits, DenseExposesRawDataAndResidency) {
   EXPECT_EQ(appendable.resident_doubles(), 16u);
 }
 
-TEST(GainStorageUnits, RefreshLinkRewritesTheRowAndColumnOnEveryBackend) {
+TEST(GainStorageUnits, AppendableRefreshLinkRewritesTheRowAndColumn) {
   // The filler reads shared mutable state — exactly how GainMatrix wires
   // it (fillers capture the request/power stores). After the state changes,
-  // refresh_link(1, fill) must rewrite link 1's row and column in place
-  // while every other resident entry keeps its original value.
+  // refresh_link(1) must rewrite link 1's row and column in place while
+  // every other entry keeps its original value.
   const auto scale = std::make_shared<double>(1.0);
   const GainFiller fill = [scale](std::size_t j, std::size_t i) {
     return i == j ? 0.0 : *scale * static_cast<double>(10 * j + i);
   };
-  DenseGainStorage dense(4, fill);
-  TiledGainStorage tiled(4, fill);
   AppendableGainStorage appendable(4, fill);
-  // Materialize the tiled table so the refresh has resident data to rewrite.
-  EXPECT_EQ(tiled.at(0, 2), 2.0);
   *scale = 3.0;
-  for (GainStorage* storage :
-       std::initializer_list<GainStorage*>{&dense, &tiled, &appendable}) {
-    storage->refresh_link(1, fill);
-    // Row 1 and column 1 read the new state...
-    EXPECT_EQ(storage->at(1, 2), 36.0) << to_string(storage->kind());
-    EXPECT_EQ(storage->at(2, 1), 63.0) << to_string(storage->kind());
-    EXPECT_EQ(storage->at(1, 1), 0.0) << to_string(storage->kind());
-    // ...every other entry keeps the pre-refresh value.
-    EXPECT_EQ(storage->at(0, 2), 2.0) << to_string(storage->kind());
-    EXPECT_EQ(storage->at(3, 2), 32.0) << to_string(storage->kind());
-  }
-}
-
-TEST(GainStorageUnits, TiledRefreshLeavesUnmaterializedTilesToTheLazyFiller) {
-  // n = 70 spans a 2x2 tile grid. Only tile (0,0) is resident when link 65
-  // is refreshed, so the refresh rewrites nothing outside it — but tiles
-  // materializing LATER run the captured filler against the already-updated
-  // state, landing on the same values a full rewrite would have produced.
-  const auto scale = std::make_shared<double>(1.0);
-  const GainFiller fill = [scale](std::size_t j, std::size_t i) {
-    return i == j ? 0.0 : *scale * static_cast<double>(100 * j + i);
-  };
-  TiledGainStorage tiled(70, fill);
-  EXPECT_EQ(tiled.at(2, 3), 203.0);  // materializes tile (0,0)
-  EXPECT_EQ(tiled.touched_tiles(), 1u);
-  *scale = 2.0;
-  tiled.refresh_link(65, fill);
-  EXPECT_EQ(tiled.touched_tiles(), 1u);  // refresh materializes nothing
-  // Tile (0,0) holds neither link 65's row nor its column, so its resident
-  // entries are untouched; the row/column tiles all fill lazily, post-update.
-  EXPECT_EQ(tiled.at(2, 3), 203.0);
-  EXPECT_EQ(tiled.at(2, 65), 2.0 * 265.0);
-  EXPECT_EQ(tiled.at(65, 2), 2.0 * 6502.0);  // tile (1,0) fills lazily, post-update
-  EXPECT_EQ(tiled.at(65, 66), 2.0 * 6566.0);
-  EXPECT_EQ(tiled.at(66, 67), 2.0 * 6667.0);  // untouched links in a fresh tile too
+  appendable.refresh_link(1);
+  // Row 1 and column 1 read the new state...
+  EXPECT_EQ(appendable.at(1, 2), 36.0);
+  EXPECT_EQ(appendable.at(2, 1), 63.0);
+  EXPECT_EQ(appendable.at(1, 1), 0.0);
+  // ...every other entry keeps the pre-refresh value.
+  EXPECT_EQ(appendable.at(0, 2), 2.0);
+  EXPECT_EQ(appendable.at(3, 2), 32.0);
 }
 
 }  // namespace

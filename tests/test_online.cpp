@@ -587,8 +587,8 @@ TEST(IncrementalGainClassRemove, ExactPolicySumsASaturatingNonMemberSlotOnDemand
 /// Differential replay: the exact-policy scheduler against a rebuild-policy
 /// twin on the same trace, then every live class against freshly built
 /// exact twins (in sorted member order — the order-free claim). Traces
-/// with link_update events run with the mobility option (privately owned
-/// matrix, in-place row/column refresh) on both sides.
+/// with link_update events need a backend that moves links (appendable or
+/// computed).
 ReplayResult run_policy_differential(const Instance& instance, const ChurnTrace& trace,
                                      GainBackend backend,
                                      std::shared_ptr<const PowerAssignment> fresh_power,
@@ -600,7 +600,6 @@ ReplayResult run_policy_differential(const Instance& instance, const ChurnTrace&
   OnlineSchedulerOptions options;
   options.storage = backend;
   options.fresh_power = fresh_power;
-  options.mobility = trace.has_link_updates();
   EXPECT_EQ(options.remove_policy, RemovePolicy::exact);  // the default
   OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
   const ReplayResult result = replay_trace(scheduler, trace);
@@ -698,7 +697,8 @@ TEST(OnlineScheduler, LegacyTraceSchemaReplaysUnderTheExactDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Mobility: the in-place link_update path (oisched-trace/3).
+// Mobility: the link_update path (oisched-trace/3) on the backends that
+// move links.
 
 ChurnTrace mobility_trace(const Instance& instance, const std::string& kind,
                           std::uint64_t seed, std::size_t target_events = 400) {
@@ -710,10 +710,10 @@ ChurnTrace mobility_trace(const Instance& instance, const std::string& kind,
 
 TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
   // The flagship differential gate of the update path: every mobility kind
-  // replayed on all four storage backends, each run checked against a
+  // replayed on both backends that move links, each run checked against a
   // rebuild-policy twin (bit-identical schedule), every live class against
   // a freshly built exact twin (bit-identical accumulators), zero
-  // removal-triggered rebuilds under the exact default — and the four
+  // removal-triggered rebuilds under the exact default — and the two
   // backends agreeing with each other on the final schedule.
   const auto scenario = random_scenario(40, /*seed=*/321);
   const Instance instance = scenario.instance();
@@ -722,8 +722,7 @@ TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
     const ChurnTrace trace = mobility_trace(instance, kind, seed++);
     ASSERT_TRUE(trace.has_link_updates()) << kind;
     std::vector<ReplayResult> per_backend;
-    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
-                                      GainBackend::appendable, GainBackend::computed}) {
+    for (const GainBackend backend : {GainBackend::appendable, GainBackend::computed}) {
       const std::string context = kind + "/" + to_string(backend);
       per_backend.push_back(run_policy_differential(
           instance, trace, backend, std::make_shared<SqrtPower>(), context.c_str()));
@@ -754,7 +753,7 @@ TEST(OnlineScheduler, MobilityFinalStateRevalidatesOverTheMovedGeometry) {
   for (const Variant variant : both_variants()) {
     const ChurnTrace trace = mobility_trace(instance, "waypoint", 11);
     OnlineSchedulerOptions options;
-    options.mobility = true;
+    options.storage = GainBackend::computed;
     options.fresh_power = std::make_shared<SqrtPower>();
     OnlineScheduler scheduler(instance, powers, params, variant, options);
     const ReplayResult result = replay_trace(scheduler, trace);
@@ -796,7 +795,7 @@ TEST(OnlineScheduler, MotionThatBreaksFeasibilityMigratesTheLink) {
   params.beta = 1.0;
   const auto powers = UniformPower{}.assign(instance, params.alpha);
   OnlineSchedulerOptions options;
-  options.mobility = true;
+  options.storage = GainBackend::computed;
   OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
   ASSERT_EQ(scheduler.on_arrival(0), 0);
   ASSERT_EQ(scheduler.on_arrival(1), 0);
@@ -828,14 +827,19 @@ TEST(OnlineScheduler, LinkUpdateGuardsItsPreconditions) {
   const auto powers = SqrtPower{}.assign(instance, params.alpha);
   const Request valid = instance.request(1);
   {
-    // No mobility option and a cached dense matrix: the scheduler must
-    // refuse to mutate shared gains in place.
-    OnlineScheduler cached(instance, powers, params, Variant::bidirectional);
-    (void)cached.on_arrival(0);
-    EXPECT_THROW((void)cached.on_link_update(0, valid), PreconditionError);
+    // A cached dense or tiled matrix: the scheduler must refuse to mutate
+    // shared gains.
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled}) {
+      OnlineSchedulerOptions cached_options;
+      cached_options.storage = backend;
+      OnlineScheduler cached(instance, powers, params, Variant::bidirectional, cached_options);
+      (void)cached.on_arrival(0);
+      EXPECT_THROW((void)cached.on_link_update(0, valid), PreconditionError)
+          << to_string(backend);
+    }
   }
   OnlineSchedulerOptions options;
-  options.mobility = true;
+  options.storage = GainBackend::computed;
   OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
   // Updating an inactive link is an error...
   EXPECT_THROW((void)scheduler.on_link_update(0, valid), PreconditionError);
@@ -844,6 +848,28 @@ TEST(OnlineScheduler, LinkUpdateGuardsItsPreconditions) {
   EXPECT_THROW((void)scheduler.on_link_update(0, Request{2, 2}), PreconditionError);
   // A well-formed update on an active link is fine and counted.
   (void)scheduler.on_link_update(0, valid);
+  EXPECT_EQ(scheduler.stats().link_updates, 1u);
+  EXPECT_TRUE(scheduler.validate_against_direct());
+}
+
+TEST(OnlineScheduler, MobilityOptionOwnsATablelessMatrix) {
+  // The mobility flag is a synonym for the computed backend: the scheduler
+  // owns a matrix with no table (only the n signals are resident) and
+  // moves links in it.
+  const auto scenario = random_scenario(24, /*seed=*/17);
+  const Instance instance = scenario.instance();
+  SinrParams params;
+  params.alpha = 3.0;
+  params.beta = 1.0;
+  const auto powers = SqrtPower{}.assign(instance, params.alpha);
+  OnlineSchedulerOptions options;
+  options.mobility = true;
+  options.fresh_power = std::make_shared<SqrtPower>();
+  OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
+  EXPECT_EQ(scheduler.gains().backend(), GainBackend::computed);
+  EXPECT_EQ(scheduler.gains().resident_doubles(), instance.size());
+  (void)scheduler.on_arrival(0);
+  (void)scheduler.on_link_update(0, instance.request(1));
   EXPECT_EQ(scheduler.stats().link_updates, 1u);
   EXPECT_TRUE(scheduler.validate_against_direct());
 }
@@ -862,8 +888,14 @@ TEST(IncrementalGainClassUpdate, InPlaceEqualsRemoveThenAddBitwiseUnderExact) {
   params.alpha = 3.0;
   params.beta = 0.5;
   for (const Variant variant : both_variants()) {
-    GainMatrix inplace_gains(instance, powers, params.alpha, variant);
-    GainMatrix twin_gains(instance, powers, params.alpha, variant);
+    // Both backends that move links: appendable rewrites the row and
+    // column, computed only the stores.
+    GainBackend backend = GainBackend::computed;
+    if (variant == Variant::directed) backend = GainBackend::appendable;
+    GainMatrix inplace_gains(instance, powers, params.alpha, variant,
+                             /*with_sender_gains=*/false, backend);
+    GainMatrix twin_gains(instance, powers, params.alpha, variant,
+                          /*with_sender_gains=*/false, backend);
     IncrementalGainClass inplace(inplace_gains, params, RemovePolicy::exact);
     IncrementalGainClass twin(twin_gains, params, RemovePolicy::exact);
     for (std::size_t i = 0; i < instance.size(); ++i) {

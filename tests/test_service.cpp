@@ -316,7 +316,7 @@ TEST(SchedulerService, FailuresAreStructuredAndLeaveStateClean) {
   EXPECT_FALSE(out_of_range.success);
   EXPECT_FALSE(out_of_range.error.empty());
 
-  // Motion without the mobility option is a structured rejection too.
+  // Motion on the shared dense tables is a structured rejection too.
   const AdmitResult moved = service.update(UpdateRequest{0, Request{1, 0}});
   EXPECT_FALSE(moved.success);
   EXPECT_FALSE(moved.error.empty());
@@ -329,10 +329,10 @@ TEST(SchedulerService, FailuresAreStructuredAndLeaveStateClean) {
   EXPECT_EQ(stats.processed, stats.submitted);
 }
 
-TEST(SchedulerService, UpdateMovesActiveLinkUnderMobility) {
+TEST(SchedulerService, UpdateMovesActiveLinkOnComputed) {
   const ServiceFixture fx(16, 21);
   SchedulerServiceOptions options;
-  options.scheduler.mobility = true;
+  options.scheduler.storage = GainBackend::computed;
   SchedulerService service = fx.make(2, options);
 
   ASSERT_TRUE(service.admit(AdmitRequest{2}).success);
@@ -631,7 +631,7 @@ std::vector<std::vector<ChurnEvent>> shard_sequences(const SchedulerService& ser
 void run_concurrent_fuzz(std::size_t shards, bool with_updates, std::uint64_t seed) {
   const ServiceFixture fx(64, seed);
   SchedulerServiceOptions options;
-  options.scheduler.mobility = with_updates;
+  if (with_updates) options.scheduler.storage = GainBackend::computed;
   SchedulerService service = fx.make(shards, options);
 
   const auto sequences =
