@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
         std::cerr << "  " << result.spec.name() << ": " << result.dynamic.events
                   << " events at " << result.dynamic.events_per_sec << " events/sec, "
                   << result.dynamic.final_colors << " final colors, "
-                  << result.dynamic.migrations << " migrations"
+                  << result.dynamic.scheduler.migrations << " migrations"
                   << (result.valid ? "" : " [INVALID FINAL STATE]") << '\n';
       } else if (result.ok) {
         std::cerr << "  " << result.spec.name() << ": greedy " << result.greedy.colors

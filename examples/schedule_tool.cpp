@@ -417,7 +417,7 @@ int cmd_replay(int argc, char** argv) {
             << stats.compaction_skips << " compaction skips, "
             << stats.update_migrations << " update migrations), "
             << stats.removal_rebuilds << " removal-triggered rebuilds, worst event "
-            << stats.max_event_seconds * 1e3 << " ms\n"
+            << stats.event_latency.max() * 1e3 << " ms\n"
             << "final validation vs direct engine: "
             << (result.validated ? "BIT-IDENTICAL, FEASIBLE" : "FAILED") << '\n';
   if (!out_path.empty()) {
@@ -479,13 +479,28 @@ int cmd_serve(int argc, char** argv) {
     std::istringstream words(line);
     std::string verb;
     if (!(words >> verb) || verb.empty() || verb.front() == '#') continue;
-    if (verb == "quit" || verb == "exit") break;
+    std::vector<std::string> args;
+    for (std::string word; words >> word;) args.push_back(word);
+    // Every verb takes a fixed argument count; a trailing word is a typo
+    // the caller must hear about, never something to drop silently.
+    const auto extra = [&](std::size_t expected) {
+      if (args.size() <= expected) return false;
+      std::cout << "rejected " << verb << ": unexpected argument '" << args[expected]
+                << "'\n";
+      return true;
+    };
+    if (verb == "quit" || verb == "exit") {
+      if (extra(0)) continue;
+      break;
+    }
     if (verb == "drain") {
+      if (extra(0)) continue;
       service.drain();
       std::cout << "ok drained\n";
       continue;
     }
     if (verb == "stats" || verb == "metrics") {
+      if (extra(0)) continue;
       // Both verbs emit the identical one-line telemetry snapshot, so
       // scripts can consume either.
       service.drain();
@@ -493,31 +508,34 @@ int cmd_serve(int argc, char** argv) {
       continue;
     }
     if (verb == "prometheus") {
+      if (extra(0)) continue;
       service.drain();
       std::cout << registry.scrape().to_prometheus();
       continue;
     }
+    if (verb != "admit" && verb != "release" && verb != "update") {
+      std::cout << "rejected: unknown command '" << verb << "'\n";
+      continue;
+    }
     std::size_t link = 0;
-    std::string link_word;
-    if (!(words >> link_word) || !parse_size_arg(link_word, link)) {
+    if (args.empty() || !parse_size_arg(args[0], link)) {
       std::cout << "rejected " << verb << ": needs a link index\n";
       continue;
     }
     if (verb == "admit") {
+      if (extra(1)) continue;
       print_admit_result(verb, link, service.admit(AdmitRequest{link}));
     } else if (verb == "release") {
+      if (extra(1)) continue;
       print_admit_result(verb, link, service.release(ReleaseRequest{link}));
-    } else if (verb == "update") {
-      std::string u_word, v_word;
+    } else {
       std::size_t u = 0, v = 0;
-      if (!(words >> u_word >> v_word) || !parse_size_arg(u_word, u) ||
-          !parse_size_arg(v_word, v)) {
+      if (args.size() < 3 || !parse_size_arg(args[1], u) || !parse_size_arg(args[2], v)) {
         std::cout << "rejected update: needs <link> <u> <v>\n";
         continue;
       }
+      if (extra(3)) continue;
       print_admit_result(verb, link, service.update(UpdateRequest{link, Request{u, v}}));
-    } else {
-      std::cout << "rejected: unknown command '" << verb << "'\n";
     }
   }
   service.drain();

@@ -153,67 +153,6 @@ void LatencyHistogram::add_bucket(std::size_t bucket, std::uint64_t count) noexc
   count_ += count;
 }
 
-void LatencyHistogram::update_extremes(double min_value, double max_value) noexcept {
-  min_ = std::min(min_, min_value);
-  max_ = std::max(max_, max_value);
-}
-
-// --- MetricsShard ---------------------------------------------------------
-
-MetricsShard::MetricsShard(std::span<const SlotRef> slots)
-    : slots_(slots.begin(), slots.end()) {
-  std::size_t counters = 0;
-  std::size_t gauges = 0;
-  std::size_t histograms = 0;
-  for (const auto& slot : slots_) {
-    switch (slot.kind) {
-      case MetricKind::counter:
-        counters = std::max(counters, slot.index + 1);
-        break;
-      case MetricKind::gauge:
-        gauges = std::max(gauges, slot.index + 1);
-        break;
-      case MetricKind::histogram:
-        histograms = std::max(histograms, slot.index + 1);
-        break;
-    }
-  }
-  counters_ = std::vector<std::atomic<std::uint64_t>>(counters);
-  gauges_ = std::vector<std::atomic<double>>(gauges);
-  histograms_.reserve(histograms);
-  for (std::size_t i = 0; i < histograms; ++i) {
-    histograms_.push_back(std::make_unique<HistogramSlots>());
-  }
-}
-
-void MetricsShard::add(MetricId id, std::uint64_t delta) noexcept {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::counter) return;
-  counters_[slots_[id].index].fetch_add(delta, std::memory_order_relaxed);
-}
-
-void MetricsShard::set(MetricId id, double value) noexcept {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::gauge) return;
-  gauges_[slots_[id].index].store(value, std::memory_order_relaxed);
-}
-
-void MetricsShard::observe(MetricId id, double value) noexcept {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::histogram) return;
-  HistogramSlots& h = *histograms_[slots_[id].index];
-  h.buckets[HistogramLayout::bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.fetch_add(value, std::memory_order_relaxed);
-  // Single-writer shard: the CAS loops only ever race the scrape reader,
-  // so they complete in one iteration in practice.
-  double seen = h.min.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !h.min.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  seen = h.max.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !h.max.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
 // --- MetricsRegistry ------------------------------------------------------
 
 MetricId MetricsRegistry::counter(std::string name, std::string help,
@@ -236,34 +175,17 @@ MetricId MetricsRegistry::histogram(std::string name, std::string help,
 MetricId MetricsRegistry::register_metric(MetricKind kind, std::string name,
                                           std::string help, std::string labels) {
   require(!name.empty(), "metric name must be non-empty");
+  MetricsSnapshot::Entry descriptor;
+  descriptor.name = std::move(name);
+  descriptor.help = std::move(help);
+  descriptor.labels = std::move(labels);
+  descriptor.kind = kind;
   const std::scoped_lock lock(mutex_);
-  const MetricId id = descriptors_.size();
-  MetricsShard::SlotRef slot;
-  slot.kind = kind;
-  switch (kind) {
-    case MetricKind::counter:
-      slot.index = counters_++;
-      break;
-    case MetricKind::gauge:
-      slot.index = gauges_++;
-      break;
-    case MetricKind::histogram:
-      slot.index = histograms_++;
-      break;
-  }
-  slots_.push_back(slot);
-  descriptors_.push_back(
-      Descriptor{std::move(name), std::move(help), std::move(labels), kind});
-  return id;
+  descriptors_.push_back(std::move(descriptor));
+  return descriptors_.size() - 1;
 }
 
-MetricsShard& MetricsRegistry::create_shard() {
-  const std::scoped_lock lock(mutex_);
-  shards_.push_back(std::unique_ptr<MetricsShard>(new MetricsShard(slots_)));
-  return *shards_.back();
-}
-
-void MetricsRegistry::add_collector(std::function<void(MetricsShard&)> collector) {
+void MetricsRegistry::add_collector(std::function<void(MetricsSnapshot&)> collector) {
   require(collector != nullptr, "metrics collector must be callable");
   const std::scoped_lock lock(mutex_);
   collectors_.push_back(std::move(collector));
@@ -276,53 +198,32 @@ std::size_t MetricsRegistry::metric_count() const {
 
 MetricsSnapshot MetricsRegistry::scrape() {
   const std::scoped_lock lock(mutex_);
-  if (!collectors_.empty()) {
-    if (collector_shard_ == nullptr) {
-      shards_.push_back(std::unique_ptr<MetricsShard>(new MetricsShard(slots_)));
-      collector_shard_ = shards_.back().get();
-    }
-    for (auto& collector : collectors_) collector(*collector_shard_);
-  }
-
   MetricsSnapshot snapshot;
-  snapshot.entries.reserve(descriptors_.size());
-  for (std::size_t id = 0; id < descriptors_.size(); ++id) {
-    const Descriptor& d = descriptors_[id];
-    MetricsSnapshot::Entry entry;
-    entry.name = d.name;
-    entry.help = d.help;
-    entry.labels = d.labels;
-    entry.kind = d.kind;
-    const MetricsShard::SlotRef slot = slots_[id];
-    for (const auto& shard : shards_) {
-      // A shard created before this metric existed has no slot for it.
-      if (id >= shard->slots_.size()) continue;
-      switch (d.kind) {
-        case MetricKind::counter:
-          entry.counter +=
-              shard->counters_[slot.index].load(std::memory_order_relaxed);
-          break;
-        case MetricKind::gauge:
-          entry.gauge += shard->gauges_[slot.index].load(std::memory_order_relaxed);
-          break;
-        case MetricKind::histogram: {
-          const MetricsShard::HistogramSlots& h = *shard->histograms_[slot.index];
-          for (std::size_t b = 0; b < HistogramLayout::kBuckets; ++b) {
-            entry.histogram.add_bucket(b, h.buckets[b].load(std::memory_order_relaxed));
-          }
-          entry.histogram.add_sum(h.sum.load(std::memory_order_relaxed));
-          entry.histogram.update_extremes(h.min.load(std::memory_order_relaxed),
-                                          h.max.load(std::memory_order_relaxed));
-          break;
-        }
-      }
-    }
-    snapshot.entries.push_back(std::move(entry));
-  }
+  snapshot.entries = descriptors_;
+  for (auto& collector : collectors_) collector(snapshot);
   return snapshot;
 }
 
 // --- MetricsSnapshot ------------------------------------------------------
+
+void MetricsSnapshot::add_counter(MetricId id, std::uint64_t value) noexcept {
+  if (id < entries.size() && entries[id].kind == MetricKind::counter) {
+    entries[id].counter += value;
+  }
+}
+
+void MetricsSnapshot::add_gauge(MetricId id, double value) noexcept {
+  if (id < entries.size() && entries[id].kind == MetricKind::gauge) {
+    entries[id].gauge += value;
+  }
+}
+
+void MetricsSnapshot::merge_histogram(MetricId id,
+                                      const LatencyHistogram& histogram) noexcept {
+  if (id < entries.size() && entries[id].kind == MetricKind::histogram) {
+    entries[id].histogram.merge(histogram);
+  }
+}
 
 const MetricsSnapshot::Entry* MetricsSnapshot::find(
     std::string_view name, std::string_view labels) const noexcept {

@@ -1,47 +1,38 @@
 // Unified telemetry: a registry of named counters, gauges and log-scale
-// latency histograms, written lock-free on the hot path and merged on
-// scrape.
+// latency histograms, filled at scrape time from the stores that already
+// hold the numbers.
 //
-// Until now the only visibility into a running scheduler was a drain-time
-// summary: p50/p99 computed ad hoc from raw latency vectors, and one-off
-// counter fields scattered across three stats structs. This registry is
-// the one place every layer reports into, designed around the hot path's
-// constraints:
+// The registry keeps no values of its own. Each layer keeps its counters
+// in one plain place (OnlineStats for a scheduler, the per-batch published
+// state for the service), and the registry turns them into series:
 //
 //   - REGISTRATION is rare and locked: each metric gets a small integer
 //     MetricId and a descriptor (name, help, pre-rendered Prometheus-style
-//     labels). Register everything before spawning writer threads.
-//   - WRITES are lock-free: each writer thread owns a MetricsShard —
-//     plain arrays of relaxed atomics indexed by MetricId — so an
-//     increment is one predictable branch plus one relaxed fetch_add,
-//     and a latency observation adds a ~9-step binary search over the
-//     shared bucket boundaries. No mutex, no false sharing across
-//     threads (each shard is its own allocation).
-//   - READS merge: scrape() folds every shard (relaxed loads) into a
-//     MetricsSnapshot — plain values with JSON and Prometheus-text
-//     expositions. Scrape-time collectors fill gauges that are cheaper
-//     to read on demand than to maintain per event (queue depths,
-//     resident table memory).
+//     labels).
+//   - COLLECTORS are the only writers: each one runs on every scrape,
+//     under the registry mutex, and fills the values of its ids straight
+//     into the scrape's MetricsSnapshot. The hot path never touches the
+//     registry, so an event costs nothing for being exported.
+//   - READS get plain values: scrape() returns a MetricsSnapshot with
+//     JSON and Prometheus-text expositions.
 //
 // Latency percentiles come from fixed-bucket base-2 log-scale histograms
 // instead of sorted raw vectors: bounded memory (322 buckets however many
-// events flow), mergeable across thread shards in any order with a
-// bit-identical result (bucket counts add), and deterministic quantiles
-// with a bounded-error contract — the estimate is the geometric midpoint
-// of the bucket holding the nearest-rank order statistic, so for samples
-// inside the layout's range the relative error is at most 2^(1/16) - 1
-// (< 4.5%, see LatencyHistogram::kQuantileRelativeError). Exact min, max,
-// count and sum ride alongside the buckets.
+// events flow), mergeable across shards in any order with a bit-identical
+// result (bucket counts add), and deterministic quantiles with a
+// bounded-error contract — the estimate is the geometric midpoint of the
+// bucket holding the nearest-rank order statistic, so for samples inside
+// the layout's range the relative error is at most 2^(1/16) - 1 (< 4.5%,
+// see LatencyHistogram::kQuantileRelativeError). Exact min, max, count and
+// sum ride alongside the buckets.
 #ifndef OISCHED_OBS_METRICS_H
 #define OISCHED_OBS_METRICS_H
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -95,7 +86,7 @@ struct HistogramLayout {
 };
 
 /// A plain (single-writer) fixed-bucket log-scale histogram: the value
-/// type tests fuzz, snapshots carry, and shards mirror with atomics.
+/// type schedulers observe into, tests fuzz and snapshots carry.
 class LatencyHistogram {
  public:
   /// Bound on the relative error of quantile() against the nearest-rank
@@ -108,8 +99,8 @@ class LatencyHistogram {
 
   void observe(double value) noexcept;
   /// Adds another histogram's buckets (and count/sum, exact min/max) —
-  /// associative and commutative, so thread shards merge to a
-  /// bit-identical result in any order.
+  /// associative and commutative, so shards merge to a bit-identical
+  /// result in any order.
   void merge(const LatencyHistogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
@@ -129,10 +120,8 @@ class LatencyHistogram {
   [[nodiscard]] std::span<const std::uint64_t> buckets() const noexcept {
     return buckets_;
   }
-  /// Direct bucket accumulation (the shard-merge path).
+  /// Direct bucket accumulation (count only; sum and extremes stay).
   void add_bucket(std::size_t bucket, std::uint64_t count) noexcept;
-  void add_sum(double sum) noexcept { sum_ += sum; }
-  void update_extremes(double min_value, double max_value) noexcept;
 
  private:
   std::array<std::uint64_t, HistogramLayout::kBuckets> buckets_{};
@@ -142,51 +131,8 @@ class LatencyHistogram {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-class MetricsRegistry;
-
-/// One writer thread's lock-free sink: relaxed-atomic slots for every
-/// metric registered before the shard was created. Created (and owned,
-/// at a stable address, for the registry's lifetime) by
-/// MetricsRegistry::create_shard; one shard has ONE writer thread —
-/// scrape reads concurrently, writers never contend.
-class MetricsShard {
- public:
-  MetricsShard(const MetricsShard&) = delete;
-  MetricsShard& operator=(const MetricsShard&) = delete;
-
-  /// Counter increment (monotone).
-  void add(MetricId id, std::uint64_t delta = 1) noexcept;
-  /// Gauge store. Shards merge gauges by SUM (untouched shards hold 0),
-  /// so write any given gauge id from one shard only.
-  void set(MetricId id, double value) noexcept;
-  /// Histogram observation.
-  void observe(MetricId id, double value) noexcept;
-
- private:
-  friend class MetricsRegistry;
-
-  struct SlotRef {
-    MetricKind kind = MetricKind::counter;
-    std::size_t index = 0;  // into the per-kind storage below
-  };
-  struct HistogramSlots {
-    std::array<std::atomic<std::uint64_t>, HistogramLayout::kBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  };
-
-  explicit MetricsShard(std::span<const SlotRef> slots);
-
-  std::vector<SlotRef> slots_;  // by MetricId, fixed at creation
-  std::vector<std::atomic<std::uint64_t>> counters_;
-  std::vector<std::atomic<double>> gauges_;
-  std::vector<std::unique_ptr<HistogramSlots>> histograms_;
-};
-
-/// The merged plain-value view one scrape produced; entries are indexed
-/// by MetricId (registration order).
+/// The plain-value view one scrape produced; entries are indexed by
+/// MetricId (registration order).
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
@@ -199,6 +145,13 @@ struct MetricsSnapshot {
   };
 
   std::vector<Entry> entries;
+
+  /// Collector writes. Counters and gauges add and histograms merge, so
+  /// several collectors may feed one series; an id of another kind (or
+  /// out of range) is ignored.
+  void add_counter(MetricId id, std::uint64_t value) noexcept;
+  void add_gauge(MetricId id, double value) noexcept;
+  void merge_histogram(MetricId id, const LatencyHistogram& histogram) noexcept;
 
   /// Lookup by name (+ labels); nullptr when absent.
   [[nodiscard]] const Entry* find(std::string_view name,
@@ -218,11 +171,9 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_prometheus() const;
 };
 
-/// The registry: names + ids under a mutex, shards and collectors for
-/// the data plane. Lifecycle contract: register metrics first, then
-/// create one shard per writer thread; ids handed out after a shard was
-/// created are invisible to that shard (its slot table is fixed at
-/// creation), so registration is a setup-time affair.
+/// The registry: metric descriptors and the collectors that fill them,
+/// under one mutex. Registration and collectors may be added at any time;
+/// each scrape covers every metric registered before it.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -236,19 +187,15 @@ class MetricsRegistry {
   [[nodiscard]] MetricId histogram(std::string name, std::string help,
                                    std::string labels = "");
 
-  /// A new single-writer sink covering every metric registered so far.
-  /// The shard lives (at a stable address) until the registry dies, so a
-  /// finished thread's numbers keep scraping.
-  [[nodiscard]] MetricsShard& create_shard();
+  /// Scrape-time value source: runs on every scrape, under the registry
+  /// mutex, and writes the values of its ids into the snapshot (see
+  /// MetricsSnapshot::add_counter). It reads whatever store owns the
+  /// numbers, so it must take that store's lock (or run where the store
+  /// is quiesced), and it must not call back into this registry.
+  void add_collector(std::function<void(MetricsSnapshot&)> collector);
 
-  /// Scrape-time gauge filler (queue depths, resident memory): runs at
-  /// the START of every scrape, writing into a registry-owned collector
-  /// shard. Must not call back into this registry.
-  void add_collector(std::function<void(MetricsShard&)> collector);
-
-  /// Runs the collectors, then merges every shard into plain values.
-  /// Concurrent with writers (relaxed reads — each series is a
-  /// consistent-enough monitoring cut, not a linearizable one).
+  /// Zeroed entries for every registered metric, filled by the
+  /// collectors in registration order.
   [[nodiscard]] MetricsSnapshot scrape();
 
   [[nodiscard]] std::size_t metric_count() const;
@@ -257,22 +204,9 @@ class MetricsRegistry {
   MetricId register_metric(MetricKind kind, std::string name, std::string help,
                            std::string labels);
 
-  struct Descriptor {
-    std::string name;
-    std::string help;
-    std::string labels;
-    MetricKind kind = MetricKind::counter;
-  };
-
   mutable std::mutex mutex_;
-  std::vector<Descriptor> descriptors_;
-  std::vector<MetricsShard::SlotRef> slots_;  // by MetricId
-  std::size_t counters_ = 0;
-  std::size_t gauges_ = 0;
-  std::size_t histograms_ = 0;
-  std::vector<std::unique_ptr<MetricsShard>> shards_;
-  MetricsShard* collector_shard_ = nullptr;  // one of shards_, lazily made
-  std::vector<std::function<void(MetricsShard&)>> collectors_;
+  std::vector<MetricsSnapshot::Entry> descriptors_;  // by MetricId, values zero
+  std::vector<std::function<void(MetricsSnapshot&)>> collectors_;
 };
 
 }  // namespace oisched::obs

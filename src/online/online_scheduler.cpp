@@ -21,40 +21,6 @@ const char* to_string(CompactionVictim victim) noexcept {
   return "unknown";
 }
 
-OnlineMetricIds OnlineMetricIds::register_in(obs::MetricsRegistry& registry,
-                                             std::string labels) {
-  OnlineMetricIds ids;
-  ids.events = registry.counter("oisched_events_total",
-                                "Scheduler events processed (all kinds)", labels);
-  ids.event_latency = registry.histogram("oisched_event_latency_seconds",
-                                         "Per-event processing latency", labels);
-  ids.arrivals = registry.counter("oisched_arrivals_total", "Link arrivals", labels);
-  ids.departures = registry.counter("oisched_departures_total", "Link departures", labels);
-  ids.link_updates = registry.counter("oisched_link_updates_total",
-                                      "Endpoint-motion events applied in place", labels);
-  ids.fresh_links = registry.counter(
-      "oisched_fresh_links_total", "Arrivals that grew the link universe", labels);
-  ids.update_migrations =
-      registry.counter("oisched_update_migrations_total",
-                       "Link updates that broke the class and forced re-placement",
-                       labels);
-  ids.migrations = registry.counter("oisched_migrations_total",
-                                    "Links recolored by compaction", labels);
-  ids.compaction_skips = registry.counter(
-      "oisched_compaction_skips_total", "Immovable members compaction skipped", labels);
-  ids.removal_rebuilds =
-      registry.counter("oisched_removal_rebuilds_total",
-                       "Full accumulator replays triggered by removals", labels);
-  ids.classes_opened =
-      registry.counter("oisched_classes_opened_total", "Color classes opened", labels);
-  ids.classes_closed =
-      registry.counter("oisched_classes_closed_total", "Color classes closed", labels);
-  ids.colors = registry.gauge("oisched_colors", "Color classes currently live", labels);
-  ids.active_links =
-      registry.gauge("oisched_active_links", "Links currently active", std::move(labels));
-  return ids;
-}
-
 OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const double> powers,
                                  const SinrParams& params, Variant variant,
                                  OnlineSchedulerOptions options)
@@ -117,44 +83,17 @@ int OnlineScheduler::place(std::size_t slot) {
   return static_cast<int>(classes_.size() - 1);
 }
 
-void OnlineScheduler::publish_event(const OnlineStats& before, double elapsed_seconds) {
-  obs::MetricsShard& shard = *options_.telemetry.shard;
-  const OnlineMetricIds& ids = options_.telemetry.ids;
-  const auto bump = [&shard](obs::MetricId id, std::size_t now, std::size_t was) {
-    if (now != was) shard.add(id, now - was);
-  };
-  shard.add(ids.events);
-  shard.observe(ids.event_latency, elapsed_seconds);
-  bump(ids.arrivals, stats_.arrivals, before.arrivals);
-  bump(ids.departures, stats_.departures, before.departures);
-  bump(ids.link_updates, stats_.link_updates, before.link_updates);
-  bump(ids.fresh_links, stats_.fresh_links, before.fresh_links);
-  bump(ids.update_migrations, stats_.update_migrations, before.update_migrations);
-  bump(ids.migrations, stats_.migrations, before.migrations);
-  bump(ids.compaction_skips, stats_.compaction_skips, before.compaction_skips);
-  bump(ids.removal_rebuilds, stats_.removal_rebuilds, before.removal_rebuilds);
-  bump(ids.classes_opened, stats_.classes_opened, before.classes_opened);
-  bump(ids.classes_closed, stats_.classes_closed, before.classes_closed);
-  shard.set(ids.colors, static_cast<double>(num_colors()));
-  shard.set(ids.active_links, static_cast<double>(active_count_));
-}
-
 int OnlineScheduler::on_arrival(std::size_t link) {
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   require(color_of_[link] < 0, "OnlineScheduler: arrival of an already active link");
   require(phys(link) != kNoSlot, "OnlineScheduler: arrival of a retired link");
-  const bool telemetry = options_.telemetry.shard != nullptr;
-  const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
   const int color = place(phys(link));
   color_of_[link] = color;
   ++active_count_;
   ++stats_.arrivals;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  const double elapsed = watch.elapsed_seconds();
-  stats_.total_event_seconds += elapsed;
-  stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
-  if (telemetry) publish_event(before, elapsed);
+  stats_.event_latency.observe(watch.elapsed_seconds());
   return color;
 }
 
@@ -165,8 +104,6 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
           "OnlineScheduler: fresh links need an oblivious power rule (fresh_power)");
   require(request.u < instance_.metric().size() && request.v < instance_.metric().size(),
           "OnlineScheduler: fresh link endpoint out of metric range");
-  const bool telemetry = options_.telemetry.shard != nullptr;
-  const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
   // Oblivious by construction: the power is a function of the link's own
   // loss, so nothing already scheduled needs revisiting.
@@ -208,10 +145,7 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   ++stats_.arrivals;
   ++stats_.fresh_links;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  const double elapsed = watch.elapsed_seconds();
-  stats_.total_event_seconds += elapsed;
-  stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
-  if (telemetry) publish_event(before, elapsed);
+  stats_.event_latency.observe(watch.elapsed_seconds());
   return color;
 }
 
@@ -224,8 +158,6 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   require(color >= 0, "OnlineScheduler: update of an inactive link");
   require(request.u < instance_.metric().size() && request.v < instance_.metric().size(),
           "OnlineScheduler: link endpoint out of metric range");
-  const bool telemetry = options_.telemetry.shard != nullptr;
-  const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
   const double loss = link_loss(instance_.metric(), request, params_.alpha);
   require(loss > 0.0, "OnlineScheduler: link endpoints must be distinct points");
@@ -270,10 +202,7 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     ++stats_.update_migrations;
     stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
   }
-  const double elapsed = watch.elapsed_seconds();
-  stats_.total_event_seconds += elapsed;
-  stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
-  if (telemetry) publish_event(before, elapsed);
+  stats_.event_latency.observe(watch.elapsed_seconds());
   return new_color;
 }
 
@@ -281,8 +210,6 @@ void OnlineScheduler::on_departure(std::size_t link) {
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   const int color = color_of_[link];
   require(color >= 0, "OnlineScheduler: departure of an inactive link");
-  const bool telemetry = options_.telemetry.shard != nullptr;
-  const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
@@ -298,10 +225,7 @@ void OnlineScheduler::on_departure(std::size_t link) {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "compaction");
     compact_from(static_cast<std::size_t>(color));
   }
-  const double elapsed = watch.elapsed_seconds();
-  stats_.total_event_seconds += elapsed;
-  stats_.max_event_seconds = std::max(stats_.max_event_seconds, elapsed);
-  if (telemetry) publish_event(before, elapsed);
+  stats_.event_latency.observe(watch.elapsed_seconds());
 }
 
 void OnlineScheduler::retire_link(std::size_t link) {
@@ -474,6 +398,40 @@ bool OnlineScheduler::validate_against_direct(double* worst_margin) const {
   return true;
 }
 
+OnlineSeriesWriter register_online_series(obs::MetricsRegistry& registry,
+                                          std::string labels) {
+  const obs::MetricId events = registry.counter(
+      "oisched_events_total", "Scheduler events processed (all kinds)", labels);
+  const obs::MetricId latency = registry.histogram(
+      "oisched_event_latency_seconds", "Per-event processing latency", labels);
+  std::vector<obs::MetricId> counters;
+  for (const OnlineCounter& counter : kOnlineCounters) {
+    counters.push_back(registry.counter(counter.series, counter.help, labels));
+  }
+  const obs::MetricId colors =
+      registry.gauge("oisched_colors", "Color classes currently live", labels);
+  const obs::MetricId active =
+      registry.gauge("oisched_active_links", "Links currently active", std::move(labels));
+  return [=](obs::MetricsSnapshot& out, const OnlineStats& stats, int live_colors,
+             std::size_t active_links) {
+    out.add_counter(events, stats.events());
+    out.merge_histogram(latency, stats.event_latency);
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      out.add_counter(counters[i], stats.*kOnlineCounters[i].field);
+    }
+    out.add_gauge(colors, static_cast<double>(live_colors));
+    out.add_gauge(active, static_cast<double>(active_links));
+  };
+}
+
+void register_online_metrics(obs::MetricsRegistry& registry,
+                             const OnlineScheduler& scheduler, std::string labels) {
+  OnlineSeriesWriter write = register_online_series(registry, std::move(labels));
+  registry.add_collector([&scheduler, write = std::move(write)](obs::MetricsSnapshot& out) {
+    write(out, scheduler.stats(), scheduler.num_colors(), scheduler.active_count());
+  });
+}
+
 void register_gain_metrics(obs::MetricsRegistry& registry,
                            const OnlineScheduler& scheduler, std::string labels) {
   const obs::MetricId resident = registry.gauge(
@@ -486,17 +444,17 @@ void register_gain_metrics(obs::MetricsRegistry& registry,
   const obs::MetricId total = registry.gauge(
       "oisched_gain_total_tiles", "Tiles the full table would need (tiled backend)",
       std::move(labels));
-  registry.add_collector([&scheduler, resident, touched, total](obs::MetricsShard& sink) {
+  registry.add_collector([&scheduler, resident, touched, total](obs::MetricsSnapshot& out) {
     const GainMatrix& gains = scheduler.gains();
-    sink.set(resident, static_cast<double>(gains.resident_doubles()));
+    out.add_gauge(resident, static_cast<double>(gains.resident_doubles()));
     std::size_t touched_tiles = gains.receiver_storage().touched_blocks();
     std::size_t total_tiles = gains.receiver_storage().total_blocks();
     if (const GainStorage* sender = gains.sender_storage()) {
       touched_tiles += sender->touched_blocks();
       total_tiles += sender->total_blocks();
     }
-    sink.set(touched, static_cast<double>(touched_tiles));
-    sink.set(total, static_cast<double>(total_tiles));
+    out.add_gauge(touched, static_cast<double>(touched_tiles));
+    out.add_gauge(total, static_cast<double>(total_tiles));
   });
 }
 
@@ -513,21 +471,12 @@ ReplayResult replay_trace(OnlineScheduler& scheduler, const ChurnTrace& trace,
   result.wall_seconds = watch.elapsed_seconds();
   // Counters are reported per replay, so reusing one scheduler across
   // several traces stays internally consistent; peak_colors and
-  // max_event_seconds remain lifetime highs (they cannot be differenced).
+  // event_latency stay lifetime (a high and extremes cannot be
+  // differenced).
   result.stats = scheduler.stats();
-  result.stats.arrivals -= before.arrivals;
-  result.stats.departures -= before.departures;
-  result.stats.fresh_links -= before.fresh_links;
-  result.stats.link_updates -= before.link_updates;
-  result.stats.update_migrations -= before.update_migrations;
-  result.stats.classes_opened -= before.classes_opened;
-  result.stats.classes_closed -= before.classes_closed;
-  result.stats.migrations -= before.migrations;
-  result.stats.compaction_skips -= before.compaction_skips;
-  result.stats.removal_rebuilds -= before.removal_rebuilds;
-  result.stats.retired_links -= before.retired_links;
-  result.stats.reused_slots -= before.reused_slots;
-  result.stats.total_event_seconds -= before.total_event_seconds;
+  for (const OnlineCounter& counter : kOnlineCounters) {
+    result.stats.*counter.field -= before.*counter.field;
+  }
   result.events_per_sec =
       result.wall_seconds > 0.0
           ? static_cast<double>(trace.events.size()) / result.wall_seconds

@@ -28,8 +28,10 @@
 #define OISCHED_ONLINE_ONLINE_SCHEDULER_H
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/instance.h"
@@ -42,37 +44,11 @@
 
 namespace oisched {
 
-/// Registered metric ids for one scheduler's telemetry series. Ids are
-/// registry-wide, so one set per label set (e.g. per service shard) is
-/// shared by however many shards write them.
-struct OnlineMetricIds {
-  obs::MetricId events = 0;
-  obs::MetricId event_latency = 0;
-  obs::MetricId arrivals = 0;
-  obs::MetricId departures = 0;
-  obs::MetricId link_updates = 0;
-  obs::MetricId fresh_links = 0;
-  obs::MetricId update_migrations = 0;
-  obs::MetricId migrations = 0;
-  obs::MetricId compaction_skips = 0;
-  obs::MetricId removal_rebuilds = 0;
-  obs::MetricId classes_opened = 0;
-  obs::MetricId classes_closed = 0;
-  obs::MetricId colors = 0;
-  obs::MetricId active_links = 0;
-
-  /// Registers the standard `oisched_*` series (see README
-  /// "Observability") under one label set and returns their ids.
-  [[nodiscard]] static OnlineMetricIds register_in(obs::MetricsRegistry& registry,
-                                                   std::string labels = "");
-};
-
-/// Telemetry sinks for one scheduler: a single-writer metrics shard plus
-/// (optionally) a trace track for per-event phase spans. Both null by
-/// default — the hot path then skips instrumentation entirely.
+/// Trace sink for one scheduler's per-event phase spans; null by default,
+/// and the hot path then skips instrumentation entirely. Counters and the
+/// event-latency histogram live in OnlineStats whatever this holds; a
+/// registry reads them at scrape time (register_online_metrics).
 struct OnlineTelemetry {
-  obs::MetricsShard* shard = nullptr;
-  OnlineMetricIds ids;
   obs::TraceTrack* trace = nullptr;
 };
 
@@ -132,8 +108,8 @@ struct OnlineSchedulerOptions {
   bool farfield = false;
   /// No effect (see farfield).
   FarFieldOptions farfield_options;
-  /// Metric/trace sinks (see OnlineTelemetry); both null by default. The
-  /// shard and track must outlive the scheduler.
+  /// Trace sink (see OnlineTelemetry); null by default. The track must
+  /// outlive the scheduler.
   OnlineTelemetry telemetry;
 };
 
@@ -169,12 +145,46 @@ struct OnlineStats {
   std::size_t retired_links = 0;
   std::size_t reused_slots = 0;
   int peak_colors = 0;
-  double total_event_seconds = 0.0;
-  double max_event_seconds = 0.0;
+  /// Processing time of every applied event, in seconds: its count equals
+  /// events() and its max() is the worst single event.
+  obs::LatencyHistogram event_latency;
 
   [[nodiscard]] std::size_t events() const noexcept {
     return arrivals + departures + link_updates;
   }
+};
+
+/// One OnlineStats counter and the registry series that exports it.
+struct OnlineCounter {
+  const char* series;
+  const char* help;
+  std::size_t OnlineStats::*field;
+};
+
+/// Every exported OnlineStats counter, once, in series registration
+/// order. Registration, the scrape collector, replay deltas, the service's
+/// aggregate and its oracle comparison all walk this list.
+inline constexpr OnlineCounter kOnlineCounters[] = {
+    {"oisched_arrivals_total", "Link arrivals", &OnlineStats::arrivals},
+    {"oisched_departures_total", "Link departures", &OnlineStats::departures},
+    {"oisched_link_updates_total", "Endpoint-motion events applied in place",
+     &OnlineStats::link_updates},
+    {"oisched_fresh_links_total", "Arrivals that grew the link universe",
+     &OnlineStats::fresh_links},
+    {"oisched_update_migrations_total",
+     "Link updates that broke the class and forced re-placement",
+     &OnlineStats::update_migrations},
+    {"oisched_migrations_total", "Links recolored by compaction", &OnlineStats::migrations},
+    {"oisched_compaction_skips_total", "Immovable members compaction skipped",
+     &OnlineStats::compaction_skips},
+    {"oisched_removal_rebuilds_total", "Full accumulator replays triggered by removals",
+     &OnlineStats::removal_rebuilds},
+    {"oisched_classes_opened_total", "Color classes opened", &OnlineStats::classes_opened},
+    {"oisched_classes_closed_total", "Color classes closed", &OnlineStats::classes_closed},
+    {"oisched_retired_links_total", "Links whose table slot was freed for reuse",
+     &OnlineStats::retired_links},
+    {"oisched_reused_slots_total", "Fresh links that recycled a retired table slot",
+     &OnlineStats::reused_slots},
 };
 
 class OnlineScheduler {
@@ -289,11 +299,6 @@ class OnlineScheduler {
   [[nodiscard]] std::size_t ext(std::size_t slot) const noexcept {
     return ext_of_.empty() ? slot : ext_of_[slot];
   }
-  /// Publishes one event's worth of counter deltas (stats_ minus the
-  /// handler-entry copy), the latency observation, and the colors/active
-  /// gauges into the telemetry shard. Called only when a shard is set.
-  void publish_event(const OnlineStats& before, double elapsed_seconds);
-
   const Instance& instance_;
   std::vector<double> powers_;
   SinrParams params_;
@@ -320,7 +325,7 @@ class OnlineScheduler {
 struct ReplayResult {
   /// Per-replay counters (deltas over the scheduler's lifetime stats, so a
   /// reused scheduler reports each trace separately); peak_colors and
-  /// max_event_seconds are lifetime highs.
+  /// event_latency cover the scheduler's lifetime.
   OnlineStats stats;
   double wall_seconds = 0.0;   // event loop only (excludes validation)
   double events_per_sec = 0.0;
@@ -343,6 +348,27 @@ struct ReplayResult {
 [[nodiscard]] ReplayResult replay_trace(OnlineScheduler& scheduler,
                                         const ChurnTrace& trace,
                                         bool validate_final = true);
+
+/// Writes one scheduler's series into a scrape: its stats plus its live
+/// color and active-link counts.
+using OnlineSeriesWriter = std::function<void(obs::MetricsSnapshot&, const OnlineStats&,
+                                              int colors, std::size_t active_links)>;
+
+/// Registers the standard `oisched_*` scheduler series (see README
+/// "Observability") under one label set and returns the writer that
+/// fills them at scrape time: oisched_events_total, the
+/// oisched_event_latency_seconds histogram, one counter per
+/// kOnlineCounters entry, and the oisched_colors / oisched_active_links
+/// gauges. The service feeds it each shard's published stats.
+[[nodiscard]] OnlineSeriesWriter register_online_series(obs::MetricsRegistry& registry,
+                                                        std::string labels = "");
+
+/// Registers the scheduler series for one bare scheduler, with a
+/// collector that reads its stats() on every scrape. The scheduler has no
+/// lock of its own: scrape from the thread that drives it, or while it is
+/// quiesced. The scheduler must outlive every subsequent registry scrape.
+void register_online_metrics(obs::MetricsRegistry& registry,
+                             const OnlineScheduler& scheduler, std::string labels = "");
 
 /// Registers scrape-time gauges over the scheduler's gain storage —
 /// oisched_gain_resident_doubles always, plus touched/total tile gauges

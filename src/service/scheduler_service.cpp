@@ -29,8 +29,9 @@ struct SchedulerService::Shard {
   MpscQueue<ServiceEvent> queue;
   std::thread thread;
 
-  // Published by the shard thread once per batch under the service's
-  // state_mutex_; everything the control plane reads while shards run.
+  // Published by the shard thread under the service's state_mutex_ per
+  // batch and before each synchronous completion; everything the control
+  // plane and the registry read while shards run.
   std::size_t processed = 0;
   std::size_t rejected = 0;
   /// Submit-to-completion latencies, as a bounded-memory histogram
@@ -38,17 +39,12 @@ struct SchedulerService::Shard {
   /// instead of the raw vector it replaced — a drained saturation run
   /// used to retain one double per event forever.
   obs::LatencyHistogram latency;
+  obs::LatencyHistogram batch_sizes;
   OnlineStats stats_snapshot;
+  int colors = 0;
+  std::size_t active = 0;
 
-  // Telemetry sinks (set iff the service has a registry / recorder):
-  // obs_shard is written by this shard's thread only.
-  obs::MetricsShard* obs_shard = nullptr;
-  obs::TraceTrack* track = nullptr;
-  obs::MetricId latency_metric = 0;
-  obs::MetricId batch_metric = 0;
-  obs::MetricId queue_depth_metric = 0;
-  obs::MetricId processed_metric = 0;
-  obs::MetricId rejected_metric = 0;
+  obs::TraceTrack* track = nullptr;  // set iff the service has a recorder
 };
 
 SchedulerService::SchedulerService(const Instance& instance,
@@ -67,113 +63,104 @@ SchedulerService::SchedulerService(const Instance& instance,
           "SchedulerService: the appendable backend (universe growth) is not "
           "supported under sharding — fresh links would need a coordinated "
           "index across every shard's tables");
-  // Telemetry registration runs BEFORE any obs shard is created (a
-  // shard's slot table is fixed at creation) and before the schedulers
-  // are built (each gets its sinks through its options).
-  obs::MetricsRegistry* registry = options_.registry;
-  std::vector<OnlineMetricIds> online_ids;
-  std::vector<std::array<obs::MetricId, 5>> shard_ids;
-  if (registry != nullptr) {
-    for (std::size_t s = 0; s < options_.num_shards; ++s) {
-      const std::string labels = "shard=\"" + std::to_string(s) + "\"";
-      online_ids.push_back(OnlineMetricIds::register_in(*registry, labels));
-      shard_ids.push_back(
-          {registry->histogram("oisched_service_latency_seconds",
-                               "Submit-to-completion latency (queue wait + work)",
-                               labels),
-           registry->histogram("oisched_service_batch_size",
-                               "Events per consumer-side queue drain", labels),
-           registry->gauge("oisched_service_queue_depth",
-                           "Events pushed but not yet drained (sampled at scrape)",
-                           labels),
-           registry->counter("oisched_service_processed_total",
-                             "Events completed by the shard thread", labels),
-           registry->counter("oisched_service_rejected_total",
-                             "Events completed with success == false", labels)});
-    }
-    submitted_metric_ = registry->counter("oisched_service_submitted_total",
-                                          "Events accepted into a shard queue");
-    gain_resident_metric_ = registry->gauge(
-        "oisched_gain_resident_doubles",
-        "Gain-table entries resident across the shards' distinct matrices");
-    gain_touched_metric_ = registry->gauge(
-        "oisched_gain_touched_tiles", "Tiles materialized so far (tiled backend)");
-    gain_total_metric_ = registry->gauge(
-        "oisched_gain_total_tiles", "Tiles the full tables would need (tiled backend)");
-    ingest_shard_ = &registry->create_shard();
-  }
   // Sequential construction: the first shard pays the instance's gain-table
   // build (or its own, on computed), the rest hit the cache.
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     OnlineSchedulerOptions scheduler_options = options_.scheduler;
-    // Each shard gets its OWN sinks (or none) — a caller-provided shard
-    // shared across N threads would break the single-writer contract.
+    // Each shard gets its OWN trace track (or none) — a caller-provided
+    // track shared across N threads would break its single-writer contract.
     scheduler_options.telemetry = {};
-    obs::TraceTrack* track = nullptr;
     if (options_.trace != nullptr) {
-      track = &options_.trace->create_track("shard" + std::to_string(s));
-      scheduler_options.telemetry.trace = track;
-    }
-    if (registry != nullptr) {
-      scheduler_options.telemetry.shard = &registry->create_shard();
-      scheduler_options.telemetry.ids = online_ids[s];
+      scheduler_options.telemetry.trace =
+          &options_.trace->create_track("shard" + std::to_string(s));
     }
     shards_.push_back(std::make_unique<Shard>(instance_, powers_, params_, variant_,
                                               scheduler_options));
-    Shard& shard = *shards_.back();
-    shard.track = track;
-    if (registry != nullptr) {
-      shard.obs_shard = scheduler_options.telemetry.shard;
-      shard.latency_metric = shard_ids[s][0];
-      shard.batch_metric = shard_ids[s][1];
-      shard.queue_depth_metric = shard_ids[s][2];
-      shard.processed_metric = shard_ids[s][3];
-      shard.rejected_metric = shard_ids[s][4];
-    }
+    shards_.back()->track = scheduler_options.telemetry.trace;
   }
-  if (registry != nullptr) {
-    // Queue depths and residency are cheaper to sample at scrape than to
-    // maintain per event. Lock order is registry mutex → queue mutexes;
-    // shard threads never take the registry mutex, so the order is
-    // acyclic.
-    registry->add_collector([this](obs::MetricsShard& sink) {
-      for (const auto& shard : shards_) {
-        sink.set(shard->queue_depth_metric,
-                 static_cast<double>(shard->queue.pending()));
-      }
-      // Gain-storage residency over the DISTINCT matrices (dense/tiled
-      // shards share the instance's cached tables; computed gives each
-      // shard a private one). Residency is fixed on dense and computed and
-      // atomic-backed on tiled (appendable is rejected), so sampling while
-      // shards run is safe.
-      std::vector<const GainMatrix*> seen;
-      std::size_t resident = 0;
-      std::size_t touched = 0;
-      std::size_t total = 0;
-      for (const auto& shard : shards_) {
-        const GainMatrix* gains = &shard->scheduler.gains();
-        if (std::find(seen.begin(), seen.end(), gains) != seen.end()) continue;
-        seen.push_back(gains);
-        resident += gains->resident_doubles();
-        touched += gains->receiver_storage().touched_blocks();
-        total += gains->receiver_storage().total_blocks();
-        if (const GainStorage* sender = gains->sender_storage()) {
-          touched += sender->touched_blocks();
-          total += sender->total_blocks();
-        }
-      }
-      sink.set(gain_resident_metric_, static_cast<double>(resident));
-      sink.set(gain_touched_metric_, static_cast<double>(touched));
-      sink.set(gain_total_metric_, static_cast<double>(total));
-    });
-  }
+  if (options_.registry != nullptr) register_metrics(*options_.registry);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->thread = std::thread([this, s] { shard_loop(s); });
   }
 }
 
 SchedulerService::~SchedulerService() { stop(); }
+
+void SchedulerService::register_metrics(obs::MetricsRegistry& registry) {
+  struct ShardSeries {
+    OnlineSeriesWriter online;
+    obs::MetricId latency = 0, batch_size = 0, queue_depth = 0, processed = 0, rejected = 0;
+  };
+  struct Series {
+    std::vector<ShardSeries> shards;
+    obs::MetricId submitted = 0, resident = 0, touched = 0, total = 0;
+  } series;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::string labels = "shard=\"" + std::to_string(s) + "\"";
+    ShardSeries& ids = series.shards.emplace_back();
+    ids.online = register_online_series(registry, labels);
+    ids.latency = registry.histogram("oisched_service_latency_seconds",
+                                     "Submit-to-completion latency (queue wait + work)",
+                                     labels);
+    ids.batch_size = registry.histogram("oisched_service_batch_size",
+                                        "Events per consumer-side queue drain", labels);
+    ids.queue_depth = registry.gauge("oisched_service_queue_depth",
+                                     "Events pushed but not yet drained (sampled at scrape)",
+                                     labels);
+    ids.processed = registry.counter("oisched_service_processed_total",
+                                     "Events completed by the shard thread", labels);
+    ids.rejected = registry.counter("oisched_service_rejected_total",
+                                    "Events completed with success == false", labels);
+  }
+  series.submitted = registry.counter("oisched_service_submitted_total",
+                                      "Events accepted into a shard queue");
+  series.resident = registry.gauge(
+      "oisched_gain_resident_doubles",
+      "Gain-table entries resident across the shards' distinct matrices");
+  series.touched = registry.gauge("oisched_gain_touched_tiles",
+                                  "Tiles materialized so far (tiled backend)");
+  series.total = registry.gauge("oisched_gain_total_tiles",
+                                "Tiles the full tables would need (tiled backend)");
+  // Every series reads what the shards publish, under the same lock they
+  // publish it with. Lock order is registry mutex →
+  // state_mutex_ → queue mutexes; shard threads never take the registry
+  // mutex, so the order is acyclic.
+  registry.add_collector([this, series = std::move(series)](obs::MetricsSnapshot& out) {
+    const std::lock_guard<std::mutex> lock(state_mutex_);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shard& shard = *shards_[s];
+      const ShardSeries& ids = series.shards[s];
+      ids.online(out, shard.stats_snapshot, shard.colors, shard.active);
+      out.merge_histogram(ids.latency, shard.latency);
+      out.merge_histogram(ids.batch_size, shard.batch_sizes);
+      out.add_gauge(ids.queue_depth, static_cast<double>(shard.queue.pending()));
+      out.add_counter(ids.processed, shard.processed);
+      out.add_counter(ids.rejected, shard.rejected);
+    }
+    out.add_counter(series.submitted, submitted_);
+    // Gain-storage residency over the DISTINCT matrices (dense/tiled
+    // shards share the instance's cached tables; computed gives each
+    // shard a private one). Residency is fixed on dense and computed and
+    // atomic-backed on tiled (appendable is rejected), so sampling while
+    // shards run is safe.
+    std::vector<const GainMatrix*> seen;
+    for (const auto& shard : shards_) {
+      const GainMatrix* gains = &shard->scheduler.gains();
+      if (std::find(seen.begin(), seen.end(), gains) != seen.end()) continue;
+      seen.push_back(gains);
+      std::size_t touched = gains->receiver_storage().touched_blocks();
+      std::size_t total = gains->receiver_storage().total_blocks();
+      if (const GainStorage* sender = gains->sender_storage()) {
+        touched += sender->touched_blocks();
+        total += sender->total_blocks();
+      }
+      out.add_gauge(series.resident, static_cast<double>(gains->resident_doubles()));
+      out.add_gauge(series.touched, static_cast<double>(touched));
+      out.add_gauge(series.total, static_cast<double>(total));
+    }
+  });
+}
 
 std::size_t SchedulerService::shard_of(std::size_t link) const noexcept {
   std::uint64_t state = static_cast<std::uint64_t>(link);
@@ -205,7 +192,6 @@ Expected<void> SchedulerService::route(const ChurnEvent& event, Completion* comp
     return fail("SchedulerService: the service is stopped");
   }
   ++submitted_;
-  if (ingest_shard_ != nullptr) ingest_shard_->add(submitted_metric_);
   return {};
 }
 
@@ -279,11 +265,31 @@ void SchedulerService::shard_loop(std::size_t index) {
   std::vector<ServiceEvent> batch;
   int colors = shard.scheduler.num_colors();
   while (shard.queue.drain(batch)) {
-    obs::LatencyHistogram latency;  // this batch's observations
+    // What the batch has done since its last publication.
+    obs::LatencyHistogram latency;
+    std::size_t pending = 0;
     std::size_t rejected = 0;
-    if (shard.obs_shard != nullptr) {
-      shard.obs_shard->observe(shard.batch_metric, static_cast<double>(batch.size()));
-    }
+    bool first = true;
+    // Publishes under state_mutex_ what stats(), drain() and the registry
+    // read: at the end of the batch, and before each synchronous
+    // completion, so a call that has returned is already counted.
+    const auto publish = [&] {
+      {
+        std::lock_guard<std::mutex> lock(state_mutex_);
+        shard.processed += pending;
+        shard.rejected += rejected;
+        shard.latency.merge(latency);
+        if (first) shard.batch_sizes.observe(static_cast<double>(batch.size()));
+        shard.stats_snapshot = shard.scheduler.stats();
+        shard.colors = shard.scheduler.num_colors();
+        shard.active = shard.scheduler.active_count();
+      }
+      drained_cv_.notify_all();
+      latency = {};
+      pending = 0;
+      rejected = 0;
+      first = false;
+    };
     for (const ServiceEvent& event : batch) {
       if (shard.track != nullptr) {
         shard.track->record("queue_wait", event.submitted, Stopwatch::now());
@@ -296,25 +302,15 @@ void SchedulerService::shard_loop(std::size_t index) {
         while (live > peak && !peak_colors_.compare_exchange_weak(peak, live)) {
         }
       }
+      ++pending;
       if (!result.success) ++rejected;
       latency.observe(result.latency_seconds);
-      if (shard.obs_shard != nullptr) {
-        shard.obs_shard->observe(shard.latency_metric, result.latency_seconds);
-        shard.obs_shard->add(shard.processed_metric);
-        if (!result.success) shard.obs_shard->add(shard.rejected_metric);
-      }
       if (event.completion != nullptr) {
+        publish();
         event.completion->promise.set_value(std::move(result));
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      shard.processed += batch.size();
-      shard.rejected += rejected;
-      shard.latency.merge(latency);
-      shard.stats_snapshot = shard.scheduler.stats();
-    }
-    drained_cv_.notify_all();
+    if (pending > 0) publish();
   }
 }
 
@@ -354,22 +350,10 @@ ServiceStats SchedulerService::stats() const {
     out.rejected += shard->rejected;
     out.batches += shard->queue.batches();
     latency.merge(shard->latency);
-    const OnlineStats& s = shard->stats_snapshot;
-    out.scheduler.arrivals += s.arrivals;
-    out.scheduler.departures += s.departures;
-    out.scheduler.fresh_links += s.fresh_links;
-    out.scheduler.link_updates += s.link_updates;
-    out.scheduler.update_migrations += s.update_migrations;
-    out.scheduler.classes_opened += s.classes_opened;
-    out.scheduler.classes_closed += s.classes_closed;
-    out.scheduler.migrations += s.migrations;
-    out.scheduler.compaction_skips += s.compaction_skips;
-    out.scheduler.removal_rebuilds += s.removal_rebuilds;
-    out.scheduler.retired_links += s.retired_links;
-    out.scheduler.reused_slots += s.reused_slots;
-    out.scheduler.total_event_seconds += s.total_event_seconds;
-    out.scheduler.max_event_seconds =
-        std::max(out.scheduler.max_event_seconds, s.max_event_seconds);
+    for (const OnlineCounter& counter : kOnlineCounters) {
+      out.scheduler.*counter.field += shard->stats_snapshot.*counter.field;
+    }
+    out.scheduler.event_latency.merge(shard->stats_snapshot.event_latency);
   }
   out.scheduler.peak_colors = peak_colors_.load();
   out.latency = summarize(latency);
@@ -435,9 +419,8 @@ bool SchedulerService::validate_against_single_shard(const ChurnTrace& trace) co
     const OnlineScheduler& live = shards_[s]->scheduler;
     // The oracle: a fresh single-thread scheduler, same construction,
     // replaying exactly this shard's sub-trace in trace order. Same
-    // construction EXCEPT telemetry — the oracle must not write into the
-    // live shard's single-writer sinks (and its metrics would double
-    // every counter).
+    // construction EXCEPT telemetry, which the live shards ignore too — the
+    // oracle must not write spans into a caller's single-writer track.
     OnlineSchedulerOptions oracle_options = options_.scheduler;
     oracle_options.telemetry = {};
     OnlineScheduler oracle(instance_, powers_, params_, variant_, oracle_options);
@@ -451,13 +434,9 @@ bool SchedulerService::validate_against_single_shard(const ChurnTrace& trace) co
     }
     const OnlineStats& a = oracle.stats();
     const OnlineStats& b = live.stats();
-    if (a.arrivals != b.arrivals || a.departures != b.departures ||
-        a.fresh_links != b.fresh_links || a.link_updates != b.link_updates ||
-        a.update_migrations != b.update_migrations ||
-        a.classes_opened != b.classes_opened || a.classes_closed != b.classes_closed ||
-        a.migrations != b.migrations || a.compaction_skips != b.compaction_skips ||
-        a.removal_rebuilds != b.removal_rebuilds || a.peak_colors != b.peak_colors) {
-      return false;
+    if (a.peak_colors != b.peak_colors) return false;
+    for (const OnlineCounter& counter : kOnlineCounters) {
+      if (a.*counter.field != b.*counter.field) return false;
     }
     // Accumulators bit for bit: the shard's incremental state IS the
     // oracle's, not merely equivalent to it.

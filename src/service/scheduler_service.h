@@ -112,19 +112,21 @@ struct SchedulerServiceOptions {
   /// backend. The appendable backend is rejected: a
   /// sharded universe cannot grow yet (fresh links would need a
   /// coordinated index across all shards' matrices). The telemetry field
-  /// is ignored — the service wires each shard's own sinks (below); a
-  /// caller-provided single-writer shard shared by N shard threads would
-  /// violate the metrics contract.
+  /// is ignored — the service gives each shard its own trace track
+  /// (below); a caller-provided single-writer track shared by N shard
+  /// threads would break its contract.
   OnlineSchedulerOptions scheduler;
-  /// When set, the service registers its telemetry into this registry:
+  /// When set, the service registers its series into this registry:
   /// per-shard `shard="s"`-labelled series (the scheduler's oisched_*
   /// set plus service latency/batch-size histograms, processed/rejected
-  /// counters, and a collector-sampled queue-depth gauge) and
-  /// the service-level submitted counter and gain-storage gauges (see
-  /// README "Observability"). Register any sibling metrics BEFORE constructing
-  /// the service — shard slot tables are fixed here. The registry must
-  /// outlive the service, and the service installs a scrape-time
-  /// collector referencing it: scrape only while the service is alive.
+  /// counters and a queue-depth gauge) and the service-level submitted
+  /// counter and gain-storage gauges (see README "Observability"). One
+  /// scrape-time collector reads them all from what each shard publishes
+  /// under the service's state lock (per batch, and before each
+  /// synchronous completion), so a scrape while shards run sees whole
+  /// events and counts every call that has returned. The registry must
+  /// outlive the service's last scrape, and the service must be alive for
+  /// every scrape.
   obs::MetricsRegistry* registry = nullptr;
   /// When set, each shard thread records spans ("shard0", "shard1", …
   /// tracks): queue_wait per event and the scheduler's per-phase spans.
@@ -141,9 +143,9 @@ struct ServiceStats {
   /// Always 0: the boundary exchange it counted is gone. Kept so existing
   /// readers compile.
   std::size_t boundary_refreshes = 0;
-  /// Summed across shards; max_event_seconds is the maximum, and
-  /// peak_colors the peak of the global palette (the sum of the shards'
-  /// live color counts, since shards own disjoint color planes).
+  /// Summed across shards (event_latency merged), and peak_colors the
+  /// peak of the global palette (the sum of the shards' live color counts,
+  /// since shards own disjoint color planes).
   OnlineStats scheduler;
   Summary latency;             // seconds, submit -> completion
 };
@@ -199,7 +201,8 @@ class SchedulerService {
   [[nodiscard]] std::size_t universe() const noexcept;
 
   /// Aggregated counters + latency percentiles over all completed events.
-  /// Quiesce first (drain()) for a consistent cut.
+  /// A synchronous call's event is counted by the time the call returns;
+  /// quiesce first (drain()) for a consistent cut of submitted events.
   [[nodiscard]] ServiceStats stats() const;
 
   /// The per-shard schedulers, for inspection by tests and the oracle
@@ -243,6 +246,8 @@ class SchedulerService {
   AdmitResult call(const ChurnEvent& event);
   void shard_loop(std::size_t index);
   AdmitResult process_event(Shard& shard, const ServiceEvent& event);
+  /// Registers every series and the one collector that fills them.
+  void register_metrics(obs::MetricsRegistry& registry);
 
   const Instance& instance_;
   std::vector<double> powers_;
@@ -250,16 +255,6 @@ class SchedulerService {
   Variant variant_ = Variant::directed;
   SchedulerServiceOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Service-level telemetry (set iff options_.registry): an ingest-side
-  // obs shard written only under state_mutex_ (mutex-serialized, so the
-  // single-writer contract holds) plus the service-wide metric ids. The
-  // gain-storage gauges are collector-filled at scrape time.
-  obs::MetricsShard* ingest_shard_ = nullptr;
-  obs::MetricId submitted_metric_ = 0;
-  obs::MetricId gain_resident_metric_ = 0;
-  obs::MetricId gain_touched_metric_ = 0;
-  obs::MetricId gain_total_metric_ = 0;
 
   mutable std::mutex state_mutex_;
   std::condition_variable drained_cv_;

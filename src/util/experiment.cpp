@@ -112,35 +112,18 @@ ChurnTrace build_trace(const ScenarioSpec& spec, std::size_t universe,
                           metric, initial);
 }
 
-/// The per-event latency budget of a bare dynamic cell, read off the
-/// replay's own histogram (the same series the metrics JSON carries).
-void record_event_latency(const obs::MetricsSnapshot& snapshot,
-                          ScenarioResult& result) {
-  const obs::LatencyHistogram latency =
-      snapshot.histogram_total("oisched_event_latency_seconds");
-  if (latency.count() == 0) return;
-  result.dynamic.latency_p50_ms = latency.quantile(0.5) * 1e3;
-  result.dynamic.latency_p99_ms = latency.quantile(0.99) * 1e3;
-}
-
 void record_replay(const ChurnTrace& trace, const ReplayResult& replay,
                    ScenarioResult& result) {
   result.dynamic.events = trace.events.size();
   result.dynamic.wall_ms = replay.wall_seconds * 1e3;
   result.dynamic.events_per_sec = replay.events_per_sec;
-  result.dynamic.peak_colors = replay.stats.peak_colors;
   result.dynamic.final_colors = replay.final_colors;
   result.dynamic.final_active = replay.final_active;
   result.dynamic.final_universe = replay.final_universe;
-  result.dynamic.fresh_links = replay.stats.fresh_links;
-  result.dynamic.link_updates = replay.stats.link_updates;
-  result.dynamic.update_migrations = replay.stats.update_migrations;
-  result.dynamic.migrations = replay.stats.migrations;
-  result.dynamic.compaction_skips = replay.stats.compaction_skips;
-  result.dynamic.removal_rebuilds = replay.stats.removal_rebuilds;
-  result.dynamic.classes_opened = replay.stats.classes_opened;
-  result.dynamic.classes_closed = replay.stats.classes_closed;
-  result.dynamic.max_event_ms = replay.stats.max_event_seconds * 1e3;
+  result.dynamic.scheduler = replay.stats;
+  // The per-event latency budget of a bare cell: scheduling work only.
+  result.dynamic.latency_p50_ms = replay.stats.event_latency.quantile(0.5) * 1e3;
+  result.dynamic.latency_p99_ms = replay.stats.event_latency.quantile(0.99) * 1e3;
   result.valid = replay.validated;
 }
 
@@ -160,9 +143,6 @@ bool rebuild_twin_agrees(const Instance& instance, std::span<const double> power
                          OnlineSchedulerOptions options, const ChurnTrace& trace,
                          const Schedule& observed) {
   options.remove_policy = RemovePolicy::rebuild;
-  // The twin must not write into the timed cell's single-writer metric
-  // shard (its replay would double every counter).
-  options.telemetry = {};
   OnlineScheduler twin(instance, powers, params, variant, std::move(options));
   const ReplayResult replay = replay_trace(twin, trace, /*validate_final=*/false);
   return replay.final_schedule.color_of == observed.color_of &&
@@ -210,18 +190,10 @@ void run_service_scenario(const ScenarioSpec& spec, const SinrParams& params,
   result.dynamic.events = trace.events.size();
   result.dynamic.wall_ms = replay.wall_seconds * 1e3;
   result.dynamic.events_per_sec = replay.events_per_sec;
-  result.dynamic.peak_colors = replay.stats.scheduler.peak_colors;
   result.dynamic.final_colors = replay.final_colors;
   result.dynamic.final_active = replay.final_active;
   result.dynamic.final_universe = replay.final_universe;
-  result.dynamic.link_updates = replay.stats.scheduler.link_updates;
-  result.dynamic.update_migrations = replay.stats.scheduler.update_migrations;
-  result.dynamic.migrations = replay.stats.scheduler.migrations;
-  result.dynamic.compaction_skips = replay.stats.scheduler.compaction_skips;
-  result.dynamic.removal_rebuilds = replay.stats.scheduler.removal_rebuilds;
-  result.dynamic.classes_opened = replay.stats.scheduler.classes_opened;
-  result.dynamic.classes_closed = replay.stats.scheduler.classes_closed;
-  result.dynamic.max_event_ms = replay.stats.scheduler.max_event_seconds * 1e3;
+  result.dynamic.scheduler = replay.stats.scheduler;
   result.dynamic.shards = spec.shards;
   result.dynamic.arrival_rate = spec.service_rate;
   result.dynamic.latency_p50_ms = replay.stats.latency.p50 * 1e3;
@@ -257,17 +229,14 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     options.remove_policy = policy;
     options.storage = GainBackend::appendable;
     options.fresh_power = std::move(assignment);
-    options.telemetry.ids = OnlineMetricIds::register_in(registry);
-    options.telemetry.shard = &registry.create_shard();
     Stopwatch watch;
     OnlineScheduler scheduler(base, base_powers, params, spec.variant, options);
     result.gain_build_ms = watch.elapsed_ms();
+    register_online_metrics(registry, scheduler);
     register_gain_metrics(registry, scheduler);
     const ReplayResult replay = replay_trace(scheduler, trace, /*validate_final=*/true);
     record_replay(trace, replay, result);
-    const obs::MetricsSnapshot snapshot = registry.scrape();
-    record_event_latency(snapshot, result);
-    result.metrics = snapshot.to_json();
+    result.metrics = registry.scrape().to_json();
     if (policy != RemovePolicy::rebuild && scheduler.universe() <= kPolicyTwinMaxN) {
       result.dynamic.policy_identical = rebuild_twin_agrees(
           base, base_powers, params, spec.variant, options, trace, replay.final_schedule);
@@ -285,8 +254,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   OnlineSchedulerOptions options;
   options.remove_policy = policy;
   options.storage = backend;
-  options.telemetry.ids = OnlineMetricIds::register_in(registry);
-  options.telemetry.shard = &registry.create_shard();
   // Moved links are re-powered by the cell's oblivious assignment.
   if (mobility) options.fresh_power = assignment;
   if (!owned) {
@@ -302,15 +269,14 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   Stopwatch build_watch;
   OnlineScheduler scheduler(instance, powers, params, spec.variant, options);
   if (owned) result.gain_build_ms = build_watch.elapsed_ms();
+  register_online_metrics(registry, scheduler);
   register_gain_metrics(registry, scheduler);
   const ChurnTrace trace =
       build_trace(spec, instance.size(), {}, mobility ? &instance : nullptr);
   trace.validate();
   const ReplayResult replay = replay_trace(scheduler, trace, /*validate_final=*/true);
   record_replay(trace, replay, result);
-  const obs::MetricsSnapshot snapshot = registry.scrape();
-  record_event_latency(snapshot, result);
-  result.metrics = snapshot.to_json();
+  result.metrics = registry.scrape().to_json();
   if (policy != RemovePolicy::rebuild && instance.size() <= kPolicyTwinMaxN) {
     result.dynamic.policy_identical = rebuild_twin_agrees(
         instance, powers, params, spec.variant, options, trace, replay.final_schedule);
@@ -342,20 +308,20 @@ JsonValue dynamic_json(const DynamicResult& dynamic) {
   value["events"] = dynamic.events;
   value["wall_ms"] = dynamic.wall_ms;
   value["events_per_sec"] = dynamic.events_per_sec;
-  value["peak_colors"] = dynamic.peak_colors;
+  value["peak_colors"] = dynamic.scheduler.peak_colors;
   value["final_colors"] = dynamic.final_colors;
   value["final_active"] = dynamic.final_active;
   value["final_universe"] = dynamic.final_universe;
-  value["fresh_links"] = dynamic.fresh_links;
-  value["link_updates"] = dynamic.link_updates;
-  value["update_migrations"] = dynamic.update_migrations;
-  value["migrations"] = dynamic.migrations;
-  value["compaction_skips"] = dynamic.compaction_skips;
-  value["removal_rebuilds"] = dynamic.removal_rebuilds;
+  value["fresh_links"] = dynamic.scheduler.fresh_links;
+  value["link_updates"] = dynamic.scheduler.link_updates;
+  value["update_migrations"] = dynamic.scheduler.update_migrations;
+  value["migrations"] = dynamic.scheduler.migrations;
+  value["compaction_skips"] = dynamic.scheduler.compaction_skips;
+  value["removal_rebuilds"] = dynamic.scheduler.removal_rebuilds;
   value["policy_identical"] = dynamic.policy_identical;
-  value["classes_opened"] = dynamic.classes_opened;
-  value["classes_closed"] = dynamic.classes_closed;
-  value["max_event_ms"] = dynamic.max_event_ms;
+  value["classes_opened"] = dynamic.scheduler.classes_opened;
+  value["classes_closed"] = dynamic.scheduler.classes_closed;
+  value["max_event_ms"] = dynamic.scheduler.event_latency.max() * 1e3;
   // The per-event latency budget, for every dynamic cell since schema /8
   // (service cells measure submit-to-completion, bare cells the handler).
   value["latency_p50_ms"] = dynamic.latency_p50_ms;

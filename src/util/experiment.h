@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "online/online_scheduler.h"
 #include "sinr/model.h"
 #include "util/json_writer.h"
 
@@ -101,23 +102,15 @@ struct DynamicResult {
   std::size_t events = 0;
   double wall_ms = 0.0;          // event loop only
   double events_per_sec = 0.0;
-  int peak_colors = 0;
   int final_colors = 0;
   std::size_t final_active = 0;
   std::size_t final_universe = 0;  // grows past built_n on growing traces
-  std::size_t fresh_links = 0;     // universe-growing arrivals replayed
-  std::size_t link_updates = 0;    // endpoint-motion events applied in place
-  /// Of the link updates, how many broke the moved link's class and forced
-  /// a first-fit re-placement.
-  std::size_t update_migrations = 0;
-  std::size_t migrations = 0;     // compaction recolorings
-  std::size_t compaction_skips = 0;  // immovable members skipped over
-  /// Full O(|class| * n) replays removals triggered — 0 under the exact
-  /// policy (the point of it), one per removal under rebuild.
-  std::size_t removal_rebuilds = 0;
-  std::size_t classes_opened = 0;
-  std::size_t classes_closed = 0;
-  double max_event_ms = 0.0;      // worst single-event latency
+  /// The replay's scheduler counters (a service cell's summed across
+  /// shards, with the global palette's peak_colors); the JSON reports
+  /// peak_colors, fresh_links, link_updates, update_migrations,
+  /// migrations, compaction_skips, removal_rebuilds, classes_opened,
+  /// classes_closed and max_event_ms (event_latency.max()) from it.
+  OnlineStats scheduler;
   /// An exact-policy replay re-run under RemovePolicy::rebuild on the same
   /// trace produced the bit-identical final schedule — the runner-level
   /// policy-equivalence gate. A failure counts as a scenario failure (the

@@ -227,7 +227,7 @@ TEST(ExperimentRunner, GrowingScenarioGrowsTheUniverseAndValidates) {
   const ScenarioResult result = run_scenario(spec, params);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.valid);  // grown final state bit-identical + feasible
-  EXPECT_GT(result.dynamic.fresh_links, 0u);
+  EXPECT_GT(result.dynamic.scheduler.fresh_links, 0u);
   // The scheduler started on half the instance and grew to all of it.
   EXPECT_EQ(result.dynamic.final_universe, result.built_n);
   EXPECT_FALSE(scenario_failed(result));
@@ -269,7 +269,7 @@ TEST(ExperimentRunner, DynamicScenarioReplaysAndValidates) {
   EXPECT_TRUE(result.valid);  // final state bit-identical + feasible
   EXPECT_GT(result.dynamic.events, 0u);
   EXPECT_GT(result.dynamic.events_per_sec, 0.0);
-  EXPECT_GE(result.dynamic.peak_colors, result.dynamic.final_colors);
+  EXPECT_GE(result.dynamic.scheduler.peak_colors, result.dynamic.final_colors);
   EXPECT_FALSE(scenario_failed(result));
 }
 
@@ -358,7 +358,7 @@ TEST(ExperimentRunner, DynamicCellRunsExactPolicyWithZeroRebuilds) {
   EXPECT_EQ(spec.remove_policy, "exact");  // the default of the axis
   // The tentpole invariants: no removal ever triggered a full replay, and
   // the final schedule is bit-identical to the rebuild-policy reference.
-  EXPECT_EQ(result.dynamic.removal_rebuilds, 0u);
+  EXPECT_EQ(result.dynamic.scheduler.removal_rebuilds, 0u);
   EXPECT_TRUE(result.dynamic.policy_identical);
   EXPECT_FALSE(scenario_failed(result));
   // Dynamic cells carry a telemetry snapshot of the replay.
@@ -391,7 +391,7 @@ TEST(ExperimentRunner, RepeatedRunReportsHeadlineStability) {
   // The entry's headline number is the median run.
   EXPECT_EQ(result.dynamic.events_per_sec, result.repeat.median);
   // Correctness fields are deterministic across repeats.
-  EXPECT_EQ(result.dynamic.removal_rebuilds, 0u);
+  EXPECT_EQ(result.dynamic.scheduler.removal_rebuilds, 0u);
   EXPECT_TRUE(result.dynamic.policy_identical);
   EXPECT_FALSE(scenario_failed(result));
 }
@@ -410,7 +410,7 @@ TEST(ExperimentRunner, RebuildPolicyCellCountsItsReplays) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_NE(result.spec.name().find("/rebuild"), std::string::npos);
   // Every removal pays a replay under the historical policy.
-  EXPECT_GT(result.dynamic.removal_rebuilds, 0u);
+  EXPECT_GT(result.dynamic.scheduler.removal_rebuilds, 0u);
   EXPECT_TRUE(result.dynamic.policy_identical);  // trivially: it IS the reference
   EXPECT_FALSE(scenario_failed(result));
 }
@@ -429,7 +429,7 @@ TEST(ExperimentRunner, GrowingCellExactPolicyMatchesRebuildReference) {
   ASSERT_TRUE(result.ok) << result.error;
   // sync_universe growth replay under the exact policy: still bit-identical
   // to the rebuild twin over the grown universe, still zero rebuilds.
-  EXPECT_EQ(result.dynamic.removal_rebuilds, 0u);
+  EXPECT_EQ(result.dynamic.scheduler.removal_rebuilds, 0u);
   EXPECT_TRUE(result.dynamic.policy_identical);
   EXPECT_FALSE(scenario_failed(result));
 }
@@ -449,10 +449,10 @@ TEST(ExperimentRunner, MobilityCellReplaysInPlaceAndMatchesRebuildReference) {
     ASSERT_TRUE(result.ok) << trace << ": " << result.error;
     EXPECT_TRUE(result.valid) << trace;
     // Motion actually flowed through the in-place update path...
-    EXPECT_GT(result.dynamic.link_updates, 0u) << trace;
+    EXPECT_GT(result.dynamic.scheduler.link_updates, 0u) << trace;
     // ...with zero removal-triggered rebuilds under the exact default and
     // a final schedule bit-identical to the rebuild-policy twin.
-    EXPECT_EQ(result.dynamic.removal_rebuilds, 0u) << trace;
+    EXPECT_EQ(result.dynamic.scheduler.removal_rebuilds, 0u) << trace;
     EXPECT_TRUE(result.dynamic.policy_identical) << trace;
     EXPECT_FALSE(scenario_failed(result)) << trace;
   }

@@ -1,7 +1,7 @@
 // The telemetry layer: bucket-boundary exactness of the log-scale
 // histogram layout, merge associativity/determinism across shard orders,
 // the quantile error bound against a sorted-vector oracle on fuzzed
-// samples, registry shard/collector semantics, both expositions, and the
+// samples, registry collector semantics, both expositions, and the
 // Chrome trace-event recorder.
 #include <algorithm>
 #include <cmath>
@@ -164,53 +164,59 @@ TEST(LatencyHistogram, SummarizeMatchesHistogramQuantiles) {
 
 // --- MetricsRegistry ------------------------------------------------------
 
-TEST(MetricsRegistry, ShardsMergeAndCollectorsRun) {
+TEST(MetricsRegistry, CollectorsFillTheirIdsAndAdd) {
   MetricsRegistry registry;
   const MetricId hits = registry.counter("hits_total", "Hits");
   const MetricId level = registry.gauge("level", "Level");
-  const MetricId depth = registry.gauge("depth", "Filled by the collector");
+  const MetricId depth = registry.gauge("depth", "Filled by both collectors");
   const MetricId lat = registry.histogram("lat_seconds", "Latency");
-  MetricsShard& s0 = registry.create_shard();
-  MetricsShard& s1 = registry.create_shard();
-  s0.add(hits, 3);
-  s1.add(hits, 4);
-  s0.set(level, 2.5);  // gauges merge by sum: one writer per gauge id
-  s0.observe(lat, 1e-6);
-  s1.observe(lat, 4e-3);
-  registry.add_collector([&](MetricsShard& sink) { sink.set(depth, 7.0); });
+  LatencyHistogram fast;
+  fast.observe(1e-6);
+  LatencyHistogram slow;
+  slow.observe(4e-3);
+  std::uint64_t stored_hits = 3;  // the store the first collector reads
+  registry.add_collector([&](MetricsSnapshot& snapshot) {
+    snapshot.add_counter(hits, stored_hits);
+    snapshot.add_gauge(level, 2.5);
+    snapshot.add_gauge(depth, 3.0);
+    snapshot.merge_histogram(lat, fast);
+  });
+  registry.add_collector([&](MetricsSnapshot& snapshot) {
+    snapshot.add_counter(hits, 4);
+    snapshot.add_gauge(depth, 4.0);  // gauges sum across collectors
+    snapshot.merge_histogram(lat, slow);
+    snapshot.add_counter(level, 9);  // wrong kind: ignored
+    snapshot.add_gauge(99, 1.0);     // unknown id: ignored
+  });
 
   const MetricsSnapshot snapshot = registry.scrape();
   EXPECT_EQ(registry.metric_count(), 4u);
   EXPECT_EQ(snapshot.counter_total("hits_total"), 7u);
   ASSERT_NE(snapshot.find("level"), nullptr);
   EXPECT_EQ(snapshot.find("level")->gauge, 2.5);
+  EXPECT_EQ(snapshot.find("level")->counter, 0u);
   ASSERT_NE(snapshot.find("depth"), nullptr);
   EXPECT_EQ(snapshot.find("depth")->gauge, 7.0);
   const LatencyHistogram merged = snapshot.histogram_total("lat_seconds");
   EXPECT_EQ(merged.count(), 2u);
   EXPECT_EQ(merged.min(), 1e-6);
   EXPECT_EQ(merged.max(), 4e-3);
-}
 
-TEST(MetricsRegistry, LateRegistrationIsInvisibleToEarlierShards) {
-  MetricsRegistry registry;
-  const MetricId early = registry.counter("early_total", "Early");
-  MetricsShard& shard = registry.create_shard();
-  const MetricId late = registry.counter("late_total", "Late");
-  shard.add(early, 1);
-  shard.add(late, 5);  // no slot in this shard: a documented no-op
-  const MetricsSnapshot snapshot = registry.scrape();
-  EXPECT_EQ(snapshot.counter_total("early_total"), 1u);
-  EXPECT_EQ(snapshot.counter_total("late_total"), 0u);
+  // Every scrape starts from zero and reads the store afresh: values are
+  // views, never accumulated across scrapes.
+  stored_hits = 10;
+  EXPECT_EQ(registry.scrape().counter_total("hits_total"), 14u);
+  EXPECT_EQ(registry.scrape().histogram_total("lat_seconds").count(), 2u);
 }
 
 TEST(MetricsRegistry, LabeledSeriesStayDistinctAndTotalsAggregate) {
   MetricsRegistry registry;
   const MetricId a = registry.counter("req_total", "Requests", "shard=\"0\"");
   const MetricId b = registry.counter("req_total", "Requests", "shard=\"1\"");
-  MetricsShard& shard = registry.create_shard();
-  shard.add(a, 2);
-  shard.add(b, 5);
+  registry.add_collector([=](MetricsSnapshot& snapshot) {
+    snapshot.add_counter(a, 2);
+    snapshot.add_counter(b, 5);
+  });
   const MetricsSnapshot snapshot = registry.scrape();
   ASSERT_NE(snapshot.find("req_total", "shard=\"0\""), nullptr);
   EXPECT_EQ(snapshot.find("req_total", "shard=\"0\"")->counter, 2u);
@@ -222,11 +228,14 @@ TEST(MetricsSnapshot, ExpositionsAreWellFormed) {
   MetricsRegistry registry;
   const MetricId hits = registry.counter("hits_total", "Hits");
   const MetricId lat = registry.histogram("lat_seconds", "Latency");
-  MetricsShard& shard = registry.create_shard();
-  shard.add(hits, 9);
-  shard.observe(lat, 1e-6);
-  shard.observe(lat, 2e-6);
-  shard.observe(lat, 1e9);  // overflow bucket folds into +Inf
+  LatencyHistogram observed;
+  observed.observe(1e-6);
+  observed.observe(2e-6);
+  observed.observe(1e9);  // overflow bucket folds into +Inf
+  registry.add_collector([&](MetricsSnapshot& snapshot) {
+    snapshot.add_counter(hits, 9);
+    snapshot.merge_histogram(lat, observed);
+  });
   const MetricsSnapshot snapshot = registry.scrape();
 
   const std::string json = snapshot.to_json().dump(0);
