@@ -1,21 +1,25 @@
-// Layer microbenchmarks for the online scheduler's exact accumulators.
+// Layer microbenchmarks for the online scheduler's accumulators and the
+// service's ingest path.
 //
-// Member-indexed classes store one exact slot per member and sum a
-// candidate's own slot on demand, so an event costs O(class size). These
-// timings take that cost apart:
+// Member-indexed classes store one filtered slot per member (a plain
+// running sum and its forward error bound) and sum a candidate's own slot
+// on demand, so an event costs O(class size). These timings take that
+// cost apart:
 //
-//   * member-slot update plus rounded readout — one add or subtract per
-//     member slot, then the correctly rounded value — for the two slot
-//     layouts: a vector<ExactSum> and a member-sized ExactSumBank, whose
-//     fused add-round returns the readout from registers;
-//   * exact summation of k gains: one ExactSum::add per gain against
-//     ExactSum::sum_of;
-//   * the own-slot gather-and-sum: read k members' gains at one link (a
-//     table column, strided by n on the dense backend; a filler call per
-//     entry on the tableless computed backend), then sum them exactly
+//   * filtered member slots: a class of k members takes a link (its own
+//     slot summed, one update per member slot), re-validates every member
+//     with certified verdicts, and lets the link go again (one update per
+//     member slot) — reported per slot touched;
+//   * exact summation of k gains, the filter's fallback: one ExactSum::add
+//     per gain against ExactSum::sum_of;
+//   * the exact own-slot gather-and-sum: read k members' gains at one link
+//     (a table column, strided by n on the dense backend; a filler call
+//     per entry on the tableless computed backend), then sum them exactly
 //     with ExactSum::sum_of;
 //   * IncrementalGainClass::can_add on a class of k members: the member
-//     scan and the own-slot sum together.
+//     scan and the own-slot sum together;
+//   * the service's ingest spine: an MpscQueue push per event and one
+//     drain per batch, and the LatencyHistogram::observe every event pays.
 //
 //   ./build/bench/bench_layers --benchmark_min_time=0.2
 #include <benchmark/benchmark.h>
@@ -29,9 +33,10 @@
 #include "core/instance.h"
 #include "core/power_assignment.h"
 #include "gen/generators.h"
+#include "obs/metrics.h"
 #include "sinr/gain_matrix.h"
-#include "util/exact_bank.h"
 #include "util/exact_sum.h"
+#include "util/mpsc_queue.h"
 #include "util/rng.h"
 
 namespace {
@@ -47,66 +52,6 @@ std::vector<double> gain_row(std::size_t k, Rng& rng) {
   for (double& x : row) x = std::pow(10.0, rng.uniform(-9.0, -3.0));
   return row;
 }
-
-/// Slots holding the sum of k/2 gains each, so expansions carry the
-/// multi-component state of a populated class.
-template <typename AddFn>
-void prefill(std::size_t k, Rng& rng, AddFn add) {
-  for (std::size_t round = 0; round < k / 2 + 1; ++round) {
-    const std::vector<double> row = gain_row(k, rng);
-    for (std::size_t p = 0; p < k; ++p) add(p, row[p]);
-  }
-}
-
-// One benchmark iteration applies a member's row to every slot (add on
-// even iterations, subtract on odd ones, so the state stays bounded) and
-// publishes each slot's rounded value.
-
-void BM_MemberSlotsExactSumVector(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Rng rng(kSeed);
-  std::vector<ExactSum> slots(k);
-  prefill(k, rng, [&](std::size_t p, double x) { slots[p].add(x); });
-  const std::vector<double> row = gain_row(k, rng);
-  std::vector<double> readout(k);
-  bool subtract = false;
-  for (auto _ : state) {
-    for (std::size_t p = 0; p < k; ++p) {
-      if (subtract) {
-        slots[p].subtract(row[p]);
-      } else {
-        slots[p].add(row[p]);
-      }
-      readout[p] = slots[p].value();
-    }
-    subtract = !subtract;
-    benchmark::DoNotOptimize(readout.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
-}
-BENCHMARK(BM_MemberSlotsExactSumVector)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_MemberSlotsBank(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Rng rng(kSeed);
-  ExactSumBank bank;
-  bank.resize(k);
-  prefill(k, rng, [&](std::size_t p, double x) { (void)bank.add(p, x); });
-  const std::vector<double> row = gain_row(k, rng);
-  std::vector<double> readout(k);
-  bool subtract = false;
-  for (auto _ : state) {
-    for (std::size_t p = 0; p < k; ++p) {
-      readout[p] = subtract ? bank.subtract(p, row[p]) : bank.add(p, row[p]);
-    }
-    subtract = !subtract;
-    benchmark::DoNotOptimize(readout.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
-}
-BENCHMARK(BM_MemberSlotsBank)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 /// The summation half of an own-slot sum, on k gains already in cache:
 /// one add() per gain against ExactSum::sum_of.
@@ -205,6 +150,62 @@ BENCHMARK_CAPTURE(BM_CanAdd, computed, GainBackend::computed)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024);
+
+/// One iteration: add a link to a class of k members (its own slot plus
+/// k member-slot updates), re-validate the k + 1 members with certified
+/// verdicts, and remove the link (k member-slot updates). Items are slot
+/// operations, so the rate reads as time per slot.
+void BM_FilteredMemberSlots(benchmark::State& state, GainBackend backend) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const ClassFixture fixture(k, backend);
+  SinrParams params = fixture.params;
+  params.beta = 1e-300;  // every member joins; verdicts certify at once
+  IncrementalGainClass cls(fixture.gains, params, RemovePolicy::exact);
+  for (const std::size_t m : fixture.members) cls.add(m);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::size_t link = fixture.candidates[next++ % fixture.candidates.size()];
+    cls.add(link);
+    benchmark::DoNotOptimize(cls.members_feasible());
+    cls.remove(link);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * (3 * k + 2)));
+  state.counters["fallbacks"] = static_cast<double>(cls.exact_fallbacks());
+}
+BENCHMARK_CAPTURE(BM_FilteredMemberSlots, dense, GainBackend::dense)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+
+/// A batch of pushes from one producer, then the consumer's one drain —
+/// the per-event cost of the service's ingest queue without contention.
+void BM_MpscPushDrain(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  MpscQueue<std::size_t> queue;
+  std::vector<std::size_t> drained;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < batch; ++i) benchmark::DoNotOptimize(queue.push(i));
+    benchmark::DoNotOptimize(queue.try_drain(drained));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
+}
+BENCHMARK(BM_MpscPushDrain)->Arg(1)->Arg(16)->Arg(256);
+
+/// Event latencies spread over 1 us .. 10 ms, observed one per item.
+void BM_HistogramObserve(benchmark::State& state) {
+  Rng rng(kSeed);
+  std::vector<double> samples(4096);
+  for (double& x : samples) x = std::pow(10.0, rng.uniform(-6.0, -2.0));
+  obs::LatencyHistogram histogram;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    histogram.observe(samples[next++ % samples.size()]);
+  }
+  benchmark::DoNotOptimize(histogram.count());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HistogramObserve);
 
 }  // namespace
 

@@ -93,7 +93,7 @@ int OnlineScheduler::on_arrival(std::size_t link) {
   ++active_count_;
   ++stats_.arrivals;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  stats_.event_latency.observe(watch.elapsed_seconds());
+  finish_event(watch);
   return color;
 }
 
@@ -145,7 +145,7 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   ++stats_.arrivals;
   ++stats_.fresh_links;
   stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
-  stats_.event_latency.observe(watch.elapsed_seconds());
+  finish_event(watch);
   return color;
 }
 
@@ -202,7 +202,7 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     ++stats_.update_migrations;
     stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
   }
-  stats_.event_latency.observe(watch.elapsed_seconds());
+  finish_event(watch);
   return new_color;
 }
 
@@ -225,7 +225,7 @@ void OnlineScheduler::on_departure(std::size_t link) {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "compaction");
     compact_from(static_cast<std::size_t>(color));
   }
-  stats_.event_latency.observe(watch.elapsed_seconds());
+  finish_event(watch);
 }
 
 void OnlineScheduler::retire_link(std::size_t link) {
@@ -248,8 +248,23 @@ void OnlineScheduler::retire_link(std::size_t link) {
   ++stats_.retired_links;
 }
 
-void OnlineScheduler::close_class(std::size_t color) {
+void OnlineScheduler::erase_class(std::size_t color) {
+  closed_fallbacks_ += classes_[color].exact_fallbacks();
   classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(color));
+}
+
+void OnlineScheduler::finish_event(const Stopwatch& watch) {
+  std::size_t fallbacks = closed_fallbacks_;
+  for (const IncrementalGainClass& cls : classes_) fallbacks += cls.exact_fallbacks();
+  stats_.exact_fallbacks = fallbacks;
+  stats_.event_latency.observe(watch.elapsed_seconds());
+#ifndef NDEBUG
+  if (stats_.events() % kAuditInterval == 0) audit();
+#endif
+}
+
+void OnlineScheduler::close_class(std::size_t color) {
+  erase_class(color);
   ++stats_.classes_closed;
   // Every class above the gap moved down one color: renumber its members
   // — O(their count), not a scan of the whole universe.
@@ -295,7 +310,7 @@ void OnlineScheduler::compact_from(std::size_t color) {
     // Immovable members keep the trailing class (and the pass ends); a
     // fully drained class frees its color and the next one gets a turn.
     if (classes_[last].size() > 0) break;
-    classes_.pop_back();
+    erase_class(last);
     ++stats_.classes_closed;
   }
 }
@@ -396,6 +411,33 @@ bool OnlineScheduler::validate_against_direct(double* worst_margin) const {
          "OnlineScheduler: active count and class sizes diverged");
   if (worst_margin != nullptr) *worst_margin = min_margin;
   return true;
+}
+
+void OnlineScheduler::audit() const {
+  std::size_t members_seen = 0;
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    const IncrementalGainClass& cls = classes_[c];
+    ensure(cls.size() > 0, "OnlineScheduler audit: an empty class is live");
+    members_seen += cls.size();
+    for (const std::size_t slot : cls.members()) {
+      ensure(slot < powers_.size(), "OnlineScheduler audit: a member slot is out of range");
+      const std::size_t link = ext(slot);
+      ensure(link < color_of_.size() && phys(link) == slot,
+             "OnlineScheduler audit: the physical-slot maps disagree on a member");
+      ensure(color_of_[link] == static_cast<int>(c),
+             "OnlineScheduler audit: class membership and coloring diverged");
+    }
+    if (options_.remove_policy == RemovePolicy::exact) {
+      ensure(cls.accumulator_drift() == 0.0,
+             "OnlineScheduler audit: a member slot's interval misses its exact sum");
+    }
+  }
+  ensure(members_seen == active_count_,
+         "OnlineScheduler audit: active count and class sizes diverged");
+  for (const std::size_t slot : free_slots_) {
+    ensure(slot < ext_of_.size() && ext_of_[slot] == kNoSlot,
+           "OnlineScheduler audit: a free slot is still mapped to a link");
+  }
 }
 
 OnlineSeriesWriter register_online_series(obs::MetricsRegistry& registry,

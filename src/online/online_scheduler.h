@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sinr/gain_matrix.h"
+#include "util/stopwatch.h"
 
 namespace oisched {
 
@@ -76,11 +77,12 @@ struct FarFieldOptions {
 
 struct OnlineSchedulerOptions {
   /// How classes restore their accumulators on departure. The default
-  /// (exact) removes in O(|class|) with zero rounding error — expansion
-  /// accumulators keep every class bit-identical to a freshly built one
-  /// over its survivors, with no replays at all. rebuild is the
-  /// historical O(|class| * n) replay-on-remove (same guarantee, paid for
-  /// on every departure) and the reference exact is gated against.
+  /// (exact) removes in O(|class|): error-bounded plain slots, with an
+  /// exact sum only where the bound cannot decide, keep every verdict
+  /// bit-identical to a freshly built class over the survivors, with no
+  /// replays at all. rebuild is the historical O(|class| * n)
+  /// replay-on-remove (same guarantee, paid for on every departure) and
+  /// the reference exact is gated against.
   RemovePolicy remove_policy = RemovePolicy::exact;
   /// Victim-selection rule of the compaction pass that runs after every
   /// departure (see CompactionVictim). The default keeps the historical
@@ -136,9 +138,13 @@ struct OnlineStats {
   /// eliminates: 0 there outside the saturation escape hatch, one per
   /// removal under rebuild.
   std::size_t removal_rebuilds = 0;
-  /// Always 0: counters of the deleted far-field layer, kept so existing
+  /// Always 0: a counter of the deleted far-field layer, kept so existing
   /// readers compile.
   std::size_t bound_hits = 0;
+  /// Verdicts and member-slot re-derivations the exact policy's
+  /// error-bound filter could not certify and sent to an exact O(|class|)
+  /// sum (IncrementalGainClass::exact_fallbacks, over every class this
+  /// scheduler has held). 0 under the rebuild policy.
   std::size_t exact_fallbacks = 0;
   /// Links retired via retire_link, and fresh links that recycled a
   /// retired slot instead of growing the matrix.
@@ -185,6 +191,9 @@ inline constexpr OnlineCounter kOnlineCounters[] = {
      &OnlineStats::retired_links},
     {"oisched_reused_slots_total", "Fresh links that recycled a retired table slot",
      &OnlineStats::reused_slots},
+    {"oisched_exact_fallbacks_total",
+     "Verdicts and slot re-derivations the error-bound filter sent to an exact sum",
+     &OnlineStats::exact_fallbacks},
 };
 
 class OnlineScheduler {
@@ -280,8 +289,26 @@ class OnlineScheduler {
   /// gate; `worst_margin` (optional) receives the minimum class margin.
   [[nodiscard]] bool validate_against_direct(double* worst_margin = nullptr) const;
 
+  /// Checks the scheduler's bookkeeping against itself and throws
+  /// InvariantError on the first mismatch: every class is non-empty, each
+  /// member's color_of() is its class, the class sizes add up to
+  /// active_count(), the physical-slot maps are mutually inverse over the
+  /// members and the free list holds only unmapped slots, and every
+  /// exact-policy member slot's certified interval covers its fresh exact
+  /// sum (accumulator_drift() == 0). O(active + free slots + sum of
+  /// |class|^2). Debug builds run it every 64 events (kAuditInterval).
+  void audit() const;
+
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kAuditInterval = 64;
+
+  /// Closes the bookkeeping of one applied event: refreshes
+  /// stats_.exact_fallbacks, records the event's latency, and (in debug
+  /// builds) audits every kAuditInterval events.
+  void finish_event(const Stopwatch& watch);
+  /// Erases class `color`, keeping its fallback count in the stats.
+  void erase_class(std::size_t color);
 
   int place(std::size_t slot);           // first-fit; returns the color used
   void compact_from(std::size_t color);  // drop empty, then migrate
@@ -318,6 +345,8 @@ class OnlineScheduler {
   std::vector<std::size_t> ext_of_;
   std::vector<std::size_t> free_slots_;
   std::size_t active_count_ = 0;
+  /// exact_fallbacks of the classes already closed.
+  std::size_t closed_fallbacks_ = 0;
   OnlineStats stats_;
 };
 

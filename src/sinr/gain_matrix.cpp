@@ -13,6 +13,14 @@ namespace oisched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The exact policy's filter (see IncrementalGainClass): a slot's bound
+/// grows by kSlack = 4u times its new magnitude per update, may reach
+/// kBudget times that magnitude before the slot is re-derived exactly,
+/// and a slot at or above kHuge is re-derived too, since only the exact
+/// sum can tell whether it passed DBL_MAX.
+constexpr double kSlack = 0x1p-51;
+constexpr double kBudget = 0x1p-26;
+constexpr double kHuge = 0x1p1023;
 /// Element generator for one table side: the exact formula of the
 /// historical eager build, evaluated per entry. Captures the shared
 /// request/power stores (not the matrix), so a lazily materialized tile,
@@ -279,33 +287,24 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
 void IncrementalGainClass::add(std::size_t request_index) {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   if (member_mode()) {
-    // Error-free accumulation: each slot keeps the exact expansion, and
-    // the exposed double is its correct rounding — a pure function of the
-    // member multiset, so any later subtract restores today's state bit
-    // for bit. The newcomer's own slot is the sum its accepting can_add
-    // already computed, when that stash is still valid.
-    ExactSum own_v;
-    ExactSum own_u;
+    // The newcomer's own slot is the one its accepting can_add already
+    // summed, when that stash is still valid.
+    Slot own_v;
+    Slot own_u;
     if (stash_link_ == request_index) {
-      own_v = std::move(stash_v_);
-      own_u = std::move(stash_u_);
+      own_v = stash_v_;
+      own_u = stash_u_;
     } else {
-      own_v = own_slot_sum(request_index, /*sender_side=*/false);
-      if (bidirectional) own_u = own_slot_sum(request_index, /*sender_side=*/true);
+      own_v = own_slot(request_index, /*sender_side=*/false);
+      if (bidirectional) own_u = own_slot(request_index, /*sender_side=*/true);
     }
     stash_link_ = kNoExtra;
-    // A slot this leaves saturated is repaired by the next removal.
-    (void)member_apply_row(request_index, kNoExtra, /*add_op=*/true);
     members_.push_back(request_index);
-    const std::size_t pos = members_.size() - 1;
-    member_exact_v_.resize(pos + 1);
-    member_exact_v_.store(pos, own_v);
-    member_v_.push_back(own_v.value());
-    if (bidirectional) {
-      member_exact_u_.resize(pos + 1);
-      member_exact_u_.store(pos, own_u);
-      member_u_.push_back(own_u.value());
-    }
+    slots_v_.push_back(own_v);
+    if (bidirectional) slots_u_.push_back(own_u);
+    // A slot this leaves saturated is repaired by the next removal.
+    (void)member_apply_row(request_index, members_.size() - 1, /*add_op=*/true,
+                           /*settled=*/true);
     return;
   }
   require(acc_v_.size() == gains_->size(),
@@ -344,38 +343,121 @@ ExactSum IncrementalGainClass::own_slot_sum(std::size_t link, bool sender_side) 
   return ExactSum::sum_of({gather_.data(), count});
 }
 
-bool IncrementalGainClass::member_apply_row(std::size_t link, std::size_t skip, bool add_op) {
+IncrementalGainClass::Slot IncrementalGainClass::own_slot(std::size_t link,
+                                                          bool sender_side) const {
+  double sum = 0.0;
+  std::size_t count = 0;
+  if (sender_side) {
+    for (const std::size_t m : members_) {
+      if (m == link) continue;
+      sum += gains_->at_u(m, link);
+      ++count;
+    }
+  } else {
+    for (const std::size_t m : members_) {
+      if (m == link) continue;
+      sum += gains_->at_v(m, link);
+      ++count;
+    }
+  }
+  if (sum < kHuge) return {sum, static_cast<double>(count) * kSlack * sum};
+  // Non-finite gains, or a sum that may have passed DBL_MAX: only the
+  // exact sum knows whether the slot saturated.
+  ++exact_fallbacks_;
+  return anchored(own_slot_sum(link, sender_side));
+}
+
+IncrementalGainClass::Slot IncrementalGainClass::anchored(const ExactSum& exact) {
+  if (exact.finite()) {
+    const double value = exact.value();
+    return {value, kSlack * std::abs(value)};
+  }
+  if (exact.saturated()) return {kInf, kInf};
+  return {0.0, kInf};  // an infinite (or NaN) gain: no bound to keep
+}
+
+bool IncrementalGainClass::member_passes(std::size_t pos, bool sender_side, double signal,
+                                         double extra) const {
+  const Slot& slot = sender_side ? slots_u_[pos] : slots_v_[pos];
+  const double beta = params_.beta;
+  const double noise = params_.noise;
+  if (signal > beta * ((slot.sum + slot.bound) + extra + noise)) return true;
+  if (!(signal > beta * ((slot.sum - slot.bound) + extra + noise))) return false;
+  return member_passes_exactly(pos, sender_side, signal, extra);
+}
+
+bool IncrementalGainClass::member_passes_exactly(std::size_t pos, bool sender_side,
+                                                 double signal, double extra) const {
+  // The threshold lies inside the slot's interval (or the slot has no
+  // bound): decide against the correctly rounded exact sum.
+  ++exact_fallbacks_;
+  const double exact = own_slot_sum(members_[pos], sender_side).value();
+  return signal > params_.beta * (exact + extra + params_.noise);
+}
+
+bool IncrementalGainClass::own_passes(std::size_t link, bool sender_side, double signal,
+                                      Slot& own) const {
+  const double beta = params_.beta;
+  const double noise = params_.noise;
+  if (signal > beta * ((own.sum + own.bound) + noise)) return true;
+  if (!(signal > beta * ((own.sum - own.bound) + noise))) return false;
+  return own_passes_exactly(link, sender_side, signal, own);
+}
+
+bool IncrementalGainClass::own_passes_exactly(std::size_t link, bool sender_side,
+                                              double signal, Slot& own) const {
+  ++exact_fallbacks_;
+  const ExactSum exact = own_slot_sum(link, sender_side);
+  own = anchored(exact);
+  return signal > params_.beta * (exact.value() + params_.noise);
+}
+
+bool IncrementalGainClass::member_apply_row(std::size_t link, std::size_t skip, bool add_op,
+                                            bool settled) {
   const std::size_t k = members_.size();
   bool saturated = false;
-  const auto apply_side = [&](bool sender_side, ExactSumBank& bank,
-                              std::vector<double>& slots) {
-    gather_.resize(k);
-    for (std::size_t p = 0; p < k; ++p) {
-      gather_[p] = sender_side ? gains_->at_u(link, members_[p])
-                               : gains_->at_v(link, members_[p]);
-    }
+  const auto apply_side = [&](bool sender_side, std::vector<Slot>& slots) {
     for (std::size_t p = 0; p < k; ++p) {
       if (p == skip) continue;
-      slots[p] = add_op ? bank.add(p, gather_[p]) : bank.subtract(p, gather_[p]);
-      saturated |= bank.saturated(p);
+      const double gain = sender_side ? gains_->at_u(link, members_[p])
+                                      : gains_->at_v(link, members_[p]);
+      Slot& slot = slots[p];
+      const double sum = add_op ? slot.sum + gain : slot.sum - gain;
+      const double bound = slot.bound + kSlack * std::abs(sum);
+      if (bound <= kBudget * std::abs(sum) && std::abs(sum) < kHuge) [[likely]] {
+        slot = {sum, bound};
+        continue;
+      }
+      if (slot.sum == kInf) {
+        saturated = true;  // sticky until the class re-derives from scratch
+      } else if (settled) {
+        saturated |= member_rederive(p, sender_side);
+      } else {
+        slot = {0.0, kInf};
+      }
     }
   };
-  apply_side(/*sender_side=*/false, member_exact_v_, member_v_);
-  if (gains_->variant() == Variant::bidirectional) {
-    apply_side(/*sender_side=*/true, member_exact_u_, member_u_);
-  }
+  apply_side(/*sender_side=*/false, slots_v_);
+  if (gains_->variant() == Variant::bidirectional) apply_side(/*sender_side=*/true, slots_u_);
   return saturated;
 }
 
-void IncrementalGainClass::member_rederive(std::size_t pos) {
-  const std::size_t link = members_[pos];
-  const ExactSum sum_v = own_slot_sum(link, /*sender_side=*/false);
-  member_exact_v_.store(pos, sum_v);
-  member_v_[pos] = sum_v.value();
+bool IncrementalGainClass::member_rederive(std::size_t pos, bool sender_side) {
+  Slot& slot = sender_side ? slots_u_[pos] : slots_v_[pos];
+  if (members_.size() == 1) {
+    slot = {};  // a lone member hears nobody: its exact sum is +0.0
+    return false;
+  }
+  ++exact_fallbacks_;
+  const ExactSum exact = own_slot_sum(members_[pos], sender_side);
+  slot = anchored(exact);
+  return exact.saturated();
+}
+
+void IncrementalGainClass::member_reset(std::size_t pos) {
+  slots_v_[pos] = own_slot(members_[pos], /*sender_side=*/false);
   if (gains_->variant() == Variant::bidirectional) {
-    const ExactSum sum_u = own_slot_sum(link, /*sender_side=*/true);
-    member_exact_u_.store(pos, sum_u);
-    member_u_[pos] = sum_u.value();
+    slots_u_[pos] = own_slot(members_[pos], /*sender_side=*/true);
   }
 }
 
@@ -387,28 +469,27 @@ bool IncrementalGainClass::member_can_add(std::size_t request_index) const {
   for (std::size_t p = 0; p < members_.size(); ++p) {
     const std::size_t m = members_[p];
     const double signal = gains_->signal(m);
-    const double extra_v = gains_->at_v(request_index, m);
-    if (!(signal > params_.beta * (member_v_[p] + extra_v + params_.noise))) return false;
-    if (bidirectional) {
-      const double extra_u = gains_->at_u(request_index, m);
-      if (!(signal > params_.beta * (member_u_[p] + extra_u + params_.noise))) {
-        return false;
-      }
+    if (!member_passes(p, /*sender_side=*/false, signal, gains_->at_v(request_index, m))) {
+      return false;
+    }
+    if (bidirectional &&
+        !member_passes(p, /*sender_side=*/true, signal, gains_->at_u(request_index, m))) {
+      return false;
     }
   }
 
   // The newcomer must decode against everyone already in the class.
   const double cand_signal = gains_->signal(request_index);
-  ExactSum own_v = own_slot_sum(request_index, /*sender_side=*/false);
-  if (!(cand_signal > params_.beta * (own_v.value() + params_.noise))) return false;
-  ExactSum own_u;
+  Slot own_v = own_slot(request_index, /*sender_side=*/false);
+  if (!own_passes(request_index, /*sender_side=*/false, cand_signal, own_v)) return false;
+  Slot own_u;
   if (bidirectional) {
-    own_u = own_slot_sum(request_index, /*sender_side=*/true);
-    if (!(cand_signal > params_.beta * (own_u.value() + params_.noise))) return false;
+    own_u = own_slot(request_index, /*sender_side=*/true);
+    if (!own_passes(request_index, /*sender_side=*/true, cand_signal, own_u)) return false;
   }
   stash_link_ = request_index;
-  stash_v_ = std::move(own_v);
-  stash_u_ = std::move(own_u);
+  stash_v_ = own_v;
+  stash_u_ = own_u;
   return true;
 }
 
@@ -418,49 +499,41 @@ void IncrementalGainClass::member_remove(std::size_t request_index) {
   stash_link_ = kNoExtra;
   const auto at = static_cast<std::ptrdiff_t>(pos);
   members_.erase(members_.begin() + at);
-  member_v_.erase(member_v_.begin() + at);
-  member_exact_v_.erase(pos);
-  if (gains_->variant() == Variant::bidirectional) {
-    member_u_.erase(member_u_.begin() + at);
-    member_exact_u_.erase(pos);
-  }
-  // Subtracting from the expansions is error-free, so every surviving
-  // slot lands bit for bit where a freshly built class would.
-  if (member_apply_row(request_index, kNoExtra, /*add_op=*/false)) {
+  slots_v_.erase(slots_v_.begin() + at);
+  if (gains_->variant() == Variant::bidirectional) slots_u_.erase(slots_u_.begin() + at);
+  if (member_apply_row(request_index, kNoExtra, /*add_op=*/false, /*settled=*/true)) {
     // A member slot's true interference sum once exceeded the double
-    // range: ExactSum saturation is sticky, so subtraction alone cannot
-    // bring the finite state back even though the survivors' sum may be
+    // range: saturation is sticky, so subtraction alone cannot bring the
+    // finite state back even though the survivors' sum may be
     // representable again. Re-derive from scratch — the only removal that
     // ever pays a replay under this policy, and only in this
     // beyond-DBL_MAX regime.
     ++removal_rebuilds_;
     member_rebuild();
-    return;
   }
-  ++removes_since_rebuild_;
-#ifndef NDEBUG
-  // Debug tripwire for the exactness claim itself: every member slot must
-  // coincide — exactly, not approximately — with a fresh exact sum.
-  if (removes_since_rebuild_ % 8 == 0) {
-    ensure(accumulator_drift() == 0.0,
-           "IncrementalGainClass: exact accumulator deviated from replay");
-  }
-#endif
 }
 
 void IncrementalGainClass::member_rebuild() {
-  for (std::size_t pos = 0; pos < members_.size(); ++pos) member_rederive(pos);
-  removes_since_rebuild_ = 0;
+  for (std::size_t pos = 0; pos < members_.size(); ++pos) member_reset(pos);
 }
 
 double IncrementalGainClass::member_drift() const {
+  // How far a slot's certified interval [fl(s - e), fl(s + e)] misses the
+  // correctly rounded exact sum; 0.0 when it covers it.
+  const auto miss = [](const Slot& slot, double exact) {
+    if (slot.sum == kInf) return exact == kInf ? 0.0 : kInf;
+    if (slot.bound == kInf) return 0.0;
+    const double lo = slot.sum - slot.bound;
+    const double hi = slot.sum + slot.bound;
+    if (exact < lo) return lo - exact;
+    if (exact > hi) return exact - hi;
+    return 0.0;
+  };
   double drift = 0.0;
   for (std::size_t p = 0; p < members_.size(); ++p) {
-    const double fresh_v = own_slot_sum(members_[p], /*sender_side=*/false).value();
-    drift = std::max(drift, std::abs(member_v_[p] - fresh_v));
+    drift = std::max(drift, miss(slots_v_[p], member_accumulator_v(p)));
     if (gains_->variant() == Variant::bidirectional) {
-      const double fresh_u = own_slot_sum(members_[p], /*sender_side=*/true).value();
-      drift = std::max(drift, std::abs(member_u_[p] - fresh_u));
+      drift = std::max(drift, miss(slots_u_[p], member_accumulator_u(p)));
     }
   }
   return drift;
@@ -468,24 +541,22 @@ double IncrementalGainClass::member_drift() const {
 
 double IncrementalGainClass::accumulator_v(std::size_t i) const {
   if (!member_mode()) return acc_v_[i];
-  const std::size_t pos = position_of(i);
-  return pos != kNoExtra ? member_v_[pos] : own_slot_sum(i, /*sender_side=*/false).value();
+  return own_slot_sum(i, /*sender_side=*/false).value();
 }
 
 double IncrementalGainClass::accumulator_u(std::size_t i) const {
   if (gains_->variant() != Variant::bidirectional) return 0.0;
   if (!member_mode()) return acc_u_[i];
-  const std::size_t pos = position_of(i);
-  return pos != kNoExtra ? member_u_[pos] : own_slot_sum(i, /*sender_side=*/true).value();
+  return own_slot_sum(i, /*sender_side=*/true).value();
 }
 
 double IncrementalGainClass::member_accumulator_v(std::size_t pos) const {
-  return member_mode() ? member_v_[pos] : acc_v_[members_[pos]];
+  return member_mode() ? accumulator_v(members_[pos]) : acc_v_[members_[pos]];
 }
 
 double IncrementalGainClass::member_accumulator_u(std::size_t pos) const {
   if (gains_->variant() != Variant::bidirectional) return 0.0;
-  return member_mode() ? member_u_[pos] : acc_u_[members_[pos]];
+  return member_mode() ? accumulator_u(members_[pos]) : acc_u_[members_[pos]];
 }
 
 void IncrementalGainClass::remove(std::size_t request_index) {
@@ -509,11 +580,14 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
           "IncrementalGainClass: update of an out-of-range link");
   update_pending_ = true;
   if (member_mode()) {
-    // The stash may hold the moving link's own slot; a member's stale row
-    // leaves the other member slots error-free.
+    // The stash may hold the moving link's own slot. A member withdraws
+    // its stale row from the other slots; a slot that loses its bound on
+    // the way waits for finish_link_update, where the moved gains are in.
     stash_link_ = kNoExtra;
     const std::size_t pos = position_of(link);
-    if (pos != kNoExtra) (void)member_apply_row(link, pos, /*add_op=*/false);
+    if (pos != kNoExtra) {
+      (void)member_apply_row(link, pos, /*add_op=*/false, /*settled=*/false);
+    }
     return;
   }
   require(acc_v_.size() == gains_->size(),
@@ -528,27 +602,19 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
   update_pending_ = false;
   if (member_mode()) {
     // A non-member's own slot is summed on demand from the refreshed
-    // column, so only a member class has work: re-add the row, then
-    // re-derive the link's own slot from the refreshed column.
+    // column, so only a member class has work: re-add the row (which
+    // re-derives the slots phase 1 left unbounded), then re-derive the
+    // link's own slot from the refreshed column.
     const std::size_t pos = position_of(link);
     if (pos == kNoExtra) return;
-    if (member_apply_row(link, pos, /*add_op=*/true)) {
+    if (member_apply_row(link, pos, /*add_op=*/true, /*settled=*/true)) {
       // Same escape hatch as remove(): only a replay restores the finite
       // state of a saturated slot.
       ++removal_rebuilds_;
       member_rebuild();
       return;
     }
-    member_rederive(pos);
-    ++removes_since_rebuild_;
-#ifndef NDEBUG
-    // Debug tripwire for the in-place-update exactness claim itself, at
-    // the same cadence as the removal tripwire.
-    if (removes_since_rebuild_ % 8 == 0) {
-      ensure(accumulator_drift() == 0.0,
-             "IncrementalGainClass: exact accumulator deviated after link update");
-    }
-#endif
+    member_reset(pos);
     return;
   }
   if (contains(link)) {
@@ -583,8 +649,8 @@ bool IncrementalGainClass::members_feasible() const {
   if (member_mode()) {
     for (std::size_t p = 0; p < members_.size(); ++p) {
       const double signal = gains_->signal(members_[p]);
-      if (!(signal > params_.beta * (member_v_[p] + params_.noise))) return false;
-      if (bidirectional && !(signal > params_.beta * (member_u_[p] + params_.noise))) {
+      if (!member_passes(p, /*sender_side=*/false, signal, 0.0)) return false;
+      if (bidirectional && !member_passes(p, /*sender_side=*/true, signal, 0.0)) {
         return false;
       }
     }

@@ -29,7 +29,6 @@
 #include "sinr/feasibility.h"
 #include "sinr/gain_storage.h"
 #include "sinr/model.h"
-#include "util/exact_bank.h"
 #include "util/exact_sum.h"
 
 namespace oisched {
@@ -178,27 +177,27 @@ class GainMatrix {
 /// Plain floating-point accumulators are order-sensitive: subtracting a
 /// departed member's contributions does not, in general, reproduce the sum
 /// a fresh replay of the surviving adds would compute. Both arithmetics
-/// below stay bit-for-bit equal to a freshly built class at all times;
-/// they differ in what they store and what a removal costs.
+/// below decide every verdict exactly as a freshly built class would; they
+/// differ in what they store and what a removal costs.
 enum class RemovePolicy {
   /// Plain sums over all n slots in insertion order, replayed after every
   /// removal: O(n) per add, O(|class| * n) per remove. The offline gain
   /// engine, and the reference the exact arithmetic is gated against.
   rebuild,
-  /// Numerically exact O(|class|) removal: every member's accumulator
-  /// slot is an ExactSum expansion (util/exact_sum.h), so add accumulates
-  /// and remove subtracts with zero rounding error, and the slot's
-  /// exposed double is the correct rounding of the infinitely precise
-  /// member sum. A non-member's slot is not stored at all: it is that
-  /// same correctly rounded sum, computed on demand over the current
-  /// members. The state is a pure function of the member multiset: after
-  /// any add/remove history the accumulators are bit-for-bit identical to
-  /// a freshly built exact-policy class over the survivors (in any
-  /// insertion order), with no replays at all — accumulator_drift() is
-  /// exactly 0.0 forever. (Sole escape hatch: a member slot whose true
-  /// interference sum exceeded DBL_MAX saturates its expansion, and the
-  /// next removal re-derives the class from scratch to restore the
-  /// finite state.) The online scheduler's default.
+  /// Numerically exact verdicts at O(|class|) per add and remove. The
+  /// value a verdict thresholds is the correct rounding of the infinitely
+  /// precise sum of the members' gains at a slot — a pure function of the
+  /// member set, whatever the insertion and removal history. The class
+  /// never stores that value: it keeps a plain running sum per member slot
+  /// together with a forward error bound, certifies each verdict from the
+  /// bound, and pays for an exact sum (util/exact_sum.h) only when the
+  /// bound cannot decide (see IncrementalGainClass). accumulator_v/u and
+  /// member_accumulator_v/u compute the exact value on demand, so they are
+  /// bit-for-bit those of a fresh exact class over the same members, and
+  /// accumulator_drift() is exactly 0.0. (Sole replay: a member slot whose
+  /// true interference sum exceeded DBL_MAX stays saturated until the next
+  /// removal re-derives the class from scratch, counted in
+  /// removal_rebuilds().) The online scheduler's default.
   exact,
 };
 
@@ -222,13 +221,39 @@ enum class RemovePolicy {
 /// Member mode (the exact policy): whether a class can take a link
 /// depends only on gains between its members and that link, so only the
 /// k = |class| member slots are stored, in insertion order alongside the
-/// members. A candidate's own slot is the exact sum of the members' gains
-/// at it, gathered from the table column and correctly rounded on demand
-/// in O(k) — the same double an n-wide exact slot would hold, since
-/// ExactSum's value is order-free. add and remove update k slots; motion
-/// of a non-member touches nothing. The can_add that accepts a candidate
-/// stashes its own-slot sums, and the add that follows reuses them; any
-/// mutation drops the stash.
+/// members. Every verdict is the test
+///
+///   f(x) = signal > beta * ((x + extra) + noise)
+///
+/// at x = the correct rounding RN(S) of the exact slot sum S (extra is the
+/// candidate's gain at a member, or 0 for a member's or candidate's own
+/// check). The class decides it without knowing RN(S):
+///
+///   * A member slot holds a plain double s, updated by one IEEE add or
+///     subtract per event, and a bound e with |s - S| <= e. One add or
+///     subtract errs by at most u|s'| (u = 2^-53, s' the new value; 0 when
+///     s' is subnormal), and e grows by fl(4u|s'|) >= 3u|s'| per update.
+///     Rounding e's own sum loses at most u*e', which the slack repays as
+///     long as e' <= 2|s'|; a per-slot budget (e <= 2^-26 |s|, checked on
+///     every update) guarantees that, so the invariant holds for any
+///     number of updates.
+///   * A candidate's own slot is a plain sum of its c member gains, in any
+///     order, with e = c * 4u * s (the classic gamma_c bound for non-negative
+///     terms, with room to spare).
+///   * RN is monotone, so RN(s - e) <= RN(S) <= RN(s + e), and fl(s -/+ e)
+///     are exactly those roundings. f is monotone non-increasing in x, so
+///     f(fl(s + e)) true certifies acceptance and f(fl(s - e)) false
+///     certifies rejection. Both ends are tested with the threshold
+///     expression unchanged, so a certified verdict IS the exact one.
+///   * Only when the ends disagree (the threshold lies within the bound),
+///     when a gain or sum is non-finite or near DBL_MAX, or when an update
+///     pushes a slot past its budget does the class gather the k gains and
+///     sum them exactly (ExactSum::sum_of) — counted in exact_fallbacks().
+///     A slot re-derived that way restarts from s = RN(S), e = 4u|s|.
+///
+/// The accepting can_add stashes the candidate's own slot and the add
+/// that follows reuses it; any mutation drops the stash. Motion of a
+/// non-member touches nothing.
 class IncrementalGainClass {
  public:
   IncrementalGainClass(const GainMatrix& gains, const SinrParams& params,
@@ -238,18 +263,19 @@ class IncrementalGainClass {
   void add(std::size_t request_index);
   /// Evicts a member (precondition: it is one). Under RemovePolicy::rebuild
   /// the accumulators afterwards equal a fresh replay of the surviving adds
-  /// in insertion order, bit for bit; under exact they equal a freshly
-  /// built exact-policy class over the survivors, bit for bit, at
-  /// O(|class|) cost.
+  /// in insertion order, bit for bit; under exact every verdict and exact
+  /// accessor equals that of a freshly built exact-policy class over the
+  /// survivors, at O(|class|) cost.
   void remove(std::size_t request_index);
 
   /// Endpoint-motion bracket, phase 1 of 2: called on EVERY class (member
   /// or not) BEFORE GainMatrix::update_request moves link `link`. Under
   /// exact a member class subtracts the link's stale row contribution from
-  /// the other slots, error-free; a non-member class has nothing to read
-  /// from the old gains (member mode drops its can_add stash, nothing
-  /// else). Under rebuild nothing happens here, because
-  /// finish_link_update replays.
+  /// the other member slots (a slot this leaves without a usable bound is
+  /// marked for re-derivation in phase 2, over the moved gains); a
+  /// non-member class has nothing to read from the old gains (member mode
+  /// drops its can_add stash, nothing else). Under rebuild nothing happens
+  /// here, because finish_link_update replays.
   /// Must be paired with finish_link_update on the same link, with no
   /// other mutation in between.
   void begin_link_update(std::size_t link);
@@ -258,11 +284,11 @@ class IncrementalGainClass {
   /// class then re-derives slot `link` from its members, because the
   /// column behind that slot changed and the add/remove paths never touch
   /// a link's own slot (member mode stores no non-member slot, so a
-  /// non-member class does nothing). Under exact the resulting state is
-  /// bit-for-bit a freshly built exact class over the same members and the
-  /// moved universe, with no replay (the sticky-saturation escape hatch of
-  /// remove() applies here too, counted in removal_rebuilds()); under
-  /// rebuild a member class replays.
+  /// non-member class does nothing). Under exact the resulting verdicts
+  /// and exact accessors are those of a freshly built exact class over the
+  /// same members and the moved universe, with no replay (the
+  /// sticky-saturation escape hatch of remove() applies here too, counted
+  /// in removal_rebuilds()); under rebuild a member class replays.
   void finish_link_update(std::size_t link);
   /// True when every member still decodes against the live accumulators —
   /// the O(|class|) re-validation the online scheduler runs after motion
@@ -278,15 +304,16 @@ class IncrementalGainClass {
   /// matrix has appended rows; a no-op when sizes already agree, and
   /// always in member mode (no slot is indexed by the universe).
   void sync_universe();
-  /// Re-derives the accumulators by replaying the members in insertion
-  /// order — the canonical from-scratch state (a no-op change of state
-  /// outside the saturation escape hatch, since neither policy's
-  /// accumulators otherwise leave it).
+  /// Re-derives the accumulators from the members — the canonical
+  /// from-scratch state (a no-op change of every verdict and exact
+  /// accessor outside the saturation escape hatch).
   void rebuild();
-  /// Largest absolute deviation of the live accumulators from a replayed
-  /// rebuild under this policy's arithmetic — the exactness suites'
-  /// cross-check (always exactly 0.0 under both policies). Does not
-  /// modify the class.
+  /// Under rebuild: the largest absolute deviation of the live
+  /// accumulators from a replayed rebuild. Under exact: the largest
+  /// distance by which a member slot's certified interval misses the
+  /// correctly rounded exact sum. The exactness suites' cross-check —
+  /// 0.0 means sound, and it is always exactly 0.0 under both policies.
+  /// O(|class|^2) under exact. Does not modify the class.
   [[nodiscard]] double accumulator_drift() const;
 
   /// Full accumulator replays triggered by removals so far (every remove
@@ -296,16 +323,21 @@ class IncrementalGainClass {
   [[nodiscard]] std::size_t removal_rebuilds() const noexcept {
     return removal_rebuilds_;
   }
+  /// Verdicts and slot re-derivations the exact policy's error-bound
+  /// filter sent to the exact O(|class|) sum so far (always 0 under
+  /// rebuild).
+  [[nodiscard]] std::size_t exact_fallbacks() const noexcept { return exact_fallbacks_; }
 
-  /// The live accumulator slots (interference the members contribute at
-  /// request i's receiver / sender): what can_add thresholds against.
-  /// Exposed so the exactness suites can compare states bit for bit. In
-  /// member mode a non-member's slot is summed on demand, O(|class|).
+  /// The interference the members contribute at request i's receiver /
+  /// sender: under rebuild the live accumulator slot can_add thresholds
+  /// against; under exact the correctly rounded exact sum, computed on
+  /// demand in O(|class|). Exposed so the exactness suites can compare
+  /// states bit for bit.
   [[nodiscard]] double accumulator_v(std::size_t i) const;
   /// 0.0 for the directed variant, which has no sender-side constraint.
   [[nodiscard]] double accumulator_u(std::size_t i) const;
-  /// accumulator_v / accumulator_u of members()[pos], in O(1) on every
-  /// policy — for walks over the members.
+  /// accumulator_v / accumulator_u of members()[pos] — O(1) under rebuild,
+  /// O(|class|) under exact.
   [[nodiscard]] double member_accumulator_v(std::size_t pos) const;
   [[nodiscard]] double member_accumulator_u(std::size_t pos) const;
 
@@ -317,6 +349,16 @@ class IncrementalGainClass {
  private:
   static constexpr std::size_t kNoExtra = static_cast<std::size_t>(-1);
 
+  /// Member mode: a plain running sum and its forward error bound. A slot
+  /// whose sum saturated (its exact sum passed DBL_MAX) reads
+  /// {+inf, +inf} until it is re-derived from scratch; one without a usable
+  /// bound (a non-finite gain, or between the two phases of a link update)
+  /// reads {0, +inf}, which sends every verdict on it to the exact path.
+  struct Slot {
+    double sum = 0.0;
+    double bound = 0.0;
+  };
+
   [[nodiscard]] bool member_mode() const noexcept {
     return policy_ == RemovePolicy::exact;
   }
@@ -326,12 +368,37 @@ class IncrementalGainClass {
   /// Member mode: the exact sum of the members' gains at `link` on one
   /// side, skipping `link` itself — gathered first, then accumulated.
   [[nodiscard]] ExactSum own_slot_sum(std::size_t link, bool sender_side) const;
+  /// Member mode: a slot restarted from an exact sum — s = RN(S) with
+  /// e = 4u|s|, or the saturated / unbounded markers.
+  [[nodiscard]] static Slot anchored(const ExactSum& exact);
+  /// Member mode: the plain sum of the members' gains at `link` on one
+  /// side, skipping `link` itself, with its bound — exact instead when the
+  /// plain sum is non-finite or near DBL_MAX.
+  [[nodiscard]] Slot own_slot(std::size_t link, bool sender_side) const;
+  /// Member mode: f(x) certified from the slot at member position `pos`
+  /// (sender side or not), falling back to the exact sum on a straddle —
+  /// the out-of-line _exactly half, so the certified path stays inline.
+  [[nodiscard]] bool member_passes(std::size_t pos, bool sender_side, double signal,
+                                   double extra) const;
+  [[nodiscard]] bool member_passes_exactly(std::size_t pos, bool sender_side, double signal,
+                                           double extra) const;
+  /// Member mode: the candidate's own check, certified from its plain own
+  /// slot; on a straddle `own` is replaced by the exact sum.
+  [[nodiscard]] bool own_passes(std::size_t link, bool sender_side, double signal,
+                                Slot& own) const;
+  [[nodiscard]] bool own_passes_exactly(std::size_t link, bool sender_side, double signal,
+                                        Slot& own) const;
   /// Member mode: adds (or withdraws) row `link`'s gains at every member
-  /// slot except position `skip`. Returns true when a slot is left
-  /// saturated.
-  bool member_apply_row(std::size_t link, std::size_t skip, bool add_op);
-  /// Member mode: re-derives the slots at position `pos` from the members.
-  void member_rederive(std::size_t pos);
+  /// slot except position `skip`. A slot the update leaves without a
+  /// usable bound is re-derived from the current members when `settled`,
+  /// and marked for re-derivation otherwise. Returns true when a slot is
+  /// left saturated.
+  bool member_apply_row(std::size_t link, std::size_t skip, bool add_op, bool settled);
+  /// Member mode: re-derives the slot at position `pos` on one side from
+  /// the current members; returns true when it saturated.
+  bool member_rederive(std::size_t pos, bool sender_side);
+  /// Member mode: resets both slots at position `pos` from the members.
+  void member_reset(std::size_t pos);
   /// Member mode: counterparts of can_add / remove / rebuild /
   /// accumulator_drift.
   [[nodiscard]] bool member_can_add(std::size_t request_index) const;
@@ -346,28 +413,25 @@ class IncrementalGainClass {
   SinrParams params_;
   RemovePolicy policy_;
   bool update_pending_ = false;
-  std::size_t removes_since_rebuild_ = 0;
   std::size_t removal_rebuilds_ = 0;
+  mutable std::size_t exact_fallbacks_ = 0;
   std::vector<std::size_t> members_;
   /// Interference from the members at v_i / u_i, for every request i
   /// (empty in member mode). The slots of members themselves exclude their
   /// own contribution.
   std::vector<double> acc_v_;
   std::vector<double> acc_u_;
-  /// Member mode only: member slots aligned with members_ — the rounded
-  /// interference at each member's receiver / sender, and the expansions
-  /// behind them.
-  std::vector<double> member_v_;
-  std::vector<double> member_u_;
-  ExactSumBank member_exact_v_;
-  ExactSumBank member_exact_u_;
-  /// Member mode only: gather buffer for a row or column read at the
-  /// members, and the own-slot sums of the last candidate can_add
-  /// accepted (stash_link_ == kNoExtra when none is valid).
+  /// Member mode only: member slots aligned with members_ — the filtered
+  /// interference at each member's receiver / sender.
+  std::vector<Slot> slots_v_;
+  std::vector<Slot> slots_u_;
+  /// Member mode only: gather buffer for the exact path, and the own slots
+  /// of the last candidate can_add accepted (stash_link_ == kNoExtra when
+  /// none is valid).
   mutable std::vector<double> gather_;
   mutable std::size_t stash_link_ = kNoExtra;
-  mutable ExactSum stash_v_;
-  mutable ExactSum stash_u_;
+  mutable Slot stash_v_;
+  mutable Slot stash_u_;
 };
 
 /// greedy_feasible_subset over precomputed gains; identical selection.

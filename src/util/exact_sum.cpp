@@ -14,6 +14,40 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// a compressed expansion still longer hands over to the add() path.
 constexpr std::size_t kSumOfCompressAt = 8;
 
+/// Shewchuk's COMPRESS, in place: rewrites the nonoverlapping expansion
+/// e[0..m) (increasing magnitude, zero-free, m >= 1) with the fewest
+/// components and the same exact sum, and returns the new length (<= m).
+/// `scratch` must hold m doubles.
+std::size_t compress_expansion(double* e, std::size_t m, double* scratch) noexcept {
+  // Top-down: a fast-two-sum cascade condenses the expansion into
+  // `scratch` (decreasing magnitude). Bottom-up: absorb from the smallest
+  // condensed term toward the largest, emitting the roundoffs as the
+  // final low-order components. Both passes are chains of error-free
+  // transformations, so the exact sum is untouched; the output length
+  // never exceeds the input length, so it is written in place.
+  std::size_t count = 0;
+  double q = e[m - 1];
+  for (std::size_t i = m - 1; i-- > 0;) {
+    const TwoSum s = fast_two_sum(q, e[i]);
+    if (s.err != 0.0) {
+      scratch[count++] = s.sum;
+      q = s.err;
+    } else {
+      q = s.sum;
+    }
+  }
+  scratch[count++] = q;
+  std::size_t out = 0;
+  q = scratch[count - 1];
+  for (std::size_t i = count - 1; i-- > 0;) {
+    const TwoSum s = fast_two_sum(scratch[i], q);
+    if (s.err != 0.0) e[out++] = s.err;
+    q = s.sum;
+  }
+  e[out++] = q;
+  return out;
+}
+
 }  // namespace
 
 double add_round_to_odd(double a, double b) noexcept {

@@ -76,53 +76,11 @@ struct TwoSum {
 /// dropped (Boldo–Melquiond) — the building block of ExactSum::value().
 [[nodiscard]] double add_round_to_odd(double a, double b) noexcept;
 
-/// Shewchuk's COMPRESS, in place: rewrites the nonoverlapping expansion
-/// e[0..m) (increasing magnitude, zero-free, m >= 1) with the fewest
-/// components and the same exact sum, and returns the new length (<= m).
-/// `scratch` must hold m doubles. The one renormalization ExactSum and
-/// ExactSumBank both run; inline, like two_sum, for the slot hot paths.
-inline std::size_t compress_expansion(double* e, std::size_t m, double* scratch) noexcept {
-  // Top-down: a fast-two-sum cascade condenses the expansion into
-  // `scratch` (decreasing magnitude). Bottom-up: absorb from the smallest
-  // condensed term toward the largest, emitting the roundoffs as the
-  // final low-order components. Both passes are chains of error-free
-  // transformations, so the exact sum is untouched; the output length
-  // never exceeds the input length, so it is written in place.
-  std::size_t count = 0;
-  double q = e[m - 1];
-  for (std::size_t i = m - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(q, e[i]);
-    if (s.err != 0.0) {
-      scratch[count++] = s.sum;
-      q = s.err;
-    } else {
-      q = s.sum;
-    }
-  }
-  scratch[count++] = q;
-  std::size_t out = 0;
-  q = scratch[count - 1];
-  for (std::size_t i = count - 1; i-- > 0;) {
-    const TwoSum s = fast_two_sum(scratch[i], q);
-    if (s.err != 0.0) e[out++] = s.err;
-    q = s.sum;
-  }
-  e[out++] = q;
-  return out;
-}
-
 /// An exact accumulator over doubles: supports add, exact subtract, and
 /// correctly rounded readout. Copyable; empty sums read as +0.0.
 class ExactSum {
  public:
   ExactSum() = default;
-
-  /// Adopts an already-renormalized expansion (nonoverlapping, increasing
-  /// magnitude, zero-free — e.g. the output of renormalize()) as the
-  /// finite state of a fresh sum. The ExactSumBank spill path uses this to
-  /// hand a slot's inline expansion over without re-deriving it, keeping
-  /// bank and ExactSum representations bit-interchangeable.
-  [[nodiscard]] static ExactSum from_expansion(std::span<const double> components);
 
   /// The exact sum of `addends` — the same value as adding them one by
   /// one, at about half the cost or less: the grow chain runs on a
@@ -180,6 +138,9 @@ class ExactSum {
   static constexpr std::size_t kInlineCapacity = 8;
 
  private:
+  /// Adopts an already-renormalized expansion (nonoverlapping, increasing
+  /// magnitude, zero-free) as the finite state of a fresh sum.
+  [[nodiscard]] static ExactSum from_expansion(std::span<const double> components);
   void add_finite(double x);
   void push_comp(double v);
   [[nodiscard]] double* comps() noexcept {

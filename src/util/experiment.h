@@ -48,7 +48,7 @@ struct ScenarioSpec {
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild"). exact — the scheduler default — removes
-  /// in O(|class|) with zero rounding error and zero replays.
+  /// in O(|class|) with exact verdicts and zero replays.
   std::string remove_policy = "exact";
   /// Dynamic-service family (> 0): replay the trace through a
   /// SchedulerService with this many shards instead of a bare

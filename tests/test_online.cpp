@@ -739,6 +739,64 @@ TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
   }
 }
 
+TEST(OnlineScheduler, AuditHoldsAfterLongChurnGrowthAndMotionReplays) {
+  // audit() after long replays of each kind of event — churn on a shared
+  // dense table, growth with slot reuse on appendable, motion on computed
+  // — each differential against a rebuild-policy twin fed the same calls.
+  const auto scenario = random_scenario(64, /*seed=*/404);
+  const Instance full = scenario.instance();
+  const std::size_t n0 = full.size() / 2;
+  const auto all = full.requests();
+  const Instance base(full.metric_ptr(),
+                      std::vector<Request>(all.begin(), all.begin() + n0));
+  SinrParams params;
+  params.alpha = 3.0;
+  params.beta = 1.0;
+  const auto check = [&](const Instance& instance, GainBackend backend,
+                         const auto& drive, const char* context) {
+    const auto powers = SqrtPower{}.assign(instance, params.alpha);
+    OnlineSchedulerOptions options;
+    options.storage = backend;
+    options.fresh_power = std::make_shared<SqrtPower>();
+    OnlineScheduler exact(instance, powers, params, Variant::bidirectional, options);
+    options.remove_policy = RemovePolicy::rebuild;
+    OnlineScheduler twin(instance, powers, params, Variant::bidirectional, options);
+    drive(exact);
+    drive(twin);
+    EXPECT_NO_THROW(exact.audit()) << context;
+    EXPECT_NO_THROW(twin.audit()) << context;
+    EXPECT_EQ(exact.snapshot().color_of, twin.snapshot().color_of) << context;
+    EXPECT_EQ(exact.stats().migrations, twin.stats().migrations) << context;
+    EXPECT_EQ(exact.stats().removal_rebuilds, 0u) << context;
+    EXPECT_TRUE(exact.validate_against_direct()) << context;
+  };
+
+  Rng churn_rng(17);
+  const ChurnTrace churn = make_churn_trace("poisson", full.size(), 3000, churn_rng);
+  const auto replay_churn = [&](OnlineScheduler& s) { (void)replay_trace(s, churn, false); };
+  check(full, GainBackend::dense, replay_churn, "churn/dense");
+
+  Rng growth_rng(18);
+  const ChurnTrace growth = make_churn_trace("growing", n0, 3000, growth_rng, all.subspan(n0));
+  const auto grow_then_reuse = [&](OnlineScheduler& s) {
+    (void)replay_trace(s, growth, false);
+    // Retire what is inactive, then let fresh links recycle the slots.
+    std::size_t retired = 0;
+    for (std::size_t link = 0; link < s.universe() && retired < 8; ++link) {
+      if (!s.is_active(link)) {
+        s.retire_link(link);
+        ++retired;
+      }
+    }
+    for (std::size_t i = 0; i < retired; ++i) (void)s.on_link_arrival(all[n0 + i]);
+  };
+  check(base, GainBackend::appendable, grow_then_reuse, "growth/appendable");
+
+  const ChurnTrace motion = mobility_trace(full, "waypoint", 19, 3000);
+  const auto replay_motion = [&](OnlineScheduler& s) { (void)replay_trace(s, motion, false); };
+  check(full, GainBackend::computed, replay_motion, "motion/computed");
+}
+
 TEST(OnlineScheduler, MobilityFinalStateRevalidatesOverTheMovedGeometry) {
   // End-to-end exactness: after a mobility replay the scheduler's final
   // coloring must pass the from-scratch direct checker evaluated over the

@@ -559,6 +559,7 @@ void expect_scheduler_series_match(const obs::MetricsSnapshot& snapshot,
       {"oisched_classes_closed_total", stats.classes_closed},
       {"oisched_retired_links_total", stats.retired_links},
       {"oisched_reused_slots_total", stats.reused_slots},
+      {"oisched_exact_fallbacks_total", stats.exact_fallbacks},
   };
   for (const auto& [series, value] : expected) {
     ASSERT_NE(std::find_if(snapshot.entries.begin(), snapshot.entries.end(),
