@@ -10,14 +10,18 @@
 //     slot summed, one update per member slot), re-validates every member
 //     with certified verdicts, and lets the link go again (one update per
 //     member slot) — reported per slot touched;
+//   * one gain entry: a load from the dense table, the computed backend's
+//     inline Euclidean kernel (distances, std::pow, divide), and the
+//     kernel's pow-free estimate the filter reads on that backend;
 //   * exact summation of k gains, the filter's fallback: one ExactSum::add
 //     per gain against ExactSum::sum_of;
-//   * the exact own-slot gather-and-sum: read k members' gains at one link
-//     (a table column, strided by n on the dense backend; a filler call
-//     per entry on the tableless computed backend), then sum them exactly
-//     with ExactSum::sum_of;
+//   * the exact own-slot gather-and-sum: read k members' gain entries at
+//     one link (a table column, strided by n on the dense backend; one
+//     exact kernel evaluation per entry on the tableless computed
+//     backend), then sum them exactly with ExactSum::sum_of;
 //   * IncrementalGainClass::can_add on a class of k members: the member
-//     scan and the own-slot sum together;
+//     scan and the own-slot sum together, directed on both backends and
+//     bidirectional on computed (the benchmark's scale workload);
 //   * the service's ingest spine: an MpscQueue push per event and one
 //     drain per batch, and the LatencyHistogram::observe every event pays.
 //
@@ -76,10 +80,11 @@ BENCHMARK_CAPTURE(BM_ExactSumOfGains, sum_of, true)->Arg(16)->Arg(256)->Arg(1024
 /// A 4096-link random-square universe with square-root powers and k
 /// distinct random members; the rest of the universe are candidates.
 struct ClassFixture {
-  explicit ClassFixture(std::size_t k, GainBackend backend)
+  explicit ClassFixture(std::size_t k, GainBackend backend,
+                        Variant variant = Variant::directed)
       : instance(make_instance()),
         powers(SqrtPower{}.assign(instance, params.alpha)),
-        gains(instance, powers, params.alpha, Variant::directed,
+        gains(instance, powers, params.alpha, variant,
               /*with_sender_gains=*/false, backend) {
     std::vector<std::size_t> order(instance.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -103,6 +108,34 @@ struct ClassFixture {
   std::vector<std::size_t> members;
   std::vector<std::size_t> candidates;
 };
+
+enum class EntryRead { dense_load, exact_kernel, estimate };
+
+/// One receiver-side gain per item, at random (j, i) pairs of the
+/// universe: what a member scan pays per member.
+void BM_GainEntry(benchmark::State& state, EntryRead read) {
+  const ClassFixture fixture(0, read == EntryRead::dense_load ? GainBackend::dense
+                                                              : GainBackend::computed);
+  const GainMatrix& gains = fixture.gains;
+  const EuclideanGainKernel* kernel = gains.euclidean_kernel();
+  Rng rng(kSeed + 2);
+  std::vector<std::pair<std::size_t, std::size_t>> pairs(4096);
+  for (auto& [j, i] : pairs) {
+    j = rng.uniform_index(kUniverse);
+    i = rng.uniform_index(kUniverse);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto [j, i] = pairs[next++ % pairs.size()];
+    benchmark::DoNotOptimize(read == EntryRead::estimate
+                                 ? kernel->estimate(j, i, /*sender_side=*/false)
+                                 : gains.at_v(j, i));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_GainEntry, dense_load, EntryRead::dense_load);
+BENCHMARK_CAPTURE(BM_GainEntry, exact_kernel, EntryRead::exact_kernel);
+BENCHMARK_CAPTURE(BM_GainEntry, estimate, EntryRead::estimate);
 
 void BM_OwnSlotGatherSum(benchmark::State& state, GainBackend backend) {
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -129,9 +162,9 @@ BENCHMARK_CAPTURE(BM_OwnSlotGatherSum, computed, GainBackend::computed)
     ->Arg(256)
     ->Arg(1024);
 
-void BM_CanAdd(benchmark::State& state, GainBackend backend) {
+void BM_CanAdd(benchmark::State& state, GainBackend backend, Variant variant) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const ClassFixture fixture(k, backend);
+  const ClassFixture fixture(k, backend, variant);
   // A vanishing SINR threshold, so every member joins and every candidate
   // runs the full member scan plus the own-slot sum.
   SinrParams params = fixture.params;
@@ -144,8 +177,18 @@ void BM_CanAdd(benchmark::State& state, GainBackend backend) {
     benchmark::DoNotOptimize(cls.can_add(link));
   }
 }
-BENCHMARK_CAPTURE(BM_CanAdd, dense, GainBackend::dense)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK_CAPTURE(BM_CanAdd, computed, GainBackend::computed)
+BENCHMARK_CAPTURE(BM_CanAdd, dense, GainBackend::dense, Variant::directed)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_CanAdd, computed, GainBackend::computed, Variant::directed)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_CanAdd, computed_bidirectional, GainBackend::computed,
+                  Variant::bidirectional)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)

@@ -6,13 +6,6 @@
 
 namespace oisched {
 
-double euclidean_distance(const Point& a, const Point& b) noexcept {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  const double dz = a.z - b.z;
-  return std::sqrt(dx * dx + dy * dy + dz * dz);
-}
-
 EuclideanMetric::EuclideanMetric(std::vector<Point> points) : points_(std::move(points)) {
   require(!points_.empty(), "EuclideanMetric: point set must not be empty");
   for (const Point& p : points_) {

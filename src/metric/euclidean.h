@@ -6,6 +6,7 @@
 #ifndef OISCHED_METRIC_EUCLIDEAN_H
 #define OISCHED_METRIC_EUCLIDEAN_H
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -22,7 +23,20 @@ struct Point {
   friend bool operator==(const Point&, const Point&) = default;
 };
 
-[[nodiscard]] double euclidean_distance(const Point& a, const Point& b) noexcept;
+/// |a - b|^2, summed in x, y, z order.
+[[nodiscard]] inline double squared_euclidean_distance(const Point& a,
+                                                       const Point& b) noexcept {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double dz = a.z - b.z;
+  return dx * dx + dy * dy + dz * dz;
+}
+
+/// |a - b|. Inline, so the computed gain kernel (sinr/gain_matrix.h) reads
+/// the same distances as EuclideanMetric::distance without a virtual call.
+[[nodiscard]] inline double euclidean_distance(const Point& a, const Point& b) noexcept {
+  return std::sqrt(squared_euclidean_distance(a, b));
+}
 
 /// Finite metric space induced by explicit point coordinates.
 class EuclideanMetric final : public MetricSpace {

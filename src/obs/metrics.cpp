@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "util/error.h"
@@ -78,16 +80,52 @@ std::span<const double> HistogramLayout::boundaries() {
   return table;
 }
 
+namespace {
+
+/// A positive double's exponent and top four mantissa bits: its "cell".
+/// A cell spans a factor of at most 1 + 1/16, less than the 2^(1/8) ~
+/// 1.09 between neighbouring edges, so it holds at most one edge.
+std::uint64_t cell_of(double value) { return std::bit_cast<std::uint64_t>(value) >> 48; }
+
+/// For each cell between the first and last edge's, the bucket of the
+/// cell's lowest value — found by std::upper_bound against boundaries(),
+/// so it inherits the table's exact edge placement.
+struct CellTable {
+  std::uint64_t first = 0;
+  std::vector<std::uint16_t> bucket;
+};
+
+const CellTable& cell_table() {
+  static const CellTable table = [] {
+    const auto edges = HistogramLayout::boundaries();
+    CellTable t;
+    t.first = cell_of(edges.front());
+    for (std::uint64_t cell = t.first; cell <= cell_of(edges.back()); ++cell) {
+      const double lowest = std::bit_cast<double>(cell << 48);
+      const auto it = std::upper_bound(edges.begin(), edges.end(), lowest);
+      t.bucket.push_back(static_cast<std::uint16_t>(it - edges.begin()));
+    }
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
 std::size_t HistogramLayout::bucket_of(double value) {
-  // NaN compares false against every boundary and would fall through
-  // upper_bound inconsistently; pin it (and negatives) to underflow.
-  if (!(value >= 0.0)) return 0;
   const auto edges = boundaries();
-  // First edge strictly greater than the value: a value exactly on an
-  // edge opens that edge's bucket, never the one below — exact-boundary
-  // placement is a table lookup, not an exp/log round-trip.
-  const auto it = std::upper_bound(edges.begin(), edges.end(), value);
-  return static_cast<std::size_t>(it - edges.begin());
+  // NaN compares false against every boundary; pin it (and negatives) to
+  // underflow, like everything below the first edge.
+  if (!(value >= edges.front())) return 0;
+  if (value >= edges.back()) return kLogBuckets + 1;
+  // The bucket is the number of edges <= value (a value exactly on an
+  // edge opens that edge's bucket). The value's cell holds at most one
+  // edge, so it is the bucket of the cell's lowest value or the next one:
+  // one comparison against the table decides, never an exp/log round-trip.
+  const CellTable& table = cell_table();
+  std::size_t bucket = table.bucket[cell_of(value) - table.first];
+  if (value >= edges[bucket]) ++bucket;
+  return bucket;
 }
 
 double HistogramLayout::lower(std::size_t bucket) {

@@ -69,10 +69,12 @@ struct HistogramLayout {
   /// [1, kLogBuckets] covers [boundaries()[b-1], boundaries()[b]).
   [[nodiscard]] static std::span<const double> boundaries();
 
-  /// Deterministic bucket index of a value: a binary search against the
-  /// boundary table, so a value exactly on an edge lands in the bucket
-  /// the edge opens (never a neighbor, whatever the libm rounding that
-  /// produced the table). Negative and NaN values underflow to bucket 0.
+  /// Deterministic bucket index of a value, in O(1): a guess from the
+  /// value's exponent and top mantissa bits, settled by one comparison
+  /// against the boundary table, so a value exactly on an edge lands in
+  /// the bucket the edge opens (never a neighbor, whatever the libm
+  /// rounding that produced the table). Negative and NaN values underflow
+  /// to bucket 0.
   [[nodiscard]] static std::size_t bucket_of(double value);
 
   /// Inclusive lower edge of a bucket (0.0 for the underflow bucket).

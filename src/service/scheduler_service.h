@@ -145,7 +145,12 @@ struct ServiceStats {
   std::size_t boundary_refreshes = 0;
   /// Summed across shards (event_latency merged), and peak_colors the
   /// peak of the global palette (the sum of the shards' live color counts,
-  /// since shards own disjoint color planes).
+  /// since shards own disjoint color planes). That peak is sampled from a
+  /// shared running sum each time one shard's color count changes, so it
+  /// sees the other shards wherever their threads happen to be: two runs
+  /// of the same trace can read different peaks over identical final
+  /// states. Leave it out of run-to-run comparisons; every other field
+  /// here is reproducible once the service is drained.
   OnlineStats scheduler;
   Summary latency;             // seconds, submit -> completion
 };

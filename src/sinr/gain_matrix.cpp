@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/instance.h"
+#include "metric/euclidean.h"
 #include "util/error.h"
 
 namespace oisched {
@@ -41,6 +42,36 @@ GainFiller make_gain_filler(const MetricSpace* metric,
                             : min_endpoint_loss(*metric, rj, target, alpha);
     return loss == 0.0 ? kInf : (*powers)[j] / loss;
   };
+}
+
+/// The exact-policy member paths' gain readers, chosen once per call by
+/// read_gains. EntryReader reads the entries themselves (slack 0, so the
+/// filter's tests are the unwidened ones); EstimateReader reads a computed
+/// Euclidean matrix's pow-free estimates, each within kGainEstimateSlack
+/// of its entry.
+struct EntryReader {
+  static constexpr bool kEstimates = false;
+  const GainMatrix* gains;
+  [[nodiscard]] double v(std::size_t j, std::size_t i) const { return gains->at_v(j, i); }
+  [[nodiscard]] double u(std::size_t j, std::size_t i) const { return gains->at_u(j, i); }
+};
+
+struct EstimateReader {
+  static constexpr bool kEstimates = true;
+  EuclideanGainKernel kernel;
+  [[nodiscard]] double v(std::size_t j, std::size_t i) const {
+    return kernel.estimate(j, i, /*sender_side=*/false);
+  }
+  [[nodiscard]] double u(std::size_t j, std::size_t i) const {
+    return kernel.estimate(j, i, /*sender_side=*/true);
+  }
+};
+
+/// Calls body(reader) with the reader `gains` calls for.
+template <typename Body>
+decltype(auto) read_gains(const GainMatrix& gains, Body&& body) {
+  if (gains.gain_slack() > 0.0) return body(EstimateReader{*gains.euclidean_kernel()});
+  return body(EntryReader{&gains});
 }
 
 /// Adds row j of one table to acc over [0, n) minus the diagonal entry
@@ -144,6 +175,17 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
   }
   dense_v_ = at_v_->dense_data();
   dense_u_ = at_u_ == nullptr ? nullptr : at_u_->dense_data();
+  const auto* euclidean = dynamic_cast<const EuclideanMetric*>(metric_);
+  if (backend_ == GainBackend::computed && euclidean != nullptr) {
+    kernel_.points = euclidean->points().data();
+    kernel_.requests = requests_store_->data();
+    kernel_.powers = powers_store_->data();
+    kernel_.alpha = alpha_;
+    kernel_.directed = variant_ == Variant::directed;
+    if (alpha_ >= 1.0 && alpha_ <= 8.0 && alpha_ == std::floor(alpha_)) {
+      kernel_.exponent = static_cast<int>(alpha_);
+    }
+  }
 }
 
 GainMatrix::GainMatrix(const Instance& instance, std::span<const double> powers,
@@ -196,11 +238,21 @@ void GainMatrix::update_request(std::size_t link, const Request& request,
   }
 }
 
+double GainMatrix::entry(std::size_t j, std::size_t i, bool sender_side) const {
+  if (kernel_.points != nullptr) return kernel_.exact(j, i, sender_side);
+  return sender_side ? at_u_->at(j, i) : at_v_->at(j, i);
+}
+
 void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, std::size_t end,
                             double* acc) const {
   if (const double* dense = sender_side ? dense_u_ : dense_v_) {
     const double* row = dense + j * n_;
     for (std::size_t i = begin; i < end; ++i) acc[i] += row[i];
+    return;
+  }
+  if (kernel_.points != nullptr) {
+    const EuclideanGainKernel kernel = kernel_;
+    for (std::size_t i = begin; i < end; ++i) acc[i] += kernel.exact(j, i, sender_side);
     return;
   }
   const GainStorage& table = sender_side ? *at_u_ : *at_v_;
@@ -345,22 +397,35 @@ ExactSum IncrementalGainClass::own_slot_sum(std::size_t link, bool sender_side) 
 
 IncrementalGainClass::Slot IncrementalGainClass::own_slot(std::size_t link,
                                                           bool sender_side) const {
+  return read_gains(*gains_, [&](const auto& reader) {
+    return own_slot_with(reader, link, sender_side);
+  });
+}
+
+template <typename Reader>
+IncrementalGainClass::Slot IncrementalGainClass::own_slot_with(const Reader& reader,
+                                                               std::size_t link,
+                                                               bool sender_side) const {
   double sum = 0.0;
   std::size_t count = 0;
   if (sender_side) {
     for (const std::size_t m : members_) {
       if (m == link) continue;
-      sum += gains_->at_u(m, link);
+      sum += reader.u(m, link);
       ++count;
     }
   } else {
     for (const std::size_t m : members_) {
       if (m == link) continue;
-      sum += gains_->at_v(m, link);
+      sum += reader.v(m, link);
       ++count;
     }
   }
-  if (sum < kHuge) return {sum, static_cast<double>(count) * kSlack * sum};
+  if (sum < kHuge) {
+    double bound = static_cast<double>(count) * kSlack * sum;
+    if constexpr (Reader::kEstimates) bound += 2.0 * kGainEstimateSlack * sum;
+    return {sum, bound};
+  }
   // Non-finite gains, or a sum that may have passed DBL_MAX: only the
   // exact sum knows whether the slot saturated.
   ++exact_fallbacks_;
@@ -377,21 +442,28 @@ IncrementalGainClass::Slot IncrementalGainClass::anchored(const ExactSum& exact)
 }
 
 bool IncrementalGainClass::member_passes(std::size_t pos, bool sender_side, double signal,
-                                         double extra) const {
+                                         double extra_lo, double extra_hi,
+                                         std::size_t candidate) const {
   const Slot& slot = sender_side ? slots_u_[pos] : slots_v_[pos];
   const double beta = params_.beta;
   const double noise = params_.noise;
-  if (signal > beta * ((slot.sum + slot.bound) + extra + noise)) return true;
-  if (!(signal > beta * ((slot.sum - slot.bound) + extra + noise))) return false;
-  return member_passes_exactly(pos, sender_side, signal, extra);
+  if (signal > beta * ((slot.sum + slot.bound) + extra_hi + noise)) return true;
+  if (!(signal > beta * ((slot.sum - slot.bound) + extra_lo + noise))) return false;
+  return member_passes_exactly(pos, sender_side, signal, candidate);
 }
 
 bool IncrementalGainClass::member_passes_exactly(std::size_t pos, bool sender_side,
-                                                 double signal, double extra) const {
-  // The threshold lies inside the slot's interval (or the slot has no
-  // bound): decide against the correctly rounded exact sum.
+                                                 double signal, std::size_t candidate) const {
+  // The threshold lies inside the slot's interval or the candidate gain's
+  // (or the slot has no bound): decide against the correctly rounded exact
+  // sum and the exact gain entry.
   ++exact_fallbacks_;
-  const double exact = own_slot_sum(members_[pos], sender_side).value();
+  const std::size_t m = members_[pos];
+  const double exact = own_slot_sum(m, sender_side).value();
+  double extra = 0.0;
+  if (candidate != kNoExtra) {
+    extra = sender_side ? gains_->at_u(candidate, m) : gains_->at_v(candidate, m);
+  }
   return signal > params_.beta * (exact + extra + params_.noise);
 }
 
@@ -414,16 +486,25 @@ bool IncrementalGainClass::own_passes_exactly(std::size_t link, bool sender_side
 
 bool IncrementalGainClass::member_apply_row(std::size_t link, std::size_t skip, bool add_op,
                                             bool settled) {
+  return read_gains(*gains_, [&](const auto& reader) {
+    return member_apply_row_with(reader, link, skip, add_op, settled);
+  });
+}
+
+template <typename Reader>
+bool IncrementalGainClass::member_apply_row_with(const Reader& reader, std::size_t link,
+                                                 std::size_t skip, bool add_op, bool settled) {
   const std::size_t k = members_.size();
   bool saturated = false;
   const auto apply_side = [&](bool sender_side, std::vector<Slot>& slots) {
     for (std::size_t p = 0; p < k; ++p) {
       if (p == skip) continue;
-      const double gain = sender_side ? gains_->at_u(link, members_[p])
-                                      : gains_->at_v(link, members_[p]);
+      const double gain =
+          sender_side ? reader.u(link, members_[p]) : reader.v(link, members_[p]);
       Slot& slot = slots[p];
       const double sum = add_op ? slot.sum + gain : slot.sum - gain;
-      const double bound = slot.bound + kSlack * std::abs(sum);
+      double bound = slot.bound + kSlack * std::abs(sum);
+      if constexpr (Reader::kEstimates) bound += 2.0 * kGainEstimateSlack * gain;
       if (bound <= kBudget * std::abs(sum) && std::abs(sum) < kHuge) [[likely]] {
         slot = {sum, bound};
         continue;
@@ -462,29 +543,46 @@ void IncrementalGainClass::member_reset(std::size_t pos) {
 }
 
 bool IncrementalGainClass::member_can_add(std::size_t request_index) const {
+  return read_gains(*gains_, [&](const auto& reader) {
+    return member_can_add_with(reader, request_index);
+  });
+}
+
+template <typename Reader>
+bool IncrementalGainClass::member_can_add_with(const Reader& reader,
+                                               std::size_t request_index) const {
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
+  // The candidate's gain entry at a member lies in [lo, hi]. An estimate
+  // of +inf (a co-located pair, where the estimate is the entry) makes lo
+  // NaN, and the lower test then rejects — as the exact test does.
+  const auto passes = [&](std::size_t p, bool sender_side, double signal, double extra) {
+    if constexpr (Reader::kEstimates) {
+      const double slack = kGainEstimateSlack * extra;
+      return member_passes(p, sender_side, signal, extra - slack, extra + slack,
+                           request_index);
+    } else {
+      return member_passes(p, sender_side, signal, extra, extra, request_index);
+    }
+  };
   // Existing members must tolerate the newcomer's extra interference —
   // tested first, because most rejections happen here and it needs no
   // own-slot sum.
   for (std::size_t p = 0; p < members_.size(); ++p) {
     const std::size_t m = members_[p];
     const double signal = gains_->signal(m);
-    if (!member_passes(p, /*sender_side=*/false, signal, gains_->at_v(request_index, m))) {
-      return false;
-    }
-    if (bidirectional &&
-        !member_passes(p, /*sender_side=*/true, signal, gains_->at_u(request_index, m))) {
+    if (!passes(p, /*sender_side=*/false, signal, reader.v(request_index, m))) return false;
+    if (bidirectional && !passes(p, /*sender_side=*/true, signal, reader.u(request_index, m))) {
       return false;
     }
   }
 
   // The newcomer must decode against everyone already in the class.
   const double cand_signal = gains_->signal(request_index);
-  Slot own_v = own_slot(request_index, /*sender_side=*/false);
+  Slot own_v = own_slot_with(reader, request_index, /*sender_side=*/false);
   if (!own_passes(request_index, /*sender_side=*/false, cand_signal, own_v)) return false;
   Slot own_u;
   if (bidirectional) {
-    own_u = own_slot(request_index, /*sender_side=*/true);
+    own_u = own_slot_with(reader, request_index, /*sender_side=*/true);
     if (!own_passes(request_index, /*sender_side=*/true, cand_signal, own_u)) return false;
   }
   stash_link_ = request_index;
@@ -649,8 +747,9 @@ bool IncrementalGainClass::members_feasible() const {
   if (member_mode()) {
     for (std::size_t p = 0; p < members_.size(); ++p) {
       const double signal = gains_->signal(members_[p]);
-      if (!member_passes(p, /*sender_side=*/false, signal, 0.0)) return false;
-      if (bidirectional && !member_passes(p, /*sender_side=*/true, signal, 0.0)) {
+      if (!member_passes(p, /*sender_side=*/false, signal, 0.0, 0.0, kNoExtra)) return false;
+      if (bidirectional &&
+          !member_passes(p, /*sender_side=*/true, signal, 0.0, 0.0, kNoExtra)) {
         return false;
       }
     }

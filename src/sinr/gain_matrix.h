@@ -19,12 +19,16 @@
 #ifndef OISCHED_SINR_GAIN_MATRIX_H
 #define OISCHED_SINR_GAIN_MATRIX_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "metric/euclidean.h"
 #include "metric/metric_space.h"
 #include "sinr/feasibility.h"
 #include "sinr/gain_storage.h"
@@ -50,6 +54,75 @@ enum class FeasibilityEngine {
 /// Human-readable engine name ("direct" / "gain_matrix").
 [[nodiscard]] const char* to_string(FeasibilityEngine engine);
 
+/// One gain entry as every backend computes it: power / distance^alpha,
+/// with the loss from std::pow and +infinity for a co-located pair.
+[[nodiscard]] inline double exact_gain(double power, double distance, double alpha) {
+  const double loss = path_loss(distance, alpha);
+  return loss == 0.0 ? std::numeric_limits<double>::infinity() : power / loss;
+}
+
+/// Relative slack of estimated_gain: |exact_gain - estimated_gain| <=
+/// kGainEstimateSlack * estimated_gain.
+inline constexpr double kGainEstimateSlack = 0x1p-45;
+
+/// exact_gain without std::pow, for an integer alpha = exponent in [1, 8]:
+/// power / (d * d * ... * d). Within kGainEstimateSlack of exact_gain
+/// because both read the same distance d, so only their rounding differs:
+/// the exponent - 1 products err by at most (exponent - 1)u, std::pow by
+/// at most 1 ulp (2u; glibc documents its pow below 1 ulp), and each
+/// divide by u — about 11u in all for exponent 8, against a slack of
+/// 256u (u = 2^-53). The analysis needs every intermediate and the result
+/// normal, so outside 2^-900 < d^alpha < 2^900, or for a quotient outside
+/// the same range, it returns exact_gain itself (error 0).
+[[nodiscard]] inline double estimated_gain(double power, double distance, int exponent,
+                                           double alpha) {
+  double loss = distance;
+  for (int k = 1; k < exponent; ++k) loss *= distance;
+  if (loss > 0x1p-900 && loss < 0x1p900) {
+    const double gain = power / loss;
+    if (gain > 0x1p-900 && gain < 0x1p900) return gain;
+  }
+  return exact_gain(power, distance, alpha);
+}
+
+/// The computed backend's inline gain kernel over an EuclideanMetric: it
+/// reads the point array and the matrix's request and power stores
+/// directly, with no virtual call and no GainFiller. exact() is the
+/// filler's entry bit for bit (the same distances, min, std::pow and
+/// divide); estimate() is estimated_gain over the same distance. A value
+/// type of raw pointers, so a hot loop copies it into registers once.
+struct EuclideanGainKernel {
+  const Point* points = nullptr;
+  const Request* requests = nullptr;
+  const double* powers = nullptr;
+  double alpha = 0.0;
+  /// alpha when it is an integer in [1, 8], else 0 (no estimate).
+  int exponent = 0;
+  bool directed = true;
+
+  /// The variant's interferer distance from request j to request i's
+  /// receiver (or sender). The bidirectional variant takes the nearer of
+  /// j's endpoints; sqrt is monotone and correctly rounded, so the sqrt
+  /// of the smaller squared distance is bit for bit the min of the two
+  /// distances the filler takes.
+  [[nodiscard]] double distance(std::size_t j, std::size_t i, bool sender_side) const {
+    const Request& rj = requests[j];
+    const Point& target = points[sender_side ? requests[i].u : requests[i].v];
+    const double from_u = squared_euclidean_distance(points[rj.u], target);
+    if (directed) return std::sqrt(from_u);
+    return std::sqrt(std::min(from_u, squared_euclidean_distance(points[rj.v], target)));
+  }
+  [[nodiscard]] double exact(std::size_t j, std::size_t i, bool sender_side) const {
+    if (i == j) return 0.0;
+    return exact_gain(powers[j], distance(j, i, sender_side), alpha);
+  }
+  /// Requires exponent >= 1 (GainMatrix::gain_slack() > 0).
+  [[nodiscard]] double estimate(std::size_t j, std::size_t i, bool sender_side) const {
+    if (i == j) return 0.0;
+    return estimated_gain(powers[j], distance(j, i, sender_side), exponent, alpha);
+  }
+};
+
 /// Precomputed pairwise gains for one (metric, requests, powers, variant).
 ///
 /// at_v(j, i) is the interference request j contributes at request i's
@@ -74,6 +147,11 @@ enum class FeasibilityEngine {
 /// keeps no table, so update_request moves a link by rewriting only the
 /// stores. Every backend computes each entry with the same formula from
 /// the same inputs, so queries are bit-for-bit identical across backends.
+/// A computed matrix over an EuclideanMetric skips its storage's filler:
+/// at_v/at_u and add_row_to evaluate the inline EuclideanGainKernel, and
+/// for an integer alpha <= 8 its estimate() is a pow-free value within
+/// gain_slack() of the entry, which the exact-policy filter of
+/// IncrementalGainClass reads instead of calling std::pow.
 ///
 /// Lifetime: the matrix copies the requests and powers it was built from
 /// (requests()/powers() view the copies), but only references the metric —
@@ -104,13 +182,28 @@ class GainMatrix {
   /// Contribution of request j at request i's receiver v_i (j != i).
   [[nodiscard]] double at_v(std::size_t j, std::size_t i) const {
     if (dense_v_ != nullptr) return dense_v_[j * n_ + i];
-    return at_v_->at(j, i);
+    return entry(j, i, /*sender_side=*/false);
   }
   /// Contribution of request j at request i's sender u_i (j != i); 0 when
   /// the sender-side table was not built (directed default).
   [[nodiscard]] double at_u(std::size_t j, std::size_t i) const {
     if (dense_u_ != nullptr) return dense_u_[j * n_ + i];
-    return at_u_ == nullptr ? 0.0 : at_u_->at(j, i);
+    return at_u_ == nullptr ? 0.0 : entry(j, i, /*sender_side=*/true);
+  }
+
+  /// Relative slack of the kernel's estimates: |at_v(j, i) - e| <=
+  /// gain_slack() * e for e = euclidean_kernel()->estimate(j, i, false),
+  /// and the same on the sender side. kGainEstimateSlack for a computed
+  /// matrix over an EuclideanMetric with an integer alpha in [1, 8]; 0
+  /// otherwise, where the filter reads the entries themselves.
+  [[nodiscard]] double gain_slack() const noexcept {
+    return kernel_.exponent == 0 ? 0.0 : kGainEstimateSlack;
+  }
+  /// The inline Euclidean kernel of a computed matrix, or nullptr (any
+  /// other backend or metric). Its estimate() is the pow-free value
+  /// gain_slack() bounds; hot loops copy the kernel once per call.
+  [[nodiscard]] const EuclideanGainKernel* euclidean_kernel() const noexcept {
+    return kernel_.points == nullptr ? nullptr : &kernel_;
   }
 
   /// acc[i] += the gain row j contributes at column i, for every i in
@@ -149,6 +242,11 @@ class GainMatrix {
   [[nodiscard]] std::size_t resident_doubles() const noexcept;
 
  private:
+  /// at_v / at_u off the dense fast path: the Euclidean kernel, else the
+  /// storage. Out of line, so the dense lookup stays small where it is
+  /// inlined.
+  [[nodiscard]] double entry(std::size_t j, std::size_t i, bool sender_side) const;
+
   std::size_t n_;
   double alpha_;
   Variant variant_;
@@ -165,6 +263,10 @@ class GainMatrix {
   /// Raw fast-path pointers into dense storage (nullptr otherwise).
   const double* dense_v_ = nullptr;
   const double* dense_u_ = nullptr;
+  /// The inline kernel of a computed Euclidean matrix (points == nullptr
+  /// otherwise). Its store pointers stay valid: a computed matrix never
+  /// grows, and update_request rewrites the stores in place.
+  EuclideanGainKernel kernel_;
 };
 
 /// check_feasible over precomputed gains; identical to the direct overload.
@@ -225,31 +327,43 @@ enum class RemovePolicy {
 ///
 ///   f(x) = signal > beta * ((x + extra) + noise)
 ///
-/// at x = the correct rounding RN(S) of the exact slot sum S (extra is the
-/// candidate's gain at a member, or 0 for a member's or candidate's own
-/// check). The class decides it without knowing RN(S):
+/// at x = the correct rounding RN(S) of the exact slot sum S of the
+/// members' gain entries (extra is the candidate's gain entry at a member,
+/// or 0 for a member's or candidate's own check). The class decides it
+/// without knowing RN(S), and on a computed Euclidean matrix without the
+/// entries themselves either: there it reads each gain g as the kernel's
+/// estimate (GainMatrix::euclidean_kernel), a pow-free g~ with |g - g~| <= d g~
+/// (d = gain_slack() = 2^-45; the estimate's error analysis, which assumes
+/// libm's pow within 1 ulp, is at estimated_gain). Every other matrix
+/// reads the entries, d = 0 and the terms in d below vanish.
 ///
 ///   * A member slot holds a plain double s, updated by one IEEE add or
-///     subtract per event, and a bound e with |s - S| <= e. One add or
-///     subtract errs by at most u|s'| (u = 2^-53, s' the new value; 0 when
-///     s' is subnormal), and e grows by fl(4u|s'|) >= 3u|s'| per update.
-///     Rounding e's own sum loses at most u*e', which the slack repays as
-///     long as e' <= 2|s'|; a per-slot budget (e <= 2^-26 |s|, checked on
-///     every update) guarantees that, so the invariant holds for any
-///     number of updates.
-///   * A candidate's own slot is a plain sum of its c member gains, in any
-///     order, with e = c * 4u * s (the classic gamma_c bound for non-negative
-///     terms, with room to spare).
+///     subtract of a read gain g~ per event, and a bound e with
+///     |s - S| <= e. One add or subtract errs by at most u|s'| (u = 2^-53,
+///     s' the new value; 0 when s' is subnormal) plus |g - g~| <= d g~, and
+///     e grows by fl(4u|s'|) >= 3u|s'| plus 2d g~ per update. Rounding e's
+///     own sum loses at most u*e', which the slack repays as long as
+///     e' <= 2|s'|; a per-slot budget (e <= 2^-26 |s|, checked on every
+///     update) guarantees that, so the invariant holds for any number of
+///     updates.
+///   * A candidate's own slot is a plain sum of its c read member gains,
+///     in any order, with e = c * 4u * s + 2d * s (the classic gamma_c bound
+///     for non-negative terms plus the estimates' slack, with room to
+///     spare).
 ///   * RN is monotone, so RN(s - e) <= RN(S) <= RN(s + e), and fl(s -/+ e)
-///     are exactly those roundings. f is monotone non-increasing in x, so
-///     f(fl(s + e)) true certifies acceptance and f(fl(s - e)) false
-///     certifies rejection. Both ends are tested with the threshold
+///     are exactly those roundings. Likewise the candidate's gain entry
+///     lies in [fl(g~ - d g~), fl(g~ + d g~)]. f is monotone non-increasing
+///     in x and in extra (fl(x + extra) is monotone in each), so f at the
+///     two upper ends true certifies acceptance and f at the two lower ends
+///     false certifies rejection. Both ends are tested with the threshold
 ///     expression unchanged, so a certified verdict IS the exact one.
 ///   * Only when the ends disagree (the threshold lies within the bound),
 ///     when a gain or sum is non-finite or near DBL_MAX, or when an update
-///     pushes a slot past its budget does the class gather the k gains and
-///     sum them exactly (ExactSum::sum_of) — counted in exact_fallbacks().
-///     A slot re-derived that way restarts from s = RN(S), e = 4u|s|.
+///     pushes a slot past its budget does the class gather the k gain
+///     entries and sum them exactly (ExactSum::sum_of), with the
+///     candidate's exact entry — counted in exact_fallbacks(). A slot
+///     re-derived that way restarts from s = RN(S), e = 4u|s|. So std::pow
+///     runs only on this path.
 ///
 /// The accepting can_add stashes the candidate's own slot and the add
 /// that follows reuses it; any mutation drops the stash. Motion of a
@@ -372,16 +486,24 @@ class IncrementalGainClass {
   /// e = 4u|s|, or the saturated / unbounded markers.
   [[nodiscard]] static Slot anchored(const ExactSum& exact);
   /// Member mode: the plain sum of the members' gains at `link` on one
-  /// side, skipping `link` itself, with its bound — exact instead when the
-  /// plain sum is non-finite or near DBL_MAX.
+  /// side, skipping `link` itself, read through `reader` (the entries or
+  /// the estimates, see the class comment), with its bound — exact instead
+  /// when the plain sum is non-finite or near DBL_MAX. own_slot picks the
+  /// reader; callers that already hold one pass it on.
   [[nodiscard]] Slot own_slot(std::size_t link, bool sender_side) const;
+  template <typename Reader>
+  [[nodiscard]] Slot own_slot_with(const Reader& reader, std::size_t link,
+                                   bool sender_side) const;
   /// Member mode: f(x) certified from the slot at member position `pos`
-  /// (sender side or not), falling back to the exact sum on a straddle —
-  /// the out-of-line _exactly half, so the certified path stays inline.
+  /// (sender side or not) with the candidate's gain somewhere in
+  /// [extra_lo, extra_hi], falling back to the exact sum and the exact
+  /// gain of `candidate` (kNoExtra: none, extra 0) on a straddle — the
+  /// out-of-line _exactly half, so the certified path stays inline.
   [[nodiscard]] bool member_passes(std::size_t pos, bool sender_side, double signal,
-                                   double extra) const;
+                                   double extra_lo, double extra_hi,
+                                   std::size_t candidate) const;
   [[nodiscard]] bool member_passes_exactly(std::size_t pos, bool sender_side, double signal,
-                                           double extra) const;
+                                           std::size_t candidate) const;
   /// Member mode: the candidate's own check, certified from its plain own
   /// slot; on a straddle `own` is replaced by the exact sum.
   [[nodiscard]] bool own_passes(std::size_t link, bool sender_side, double signal,
@@ -394,6 +516,9 @@ class IncrementalGainClass {
   /// and marked for re-derivation otherwise. Returns true when a slot is
   /// left saturated.
   bool member_apply_row(std::size_t link, std::size_t skip, bool add_op, bool settled);
+  template <typename Reader>
+  bool member_apply_row_with(const Reader& reader, std::size_t link, std::size_t skip,
+                             bool add_op, bool settled);
   /// Member mode: re-derives the slot at position `pos` on one side from
   /// the current members; returns true when it saturated.
   bool member_rederive(std::size_t pos, bool sender_side);
@@ -402,6 +527,9 @@ class IncrementalGainClass {
   /// Member mode: counterparts of can_add / remove / rebuild /
   /// accumulator_drift.
   [[nodiscard]] bool member_can_add(std::size_t request_index) const;
+  template <typename Reader>
+  [[nodiscard]] bool member_can_add_with(const Reader& reader,
+                                         std::size_t request_index) const;
   void member_remove(std::size_t request_index);
   void member_rebuild();
   [[nodiscard]] double member_drift() const;

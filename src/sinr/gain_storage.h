@@ -28,8 +28,11 @@
 //
 // Entries are computed per element by a GainFiller, so every backend holds
 // bit-for-bit the values the dense build would — backends differ in cost
-// and residency, never in results. Dense and tiled tables are frozen;
-// only appendable (growth, slot reuse) and computed (motion) change.
+// and residency, never in results. (Over an EuclideanMetric, GainMatrix
+// reads a computed table through its own inline kernel instead of the
+// filler — the same values, see EuclideanGainKernel in gain_matrix.h.)
+// Dense and tiled tables are frozen; only appendable (growth, slot reuse)
+// and computed (motion) change.
 #ifndef OISCHED_SINR_GAIN_STORAGE_H
 #define OISCHED_SINR_GAIN_STORAGE_H
 
@@ -57,11 +60,13 @@ enum class GainBackend {
   /// Per-row vectors with amortized growth: append_request extends the
   /// table by one row and one column in O(n) without rebuilding.
   appendable,
-  /// No table at all: every entry is evaluated through the filler on
-  /// demand. Nothing resident, reads are thread-safe, and a moved link
-  /// needs no rewrite (its entries read the updated request and power
-  /// stores); the only backend whose footprint lets n >= 10^5 universes
-  /// replay at all.
+  /// No table at all: every entry is evaluated on demand — by GainMatrix's
+  /// inline Euclidean kernel over an EuclideanMetric (which also offers
+  /// the pow-free estimates the exact-policy filter reads), through the
+  /// filler otherwise. Nothing resident, reads are thread-safe, and a
+  /// moved link needs no rewrite (its entries read the updated request
+  /// and power stores); the only backend whose footprint lets n >= 10^5
+  /// universes replay at all.
   computed,
 };
 
@@ -211,7 +216,8 @@ class AppendableGainStorage final : public GainStorage {
 /// Tableless storage: every query evaluates the filler, so nothing is
 /// resident and reads are thread-safe. The filler reads the matrix's
 /// request and power stores, so a moved link's entries follow the stores
-/// with nothing to rewrite.
+/// with nothing to rewrite. GainMatrix over an EuclideanMetric bypasses
+/// at() with its inline kernel; other metrics read through it.
 class ComputedGainStorage final : public GainStorage {
  public:
   ComputedGainStorage(std::size_t n, GainFiller fill);

@@ -12,6 +12,13 @@
 // rebuild-policy twin, bit for bit. Every class here holds at most three
 // members, so a slot sums at most two gains and the rebuild twin's
 // insertion-order plain sum is itself correctly rounded.
+//
+// On a computed Euclidean matrix the filter reads pow-free gain estimates
+// instead of the entries. The last cases check the estimate's bound over
+// a million random (power, distance) pairs, a candidate whose estimated
+// gain interval straddles the threshold (bit-identical to dense and
+// rebuild twins), and the slack-0 path of a non-integer alpha or a
+// non-Euclidean metric.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -24,10 +31,12 @@
 
 #include "core/power_assignment.h"
 #include "gen/churn.h"
+#include "metric/matrix_metric.h"
 #include "obs/metrics.h"
 #include "online/online_scheduler.h"
 #include "sinr/gain_matrix.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace oisched {
 namespace {
@@ -108,13 +117,16 @@ void sweep(const GainMatrix& gains, SinrParams params, double center,
   EXPECT_TRUE(accepted && rejected) << context;
 }
 
-/// The verdict both straddle sweeps ask: can link 2 join? An accepted
-/// link joins through the stash its verdict left, exact or not.
-bool admit_link_2(IncrementalGainClass& cls) {
-  const bool ok = cls.can_add(2);
-  if (ok) cls.add(2);
+/// Can `link` join? An accepted link joins through the stash its verdict
+/// left, exact or not.
+bool admit(IncrementalGainClass& cls, std::size_t link) {
+  const bool ok = cls.can_add(link);
+  if (ok) cls.add(link);
   return ok;
 }
+
+/// The verdict both straddle sweeps ask.
+bool admit_link_2(IncrementalGainClass& cls) { return admit(cls, 2); }
 
 TEST(NearThreshold, MemberCheckThatStraddlesIsDecidedExactly) {
   // Link 0 (length 1, signal 1) hears link 1's sender at distance 4 and
@@ -307,6 +319,185 @@ TEST(NearThreshold, SchedulerCountsFallbacksOfClosedClassesToo) {
   EXPECT_EQ(registry.scrape().counter_total("oisched_exact_fallbacks_total"), fallbacks);
   EXPECT_NO_THROW(scheduler.audit());
   EXPECT_TRUE(scheduler.validate_against_direct());
+}
+
+TEST(NearThreshold, GainEstimateStaysWithinItsSlack) {
+  // A million (power, distance) pairs per exponent: log-uniform powers,
+  // distances whose d^alpha spans 2^-1100 .. 2^1100 (past both guards, so
+  // overflow, underflow and the exact fallback are all hit), and
+  // distances a few ulps either side of each guard.
+  Rng rng(20261019);
+  std::size_t estimated = 0;
+  for (const int exponent : {1, 2, 3, 4, 8}) {
+    const double alpha = exponent;
+    std::vector<double> distances;
+    for (const double guard : {-900.0, 900.0}) {
+      double d = std::exp2(guard / alpha);
+      for (int i = 0; i < 16; ++i) d = std::nextafter(d, 0.0);
+      for (int i = 0; i < 32; ++i) {
+        distances.push_back(d);
+        d = std::nextafter(d, kInf);
+      }
+    }
+    for (int i = 0; i < 1000000; ++i) {
+      const double power = std::exp2(rng.uniform(-200.0, 200.0));
+      const double d = i < static_cast<int>(distances.size())
+                           ? distances[static_cast<std::size_t>(i)]
+                           : std::exp2(rng.uniform(-1100.0, 1100.0) / alpha);
+      const double exact = exact_gain(power, d, alpha);
+      const double estimate = estimated_gain(power, d, exponent, alpha);
+      // Clear of the guards (by a factor of 2, so the product and pow
+      // agree on which side they are), the estimate is the entry itself.
+      const double loss = std::pow(d, alpha);
+      const bool guarded = !(loss > 0x1p-901 && loss < 0x1p901) ||
+                           !(exact > 0x1p-901 && exact < 0x1p901);
+      if (guarded || !std::isfinite(estimate) || estimate == 0.0) {
+        ASSERT_EQ(bits(estimate), bits(exact)) << "alpha " << alpha << " d " << d;
+        continue;
+      }
+      if (estimate != exact) ++estimated;
+      ASSERT_LE(std::abs(exact - estimate), kGainEstimateSlack * estimate)
+          << "alpha " << alpha << " power " << power << " d " << d;
+    }
+  }
+  // Many estimates differ from their entry in the last bits: those pairs
+  // really were estimated, not handed to std::pow.
+  EXPECT_GT(estimated, 100000u);
+}
+
+TEST(NearThreshold, EuclideanKernelMatchesTheTableAndBoundsItsEstimates) {
+  // Every entry of a computed Euclidean matrix equals the dense table's,
+  // and every estimate lies within gain_slack() of it, on both sides.
+  const auto scenario = testutil::random_scenario(48, 7);
+  const Instance instance = scenario.instance();
+  SinrParams params;
+  const auto powers = SqrtPower{}.assign(instance, params.alpha);
+  for (const Variant variant : {Variant::directed, Variant::bidirectional}) {
+    const GainMatrix dense(instance, powers, params.alpha, variant,
+                           /*with_sender_gains=*/true);
+    const GainMatrix computed(instance, powers, params.alpha, variant,
+                              /*with_sender_gains=*/true, GainBackend::computed);
+    ASSERT_NE(computed.euclidean_kernel(), nullptr);
+    ASSERT_EQ(computed.gain_slack(), kGainEstimateSlack);
+    const EuclideanGainKernel& kernel = *computed.euclidean_kernel();
+    EXPECT_EQ(dense.gain_slack(), 0.0);
+    for (std::size_t j = 0; j < instance.size(); ++j) {
+      for (std::size_t i = 0; i < instance.size(); ++i) {
+        ASSERT_EQ(bits(computed.at_v(j, i)), bits(dense.at_v(j, i))) << j << " " << i;
+        ASSERT_EQ(bits(computed.at_u(j, i)), bits(dense.at_u(j, i))) << j << " " << i;
+        const double ev = kernel.estimate(j, i, /*sender_side=*/false);
+        EXPECT_LE(std::abs(computed.at_v(j, i) - ev), computed.gain_slack() * ev);
+        const double eu = kernel.estimate(j, i, /*sender_side=*/true);
+        EXPECT_LE(std::abs(computed.at_u(j, i) - eu), computed.gain_slack() * eu);
+      }
+    }
+  }
+}
+
+TEST(NearThreshold, EstimatedGainThatStraddlesIsDecidedExactly) {
+  // Member 0 (length 1) is alone in its class, so its slot is exactly 0
+  // and any straddle comes from the candidate's estimated gain alone: the
+  // candidate (link 1, short, far from its own threshold) has its sender
+  // at distance 4.1 from member 0's receiver, where 1 / (d * d * d) is an
+  // ulp below 1 / pow(d, 3). Swept one ulp of beta at a time across
+  // signal_0 / gain, the interval [g~ - d g~, g~ + d g~] straddles for
+  // every beta near the threshold, and a filter that trusted g~ alone
+  // would accept where the exact test rejects.
+  const auto scenario = line_pairs({0.0, 1.0, 5.1, 5.11});
+  const Instance instance = scenario.instance();
+  const auto powers = UniformPower{}.assign(instance, 3.0);
+  for (const Variant variant : {Variant::directed, Variant::bidirectional}) {
+    const std::string context = variant == Variant::directed ? "directed" : "bidirectional";
+    SinrParams params;
+    const GainMatrix dense(instance, powers, params.alpha, variant);
+    const GainMatrix computed(instance, powers, params.alpha, variant,
+                              /*with_sender_gains=*/false, GainBackend::computed);
+    ASSERT_GT(computed.gain_slack(), 0.0);
+    ASSERT_NE(bits(computed.euclidean_kernel()->estimate(1, 0, /*sender_side=*/false)),
+              bits(computed.at_v(1, 0)));
+    const double worst = std::max(computed.at_v(1, 0), computed.at_u(1, 0));
+    const double center = computed.signal(0) / worst;
+    std::size_t fallbacks = 0;
+    bool accepted = false;
+    bool rejected = false;
+    for (const double beta : betas_around(center)) {
+      params.beta = beta;
+      IncrementalGainClass live = built(computed, params, RemovePolicy::exact, {0});
+      IncrementalGainClass dense_twin = built(dense, params, RemovePolicy::exact, {0});
+      IncrementalGainClass rebuild_twin = built(computed, params, RemovePolicy::rebuild, {0});
+      const bool ok = admit(live, 1);
+      EXPECT_EQ(ok, admit(dense_twin, 1)) << context << " beta " << beta;
+      EXPECT_EQ(ok, admit(rebuild_twin, 1)) << context << " beta " << beta;
+      fallbacks += live.exact_fallbacks();
+      EXPECT_EQ(dense_twin.exact_fallbacks(), 0u) << context;
+      (ok ? accepted : rejected) = true;
+      expect_slots_match(computed, live, dense_twin, rebuild_twin, context);
+    }
+    EXPECT_GT(fallbacks, 0u) << context;
+    EXPECT_TRUE(accepted && rejected) << context;
+  }
+}
+
+TEST(NearThreshold, NonIntegerAlphaAndOtherMetricsTakeTheSlackZeroPath) {
+  const auto scenario = testutil::random_scenario(32, 11);
+  const Instance instance = scenario.instance();
+  SinrParams params;
+  params.alpha = 2.5;
+  const auto powers = SqrtPower{}.assign(instance, params.alpha);
+  const GainMatrix dense(instance, powers, params.alpha, Variant::bidirectional);
+  const GainMatrix computed(instance, powers, params.alpha, Variant::bidirectional,
+                            /*with_sender_gains=*/false, GainBackend::computed);
+  // The kernel still serves the entries, but offers no estimate.
+  ASSERT_NE(computed.euclidean_kernel(), nullptr);
+  EXPECT_EQ(computed.euclidean_kernel()->exponent, 0);
+  EXPECT_EQ(computed.gain_slack(), 0.0);
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      ASSERT_EQ(bits(computed.at_v(j, i)), bits(dense.at_v(j, i)));
+      ASSERT_EQ(bits(computed.at_u(j, i)), bits(dense.at_u(j, i)));
+    }
+  }
+  // First-fit over both matrices takes the same links into the same
+  // classes, with bit-identical slots and the same fallbacks.
+  params.beta = 0.5;
+  std::vector<IncrementalGainClass> on_computed;
+  std::vector<IncrementalGainClass> on_dense;
+  for (std::size_t link = 0; link < instance.size(); ++link) {
+    std::size_t c = 0;
+    while (c < on_computed.size() && !on_computed[c].can_add(link)) ++c;
+    if (c == on_computed.size()) {
+      on_computed.emplace_back(computed, params, RemovePolicy::exact);
+      on_dense.emplace_back(dense, params, RemovePolicy::exact);
+    }
+    ASSERT_TRUE(on_dense[c].can_add(link)) << link;
+    for (std::size_t d = 0; d < c; ++d) ASSERT_FALSE(on_dense[d].can_add(link)) << link;
+    on_computed[c].add(link);
+    on_dense[c].add(link);
+  }
+  for (std::size_t c = 0; c < on_computed.size(); ++c) {
+    EXPECT_EQ(on_computed[c].exact_fallbacks(), on_dense[c].exact_fallbacks());
+    for (std::size_t p = 0; p < on_computed[c].size(); ++p) {
+      EXPECT_EQ(bits(on_computed[c].member_accumulator_v(p)),
+                bits(on_dense[c].member_accumulator_v(p)));
+      EXPECT_EQ(bits(on_computed[c].member_accumulator_u(p)),
+                bits(on_dense[c].member_accumulator_u(p)));
+    }
+  }
+
+  // An integer alpha past the estimate's range gets the kernel but no
+  // estimate; a non-Euclidean metric gets neither.
+  const auto steep_powers = SqrtPower{}.assign(instance, 9.0);
+  const GainMatrix steep(instance, steep_powers, 9.0, Variant::directed,
+                         /*with_sender_gains=*/false, GainBackend::computed);
+  EXPECT_NE(steep.euclidean_kernel(), nullptr);
+  EXPECT_EQ(steep.gain_slack(), 0.0);
+  const MatrixMetric snapshot = MatrixMetric::from(instance.metric());
+  const GainMatrix tabled(snapshot, instance.requests(), powers, params.alpha,
+                          Variant::bidirectional, /*with_sender_gains=*/false,
+                          GainBackend::computed);
+  EXPECT_EQ(tabled.euclidean_kernel(), nullptr);
+  EXPECT_EQ(tabled.gain_slack(), 0.0);
+  EXPECT_EQ(bits(tabled.at_v(3, 5)), bits(dense.at_v(3, 5)));
 }
 
 }  // namespace

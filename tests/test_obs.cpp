@@ -52,6 +52,43 @@ TEST(HistogramLayout, UnderflowOverflowAndNonFinite) {
   EXPECT_TRUE(std::isinf(HistogramLayout::upper(HistogramLayout::kBuckets - 1)));
 }
 
+/// The reference bucket_of: a binary search over the edges, with NaN and
+/// negatives pinned to underflow.
+std::size_t searched_bucket(double value) {
+  if (!(value >= 0.0)) return 0;
+  const auto edges = HistogramLayout::boundaries();
+  return static_cast<std::size_t>(std::upper_bound(edges.begin(), edges.end(), value) -
+                                  edges.begin());
+}
+
+TEST(HistogramLayout, ConstantTimeLookupMatchesBinarySearch) {
+  const auto edges = HistogramLayout::boundaries();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                -1.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (const double edge : edges) {
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(std::nextafter(edge, std::numeric_limits<double>::infinity()));
+  }
+  for (const double value : values) {
+    EXPECT_EQ(HistogramLayout::bucket_of(value), searched_bucket(value)) << value;
+  }
+  // A million values log-uniform over 1e-12 .. 1e4 s, past both ends of
+  // the layout.
+  Rng rng(20261019);
+  for (int i = 0; i < 1000000; ++i) {
+    const double value = std::pow(10.0, rng.uniform(-12.0, 4.0));
+    ASSERT_EQ(HistogramLayout::bucket_of(value), searched_bucket(value)) << value;
+  }
+}
+
 TEST(HistogramLayout, RepresentativeLiesInsideItsBucket) {
   for (std::size_t b = 1; b <= HistogramLayout::kLogBuckets; ++b) {
     const double lower = HistogramLayout::lower(b);
