@@ -15,10 +15,12 @@
 //     kernel's pow-free estimate the filter reads on that backend;
 //   * exact summation of k gains, the filter's fallback: one ExactSum::add
 //     per gain against ExactSum::sum_of;
-//   * the exact own-slot gather-and-sum: read k members' gain entries at
-//     one link (a table column, strided by n on the dense backend; one
-//     exact kernel evaluation per entry on the tableless computed
-//     backend), then sum them exactly with ExactSum::sum_of;
+//   * the exact own-slot gather-and-sum on the dense backend: read k
+//     members' gain entries at one link (a table column, strided by n),
+//     then sum them exactly with ExactSum::sum_of;
+//   * the record-streamed own slot on the tableless computed backend:
+//     k kernel estimates at one link over a class's contiguous member
+//     records (no link -> request -> point gather), plain-summed;
 //   * IncrementalGainClass::can_add on a class of k members: the member
 //     scan and the own-slot sum together, directed on both backends and
 //     bidirectional on computed (the benchmark's scale workload);
@@ -31,6 +33,7 @@
 #include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -156,7 +159,32 @@ BENCHMARK_CAPTURE(BM_OwnSlotGatherSum, dense, GainBackend::dense)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024);
-BENCHMARK_CAPTURE(BM_OwnSlotGatherSum, computed, GainBackend::computed)
+
+/// The plain own-slot sum an exact class streams on a computed Euclidean
+/// matrix: one pow-free kernel estimate per member record at the link's
+/// receiver, summed in member order.
+void BM_OwnSlotStreamedSum(benchmark::State& state, GainBackend backend) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const ClassFixture fixture(k, backend);
+  SinrParams params = fixture.params;
+  params.beta = 1e-300;  // every member joins
+  IncrementalGainClass cls(fixture.gains, params, RemovePolicy::exact);
+  for (const std::size_t m : fixture.members) cls.add(m);
+  const EuclideanGainKernel kernel = *fixture.gains.euclidean_kernel();
+  const std::span<const MemberRecord> records = cls.records();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::size_t link = fixture.candidates[next++ % fixture.candidates.size()];
+    const Point& target = kernel.points[kernel.requests[link].v];
+    double sum = 0.0;
+    for (const MemberRecord& record : records) {
+      sum += kernel.estimate(record.u, record.v, record.power, target);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
+}
+BENCHMARK_CAPTURE(BM_OwnSlotStreamedSum, computed, GainBackend::computed)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)

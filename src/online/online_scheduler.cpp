@@ -431,6 +431,22 @@ void OnlineScheduler::audit() const {
       ensure(cls.accumulator_drift() == 0.0,
              "OnlineScheduler audit: a member slot's interval misses its exact sum");
     }
+    // Exact classes over estimated gains keep member records: copies of
+    // the stores the kernel reads.
+    const bool keeps_records =
+        options_.remove_policy == RemovePolicy::exact && gains_->gain_slack() > 0.0;
+    const std::span<const MemberRecord> records = cls.records();
+    ensure(records.size() == (keeps_records ? cls.size() : 0),
+           "OnlineScheduler audit: the member records and the members diverged");
+    for (std::size_t p = 0; p < records.size(); ++p) {
+      const EuclideanGainKernel& kernel = *gains_->euclidean_kernel();
+      const std::size_t m = cls.members()[p];
+      const Request& request = gains_->requests()[m];
+      const MemberRecord& record = records[p];
+      ensure(record.u == kernel.points[request.u] && record.v == kernel.points[request.v] &&
+                 record.power == gains_->powers()[m] && record.signal == gains_->signal(m),
+             "OnlineScheduler audit: a member record is stale");
+    }
   }
   ensure(members_seen == active_count_,
          "OnlineScheduler audit: active count and class sizes diverged");

@@ -295,8 +295,10 @@ class OnlineScheduler {
   /// active_count(), the physical-slot maps are mutually inverse over the
   /// members and the free list holds only unmapped slots, and every
   /// exact-policy member slot's certified interval covers its fresh exact
-  /// sum (accumulator_drift() == 0). O(active + free slots + sum of
-  /// |class|^2). Debug builds run it every 64 events (kAuditInterval).
+  /// sum (accumulator_drift() == 0) and every member record equals the
+  /// matrix's current points, power and signal of its member. O(active +
+  /// free slots + sum of |class|^2). Debug builds run it every 64 events
+  /// (kAuditInterval).
   void audit() const;
 
  private:

@@ -44,34 +44,78 @@ GainFiller make_gain_filler(const MetricSpace* metric,
   };
 }
 
-/// The exact-policy member paths' gain readers, chosen once per call by
-/// read_gains. EntryReader reads the entries themselves (slack 0, so the
-/// filter's tests are the unwidened ones); EstimateReader reads a computed
-/// Euclidean matrix's pow-free estimates, each within kGainEstimateSlack
-/// of its entry.
+/// The exact-policy member paths' gain readers. One reader serves one call
+/// about one link (the candidate, or the link being added, removed or
+/// moved) and reads by member position p: link_v(p) / link_u(p) is the
+/// link's gain at member p's receiver / sender, member_v(p) / member_u(p)
+/// is member p's gain at the link's receiver / sender, and signal(p) is
+/// member p's signal. A member read against itself is 0, as on the
+/// table's diagonal. read_gains picks the reader. EntryReader reads the
+/// entries themselves (slack 0, so the filter's tests are the unwidened
+/// ones); RecordReader reads a computed Euclidean matrix's pow-free
+/// estimates, each within kGainEstimateSlack of its entry and bit for bit
+/// the kernel's, from the member records and the link's points and power,
+/// which it loads once.
 struct EntryReader {
   static constexpr bool kEstimates = false;
   const GainMatrix* gains;
-  [[nodiscard]] double v(std::size_t j, std::size_t i) const { return gains->at_v(j, i); }
-  [[nodiscard]] double u(std::size_t j, std::size_t i) const { return gains->at_u(j, i); }
+  const std::size_t* members;
+  std::size_t link;
+  [[nodiscard]] double signal(std::size_t p) const { return gains->signal(members[p]); }
+  [[nodiscard]] double link_v(std::size_t p) const { return gains->at_v(link, members[p]); }
+  [[nodiscard]] double link_u(std::size_t p) const { return gains->at_u(link, members[p]); }
+  [[nodiscard]] double member_v(std::size_t p) const { return gains->at_v(members[p], link); }
+  [[nodiscard]] double member_u(std::size_t p) const { return gains->at_u(members[p], link); }
 };
 
-struct EstimateReader {
+struct RecordReader {
   static constexpr bool kEstimates = true;
+  RecordReader(const EuclideanGainKernel& kernel, const MemberRecord* records,
+               const std::size_t* members, std::size_t link)
+      : kernel(kernel),
+        records(records),
+        members(members),
+        link(link),
+        sender(kernel.points[kernel.requests[link].u]),
+        receiver(kernel.points[kernel.requests[link].v]),
+        power(kernel.powers[link]) {}
+
+  [[nodiscard]] double signal(std::size_t p) const { return records[p].signal; }
+  [[nodiscard]] double link_v(std::size_t p) const { return link_at(p, records[p].v); }
+  [[nodiscard]] double link_u(std::size_t p) const { return link_at(p, records[p].u); }
+  [[nodiscard]] double member_v(std::size_t p) const { return member_at(p, receiver); }
+  [[nodiscard]] double member_u(std::size_t p) const { return member_at(p, sender); }
+
   EuclideanGainKernel kernel;
-  [[nodiscard]] double v(std::size_t j, std::size_t i) const {
-    return kernel.estimate(j, i, /*sender_side=*/false);
+  const MemberRecord* records;
+  const std::size_t* members;
+  std::size_t link;
+  /// The link's endpoints and power.
+  Point sender;
+  Point receiver;
+  double power;
+
+ private:
+  [[nodiscard]] double link_at(std::size_t p, const Point& target) const {
+    if (members[p] == link) return 0.0;
+    return kernel.estimate(sender, receiver, power, target);
   }
-  [[nodiscard]] double u(std::size_t j, std::size_t i) const {
-    return kernel.estimate(j, i, /*sender_side=*/true);
+  [[nodiscard]] double member_at(std::size_t p, const Point& target) const {
+    if (members[p] == link) return 0.0;
+    const MemberRecord& member = records[p];
+    return kernel.estimate(member.u, member.v, member.power, target);
   }
 };
 
-/// Calls body(reader) with the reader `gains` calls for.
+/// Calls body(reader) with the reader `gains` calls for, about `link`.
 template <typename Body>
-decltype(auto) read_gains(const GainMatrix& gains, Body&& body) {
-  if (gains.gain_slack() > 0.0) return body(EstimateReader{*gains.euclidean_kernel()});
-  return body(EntryReader{&gains});
+decltype(auto) read_gains(const GainMatrix& gains, const std::vector<std::size_t>& members,
+                          const std::vector<MemberRecord>& records, std::size_t link,
+                          Body&& body) {
+  if (gains.gain_slack() > 0.0) {
+    return body(RecordReader(*gains.euclidean_kernel(), records.data(), members.data(), link));
+  }
+  return body(EntryReader{&gains, members.data(), link});
 }
 
 /// Adds row j of one table to acc over [0, n) minus the diagonal entry
@@ -354,6 +398,7 @@ void IncrementalGainClass::add(std::size_t request_index) {
     members_.push_back(request_index);
     slots_v_.push_back(own_v);
     if (bidirectional) slots_u_.push_back(own_u);
+    if (keeps_records()) records_.push_back(record_of(request_index));
     // A slot this leaves saturated is repaired by the next removal.
     (void)member_apply_row(request_index, members_.size() - 1, /*add_op=*/true,
                            /*settled=*/true);
@@ -395,29 +440,38 @@ ExactSum IncrementalGainClass::own_slot_sum(std::size_t link, bool sender_side) 
   return ExactSum::sum_of({gather_.data(), count});
 }
 
+MemberRecord IncrementalGainClass::record_of(std::size_t link) const {
+  const EuclideanGainKernel& kernel = *gains_->euclidean_kernel();
+  const Request& request = kernel.requests[link];
+  return {kernel.points[request.u], kernel.points[request.v], kernel.powers[link],
+          gains_->signal(link)};
+}
+
 IncrementalGainClass::Slot IncrementalGainClass::own_slot(std::size_t link,
                                                           bool sender_side) const {
-  return read_gains(*gains_, [&](const auto& reader) {
-    return own_slot_with(reader, link, sender_side);
+  return read_gains(*gains_, members_, records_, link, [&](const auto& reader) {
+    return own_slot_with(reader, sender_side);
   });
 }
 
 template <typename Reader>
-IncrementalGainClass::Slot IncrementalGainClass::own_slot_with(const Reader& reader,
-                                                               std::size_t link,
+IncrementalGainClass::Slot IncrementalGainClass::own_slot_with(Reader reader,
                                                                bool sender_side) const {
+  const std::size_t link = reader.link;
+  const std::size_t* members = members_.data();
+  const std::size_t k = members_.size();
   double sum = 0.0;
   std::size_t count = 0;
   if (sender_side) {
-    for (const std::size_t m : members_) {
-      if (m == link) continue;
-      sum += reader.u(m, link);
+    for (std::size_t p = 0; p < k; ++p) {
+      if (members[p] == link) continue;
+      sum += reader.member_u(p);
       ++count;
     }
   } else {
-    for (const std::size_t m : members_) {
-      if (m == link) continue;
-      sum += reader.v(m, link);
+    for (std::size_t p = 0; p < k; ++p) {
+      if (members[p] == link) continue;
+      sum += reader.member_v(p);
       ++count;
     }
   }
@@ -486,21 +540,20 @@ bool IncrementalGainClass::own_passes_exactly(std::size_t link, bool sender_side
 
 bool IncrementalGainClass::member_apply_row(std::size_t link, std::size_t skip, bool add_op,
                                             bool settled) {
-  return read_gains(*gains_, [&](const auto& reader) {
-    return member_apply_row_with(reader, link, skip, add_op, settled);
+  return read_gains(*gains_, members_, records_, link, [&](const auto& reader) {
+    return member_apply_row_with(reader, skip, add_op, settled);
   });
 }
 
 template <typename Reader>
-bool IncrementalGainClass::member_apply_row_with(const Reader& reader, std::size_t link,
-                                                 std::size_t skip, bool add_op, bool settled) {
+bool IncrementalGainClass::member_apply_row_with(Reader reader, std::size_t skip, bool add_op,
+                                                 bool settled) {
   const std::size_t k = members_.size();
   bool saturated = false;
   const auto apply_side = [&](bool sender_side, std::vector<Slot>& slots) {
     for (std::size_t p = 0; p < k; ++p) {
       if (p == skip) continue;
-      const double gain =
-          sender_side ? reader.u(link, members_[p]) : reader.v(link, members_[p]);
+      const double gain = sender_side ? reader.link_u(p) : reader.link_v(p);
       Slot& slot = slots[p];
       const double sum = add_op ? slot.sum + gain : slot.sum - gain;
       double bound = slot.bound + kSlack * std::abs(sum);
@@ -525,14 +578,8 @@ bool IncrementalGainClass::member_apply_row_with(const Reader& reader, std::size
 
 bool IncrementalGainClass::member_rederive(std::size_t pos, bool sender_side) {
   Slot& slot = sender_side ? slots_u_[pos] : slots_v_[pos];
-  if (members_.size() == 1) {
-    slot = {};  // a lone member hears nobody: its exact sum is +0.0
-    return false;
-  }
-  ++exact_fallbacks_;
-  const ExactSum exact = own_slot_sum(members_[pos], sender_side);
-  slot = anchored(exact);
-  return exact.saturated();
+  slot = own_slot(members_[pos], sender_side);
+  return slot.sum == kInf;
 }
 
 void IncrementalGainClass::member_reset(std::size_t pos) {
@@ -543,14 +590,13 @@ void IncrementalGainClass::member_reset(std::size_t pos) {
 }
 
 bool IncrementalGainClass::member_can_add(std::size_t request_index) const {
-  return read_gains(*gains_, [&](const auto& reader) {
-    return member_can_add_with(reader, request_index);
-  });
+  return read_gains(*gains_, members_, records_, request_index,
+                    [&](const auto& reader) { return member_can_add_with(reader); });
 }
 
 template <typename Reader>
-bool IncrementalGainClass::member_can_add_with(const Reader& reader,
-                                               std::size_t request_index) const {
+bool IncrementalGainClass::member_can_add_with(Reader reader) const {
+  const std::size_t request_index = reader.link;
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
   // The candidate's gain entry at a member lies in [lo, hi]. An estimate
   // of +inf (a co-located pair, where the estimate is the entry) makes lo
@@ -567,22 +613,22 @@ bool IncrementalGainClass::member_can_add_with(const Reader& reader,
   // Existing members must tolerate the newcomer's extra interference —
   // tested first, because most rejections happen here and it needs no
   // own-slot sum.
-  for (std::size_t p = 0; p < members_.size(); ++p) {
-    const std::size_t m = members_[p];
-    const double signal = gains_->signal(m);
-    if (!passes(p, /*sender_side=*/false, signal, reader.v(request_index, m))) return false;
-    if (bidirectional && !passes(p, /*sender_side=*/true, signal, reader.u(request_index, m))) {
+  const std::size_t k = members_.size();
+  for (std::size_t p = 0; p < k; ++p) {
+    const double signal = reader.signal(p);
+    if (!passes(p, /*sender_side=*/false, signal, reader.link_v(p))) return false;
+    if (bidirectional && !passes(p, /*sender_side=*/true, signal, reader.link_u(p))) {
       return false;
     }
   }
 
   // The newcomer must decode against everyone already in the class.
   const double cand_signal = gains_->signal(request_index);
-  Slot own_v = own_slot_with(reader, request_index, /*sender_side=*/false);
+  Slot own_v = own_slot_with(reader, /*sender_side=*/false);
   if (!own_passes(request_index, /*sender_side=*/false, cand_signal, own_v)) return false;
   Slot own_u;
   if (bidirectional) {
-    own_u = own_slot_with(reader, request_index, /*sender_side=*/true);
+    own_u = own_slot_with(reader, /*sender_side=*/true);
     if (!own_passes(request_index, /*sender_side=*/true, cand_signal, own_u)) return false;
   }
   stash_link_ = request_index;
@@ -599,6 +645,7 @@ void IncrementalGainClass::member_remove(std::size_t request_index) {
   members_.erase(members_.begin() + at);
   slots_v_.erase(slots_v_.begin() + at);
   if (gains_->variant() == Variant::bidirectional) slots_u_.erase(slots_u_.begin() + at);
+  if (keeps_records()) records_.erase(records_.begin() + at);
   if (member_apply_row(request_index, kNoExtra, /*add_op=*/false, /*settled=*/true)) {
     // A member slot's true interference sum once exceeded the double
     // range: saturation is sticky, so subtraction alone cannot bring the
@@ -705,6 +752,7 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
     // link's own slot from the refreshed column.
     const std::size_t pos = position_of(link);
     if (pos == kNoExtra) return;
+    if (keeps_records()) records_[pos] = record_of(link);
     if (member_apply_row(link, pos, /*add_op=*/true, /*settled=*/true)) {
       // Same escape hatch as remove(): only a replay restores the finite
       // state of a saturated slot.

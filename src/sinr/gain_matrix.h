@@ -73,7 +73,12 @@ inline constexpr double kGainEstimateSlack = 0x1p-45;
 /// divide by u — about 11u in all for exponent 8, against a slack of
 /// 256u (u = 2^-53). The analysis needs every intermediate and the result
 /// normal, so outside 2^-900 < d^alpha < 2^900, or for a quotient outside
-/// the same range, it returns exact_gain itself (error 0).
+/// the same range, it returns exact_gain itself (error 0). "The same
+/// distance" is a premise on the caller: a reader that holds copies of
+/// the metric's points (IncrementalGainClass's member records) must
+/// compute d with the same code over the same operands in the same order
+/// (EuclideanGainKernel::distance), since a reordered or contracted
+/// squared distance may differ from the entry's in its last bits.
 [[nodiscard]] inline double estimated_gain(double power, double distance, int exponent,
                                            double alpha) {
   double loss = distance;
@@ -100,27 +105,56 @@ struct EuclideanGainKernel {
   int exponent = 0;
   bool directed = true;
 
-  /// The variant's interferer distance from request j to request i's
-  /// receiver (or sender). The bidirectional variant takes the nearer of
-  /// j's endpoints; sqrt is monotone and correctly rounded, so the sqrt
+  /// The variant's interferer distance from an interferer with endpoints
+  /// (from_u, from_v) to `target`. The bidirectional variant takes the
+  /// nearer endpoint; sqrt is monotone and correctly rounded, so the sqrt
   /// of the smaller squared distance is bit for bit the min of the two
   /// distances the filler takes.
+  [[nodiscard]] double distance(const Point& from_u, const Point& from_v,
+                                const Point& target) const {
+    const double du = squared_euclidean_distance(from_u, target);
+    if (directed) return std::sqrt(du);
+    return std::sqrt(std::min(du, squared_euclidean_distance(from_v, target)));
+  }
+  /// The distance from request j to request i's receiver (or sender).
   [[nodiscard]] double distance(std::size_t j, std::size_t i, bool sender_side) const {
     const Request& rj = requests[j];
-    const Point& target = points[sender_side ? requests[i].u : requests[i].v];
-    const double from_u = squared_euclidean_distance(points[rj.u], target);
-    if (directed) return std::sqrt(from_u);
-    return std::sqrt(std::min(from_u, squared_euclidean_distance(points[rj.v], target)));
+    return distance(points[rj.u], points[rj.v],
+                    points[sender_side ? requests[i].u : requests[i].v]);
   }
   [[nodiscard]] double exact(std::size_t j, std::size_t i, bool sender_side) const {
     if (i == j) return 0.0;
     return exact_gain(powers[j], distance(j, i, sender_side), alpha);
   }
+  /// The estimate of an interferer of power `power` with endpoints
+  /// (from_u, from_v) at `target`: given copies of request j's points and
+  /// power and of request i's target point, bit for bit estimate(j, i, ·)
+  /// for i != j, because it is the same code over the same operands.
   /// Requires exponent >= 1 (GainMatrix::gain_slack() > 0).
+  [[nodiscard]] double estimate(const Point& from_u, const Point& from_v, double power,
+                                const Point& target) const {
+    return estimated_gain(power, distance(from_u, from_v, target), exponent, alpha);
+  }
   [[nodiscard]] double estimate(std::size_t j, std::size_t i, bool sender_side) const {
     if (i == j) return 0.0;
-    return estimated_gain(powers[j], distance(j, i, sender_side), exponent, alpha);
+    const Request& rj = requests[j];
+    return estimate(points[rj.u], points[rj.v], powers[j],
+                    points[sender_side ? requests[i].u : requests[i].v]);
   }
+};
+
+/// One class member's endpoints, power and signal, copied from a computed
+/// Euclidean matrix's stores: the points are copies of the metric's, so a
+/// kernel estimate over a record reads the same operands as one over the
+/// stores. Oblivious powers depend only on the link itself, so a record
+/// stays valid until its link moves.
+struct MemberRecord {
+  Point u;
+  Point v;
+  double power = 0.0;
+  double signal = 0.0;
+
+  friend bool operator==(const MemberRecord&, const MemberRecord&) = default;
 };
 
 /// Precomputed pairwise gains for one (metric, requests, powers, variant).
@@ -337,6 +371,19 @@ enum class RemovePolicy {
 /// libm's pow within 1 ulp, is at estimated_gain). Every other matrix
 /// reads the entries, d = 0 and the terms in d below vanish.
 ///
+/// On that computed Euclidean matrix the class also keeps one
+/// MemberRecord per member, aligned with the members and their slots: a
+/// copy of the member's endpoints, power and signal, filled on add,
+/// erased on remove and refilled when the member moves (begin_link_update
+/// still reads the stale copy, which matches the stale stores). The
+/// member loops stream the records and load the other link of each gain
+/// (the candidate, or the link being added, removed or moved) from the
+/// kernel once per call, so an estimate costs no link -> request -> point
+/// gather. The estimate's slack argument needs the same distance as the
+/// entry's, and a record's points are copies of the metric's, so each
+/// streamed estimate runs EuclideanGainKernel::estimate's own code over
+/// the same operands in the same order: it is bit for bit the kernel's.
+///
 ///   * A member slot holds a plain double s, updated by one IEEE add or
 ///     subtract of a read gain g~ per event, and a bound e with
 ///     |s - S| <= e. One add or subtract errs by at most u|s'| (u = 2^-53,
@@ -357,13 +404,15 @@ enum class RemovePolicy {
 ///     two upper ends true certifies acceptance and f at the two lower ends
 ///     false certifies rejection. Both ends are tested with the threshold
 ///     expression unchanged, so a certified verdict IS the exact one.
+///   * An update that pushes a slot past its budget re-derives it the way
+///     a candidate's own slot is summed: a fresh plain sum of its c read
+///     gains with e = c * 4u * s + 2d * s.
 ///   * Only when the ends disagree (the threshold lies within the bound),
-///     when a gain or sum is non-finite or near DBL_MAX, or when an update
-///     pushes a slot past its budget does the class gather the k gain
-///     entries and sum them exactly (ExactSum::sum_of), with the
-///     candidate's exact entry — counted in exact_fallbacks(). A slot
-///     re-derived that way restarts from s = RN(S), e = 4u|s|. So std::pow
-///     runs only on this path.
+///     or when a gain or sum is non-finite or near DBL_MAX, does the class
+///     gather the k gain entries and sum them exactly (ExactSum::sum_of),
+///     with the candidate's exact entry — counted in exact_fallbacks(). A
+///     slot anchored that way restarts from s = RN(S), e = 4u|s|. So
+///     std::pow runs only on this path.
 ///
 /// The accepting can_add stashes the candidate's own slot and the add
 /// that follows reuses it; any mutation drops the stash. Motion of a
@@ -459,6 +508,9 @@ class IncrementalGainClass {
     return members_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  /// The member records, aligned with members(), of an exact-policy class
+  /// over a matrix with gain_slack() > 0; empty for every other class.
+  [[nodiscard]] std::span<const MemberRecord> records() const noexcept { return records_; }
 
  private:
   static constexpr std::size_t kNoExtra = static_cast<std::size_t>(-1);
@@ -476,6 +528,13 @@ class IncrementalGainClass {
   [[nodiscard]] bool member_mode() const noexcept {
     return policy_ == RemovePolicy::exact;
   }
+  /// Member mode over a matrix whose estimates the filter reads: the class
+  /// keeps records_.
+  [[nodiscard]] bool keeps_records() const noexcept {
+    return member_mode() && gains_->gain_slack() > 0.0;
+  }
+  /// Member mode: the record of link `link` from the matrix's stores.
+  [[nodiscard]] MemberRecord record_of(std::size_t link) const;
   /// Member mode: the position of `link` in members_ (and its slots), or
   /// kNoExtra for a non-member.
   [[nodiscard]] std::size_t position_of(std::size_t link) const;
@@ -486,14 +545,14 @@ class IncrementalGainClass {
   /// e = 4u|s|, or the saturated / unbounded markers.
   [[nodiscard]] static Slot anchored(const ExactSum& exact);
   /// Member mode: the plain sum of the members' gains at `link` on one
-  /// side, skipping `link` itself, read through `reader` (the entries or
-  /// the estimates, see the class comment), with its bound — exact instead
-  /// when the plain sum is non-finite or near DBL_MAX. own_slot picks the
-  /// reader; callers that already hold one pass it on.
+  /// side, skipping `link` itself, read through `reader` (the entries, or
+  /// the estimates over the records, see the class comment), with its
+  /// bound — exact instead when the plain sum is non-finite or near
+  /// DBL_MAX. own_slot picks the reader for `link`; callers that already
+  /// hold one for it pass it on.
   [[nodiscard]] Slot own_slot(std::size_t link, bool sender_side) const;
   template <typename Reader>
-  [[nodiscard]] Slot own_slot_with(const Reader& reader, std::size_t link,
-                                   bool sender_side) const;
+  [[nodiscard]] Slot own_slot_with(Reader reader, bool sender_side) const;
   /// Member mode: f(x) certified from the slot at member position `pos`
   /// (sender side or not) with the candidate's gain somewhere in
   /// [extra_lo, extra_hi], falling back to the exact sum and the exact
@@ -517,10 +576,11 @@ class IncrementalGainClass {
   /// left saturated.
   bool member_apply_row(std::size_t link, std::size_t skip, bool add_op, bool settled);
   template <typename Reader>
-  bool member_apply_row_with(const Reader& reader, std::size_t link, std::size_t skip,
-                             bool add_op, bool settled);
+  bool member_apply_row_with(Reader reader, std::size_t skip, bool add_op, bool settled);
   /// Member mode: re-derives the slot at position `pos` on one side from
-  /// the current members; returns true when it saturated.
+  /// the current members as a fresh own slot (a plain sum and its bound,
+  /// exact only past the plain sum's range); returns true when it
+  /// saturated.
   bool member_rederive(std::size_t pos, bool sender_side);
   /// Member mode: resets both slots at position `pos` from the members.
   void member_reset(std::size_t pos);
@@ -528,8 +588,7 @@ class IncrementalGainClass {
   /// accumulator_drift.
   [[nodiscard]] bool member_can_add(std::size_t request_index) const;
   template <typename Reader>
-  [[nodiscard]] bool member_can_add_with(const Reader& reader,
-                                         std::size_t request_index) const;
+  [[nodiscard]] bool member_can_add_with(Reader reader) const;
   void member_remove(std::size_t request_index);
   void member_rebuild();
   [[nodiscard]] double member_drift() const;
@@ -553,6 +612,8 @@ class IncrementalGainClass {
   /// interference at each member's receiver / sender.
   std::vector<Slot> slots_v_;
   std::vector<Slot> slots_u_;
+  /// keeps_records() only: the member records, aligned with members_.
+  std::vector<MemberRecord> records_;
   /// Member mode only: gather buffer for the exact path, and the own slots
   /// of the last candidate can_add accepted (stash_link_ == kNoExtra when
   /// none is valid).

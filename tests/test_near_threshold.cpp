@@ -5,20 +5,22 @@
 // decide. Random instances almost never land there, so these hand-built
 // fixtures force every route to the exact path: a member check and an
 // own-slot check that straddle the threshold (swept one ulp of beta at a
-// time across it), members_feasible after motion, a cancellation that
-// blows a slot's error budget, and a co-located (+inf) gain entering and
-// leaving a class. Each asserts that the fallback happened and that the
-// verdicts and slots equal those of a fresh exact class and of the
-// rebuild-policy twin, bit for bit. Every class here holds at most three
-// members, so a slot sums at most two gains and the rebuild twin's
-// insertion-order plain sum is itself correctly rounded.
+// time across it), members_feasible after motion, and a co-located (+inf)
+// gain entering and leaving a class. Each asserts that the fallback
+// happened and that the verdicts and slots equal those of a fresh exact
+// class and of the rebuild-policy twin, bit for bit. A cancellation that
+// blows a slot's error budget re-derives the slot from a plain sum
+// instead, and asserts that no exact sum ran. Every class here holds at
+// most three members, so a slot sums at most two gains and the rebuild
+// twin's insertion-order plain sum is itself correctly rounded.
 //
 // On a computed Euclidean matrix the filter reads pow-free gain estimates
-// instead of the entries. The last cases check the estimate's bound over
-// a million random (power, distance) pairs, a candidate whose estimated
-// gain interval straddles the threshold (bit-identical to dense and
-// rebuild twins), and the slack-0 path of a non-integer alpha or a
-// non-Euclidean metric.
+// instead of the entries. A cancellation there checks that the plain-sum
+// re-derivation's bound is what keeps the verdicts exact. The last cases
+// check the estimate's bound over a million random (power, distance)
+// pairs, a candidate whose estimated gain interval straddles the
+// threshold (bit-identical to dense and rebuild twins), and the slack-0
+// path of a non-integer alpha or a non-Euclidean metric.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -209,9 +211,10 @@ TEST(NearThreshold, CancellationPastTheBudgetRederivesTheSlot) {
   // link 3's ~7071: gains near 1, 8e-9 and 3e-12. When link 1 leaves, the
   // plain sum keeps an error of about an ulp of the old, large sum, far
   // past the budget relative to what is left, so the slot is re-derived
-  // exactly. Its bound restarts at 4u times the re-derived value, which
-  // must still cover the rounding of g2 + g3 when link 2 leaves in turn
-  // and only g3 (2800 times smaller) is left.
+  // as a fresh plain sum of g2 and g3, with no exact sum. Its bound
+  // restarts at c * 4u times the re-derived value, which must still cover
+  // the rounding of g2 + g3 when link 2 leaves in turn and only g3 (2800
+  // times smaller) is left.
   const auto scenario = line_pairs({0, 1, 2, 2.01, 501, 501.01, 7072, 7072.01, 300, 300.01});
   const Instance instance = scenario.instance();
   const auto powers = UniformPower{}.assign(instance, 3.0);
@@ -224,7 +227,8 @@ TEST(NearThreshold, CancellationPastTheBudgetRederivesTheSlot) {
     IncrementalGainClass live = built(gains, params, RemovePolicy::exact, {0, 1, 2, 3});
     EXPECT_EQ(live.exact_fallbacks(), 0u) << context;
     live.remove(1);
-    EXPECT_GT(live.exact_fallbacks(), 0u) << context;
+    // Re-derived from the plain sum: the exact sum never ran.
+    EXPECT_EQ(live.exact_fallbacks(), 0u) << context;
     EXPECT_EQ(live.removal_rebuilds(), 0u) << context;
     const std::vector<std::vector<std::size_t>> stages = {{0, 2, 3}, {0, 3}};
     for (const std::vector<std::size_t>& left : stages) {
@@ -243,6 +247,70 @@ TEST(NearThreshold, CancellationPastTheBudgetRederivesTheSlot) {
       EXPECT_EQ(live.members_feasible(), rebuild_twin.members_feasible()) << step;
     }
     EXPECT_EQ(bits(live.member_accumulator_v(0)), bits(gains.at_v(3, 0))) << context;
+  }
+}
+
+TEST(NearThreshold, CancellationOnTheKernelRederivesFromThePlainSum) {
+  // The cancellation above on a computed Euclidean matrix, with links 2
+  // and 3 placed so that the plain sum of their estimates at link 0's
+  // receiver is 2 ulps off the correctly rounded sum of their entries.
+  // When link 1 leaves, slot 0 blows its budget and is re-derived as a
+  // fresh plain sum with bound c * 4u * s + 2d * s, without an exact sum.
+  // That bound is tight: link 0's check certifies 2^-35 either side of its
+  // threshold, where a slot past its 2^-26 budget would straddle. And it is
+  // needed: swept one ulp of beta at a time across the threshold, the
+  // interval straddles and every verdict matches the dense exact twin and
+  // the rebuild twin, where a bound of 0 would certify the plain sum's
+  // verdict and miss the exact sum.
+  const auto scenario = line_pairs({0, 1, 2, 2.01, 554.1, 554.11, 7072.3, 7072.31});
+  const Instance instance = scenario.instance();
+  const auto powers = UniformPower{}.assign(instance, 3.0);
+  for (const Variant variant : {Variant::directed, Variant::bidirectional}) {
+    const std::string context = variant == Variant::directed ? "directed" : "bidirectional";
+    SinrParams params;
+    const GainMatrix dense(instance, powers, params.alpha, variant);
+    const GainMatrix computed(instance, powers, params.alpha, variant,
+                              /*with_sender_gains=*/false, GainBackend::computed);
+    ASSERT_GT(computed.gain_slack(), 0.0);
+    const EuclideanGainKernel& kernel = *computed.euclidean_kernel();
+    const double plain = kernel.estimate(2, 0, /*sender_side=*/false) +
+                         kernel.estimate(3, 0, /*sender_side=*/false);
+    const double exact = dense.at_v(2, 0) + dense.at_v(3, 0);
+    ASSERT_NE(bits(plain), bits(exact)) << context;
+    const double center = dense.signal(0) / exact;
+    const auto cancelled = [&](double beta) {
+      params.beta = beta;
+      IncrementalGainClass live = built(computed, params, RemovePolicy::exact, {0, 1, 2, 3});
+      live.remove(1);
+      EXPECT_EQ(live.exact_fallbacks(), 0u) << context << " beta " << beta;
+      EXPECT_EQ(live.removal_rebuilds(), 0u) << context << " beta " << beta;
+      return live;
+    };
+
+    for (const double beta : {center * (1.0 - 0x1p-35), center * (1.0 + 0x1p-35)}) {
+      const IncrementalGainClass live = cancelled(beta);
+      EXPECT_EQ(live.members_feasible(), beta < center) << context << " beta " << beta;
+      EXPECT_EQ(live.exact_fallbacks(), 0u) << context << " beta " << beta;
+    }
+
+    std::size_t fallbacks = 0;
+    bool feasible = false;
+    bool infeasible = false;
+    for (const double beta : betas_around(center)) {
+      const IncrementalGainClass live = cancelled(beta);
+      const IncrementalGainClass exact_twin =
+          built(dense, params, RemovePolicy::exact, {3, 2, 0});
+      const IncrementalGainClass rebuild_twin =
+          built(dense, params, RemovePolicy::rebuild, {0, 2, 3});
+      const bool ok = live.members_feasible();
+      EXPECT_EQ(ok, exact_twin.members_feasible()) << context << " beta " << beta;
+      EXPECT_EQ(ok, rebuild_twin.members_feasible()) << context << " beta " << beta;
+      fallbacks += live.exact_fallbacks();
+      (ok ? feasible : infeasible) = true;
+      expect_slots_match(computed, live, exact_twin, rebuild_twin, context);
+    }
+    EXPECT_GT(fallbacks, 0u) << context;
+    EXPECT_TRUE(feasible && infeasible) << context;
   }
 }
 

@@ -797,6 +797,68 @@ TEST(OnlineScheduler, AuditHoldsAfterLongChurnGrowthAndMotionReplays) {
   check(full, GainBackend::computed, replay_motion, "motion/computed");
 }
 
+TEST(OnlineScheduler, MemberRecordsStayCurrentThroughLongMotion) {
+  // Exact classes over a computed Euclidean matrix read their members'
+  // endpoints, powers and signals from member records, not from the
+  // matrix's stores. After more than 10^4 mixed arrivals, departures and
+  // moves, every record equals its member's current points, power and
+  // signal, and every class answers can_add for every link, and every
+  // exact accessor, exactly as a freshly built exact class over the same
+  // members does.
+  const auto scenario = random_scenario(96, /*seed=*/909);
+  const Instance instance = scenario.instance();
+  const ChurnTrace trace = mobility_trace(instance, "waypoint", 31, 12000);
+  ASSERT_GE(trace.events.size(), 10000u);
+  SinrParams params;
+  params.alpha = 3.0;
+  params.beta = 1.0;
+  const auto powers = SqrtPower{}.assign(instance, params.alpha);
+  for (const Variant variant : both_variants()) {
+    OnlineSchedulerOptions options;
+    options.storage = GainBackend::computed;
+    OnlineScheduler scheduler(instance, powers, params, variant, options);
+    const GainMatrix& gains = scheduler.gains();
+    ASSERT_GT(gains.gain_slack(), 0.0);
+    const EuclideanGainKernel& kernel = *gains.euclidean_kernel();
+    const std::string name = variant == Variant::directed ? "directed" : "bidirectional";
+    const auto check = [&](std::size_t events) {
+      const std::string context = name + " after " + std::to_string(events) + " events";
+      for (const IncrementalGainClass& cls : scheduler.classes()) {
+        ASSERT_EQ(cls.records().size(), cls.size()) << context;
+        for (std::size_t p = 0; p < cls.size(); ++p) {
+          const std::size_t m = cls.members()[p];
+          const Request& request = gains.requests()[m];
+          const MemberRecord& record = cls.records()[p];
+          ASSERT_EQ(record.u, kernel.points[request.u]) << context << " member " << m;
+          ASSERT_EQ(record.v, kernel.points[request.v]) << context << " member " << m;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(record.power),
+                    std::bit_cast<std::uint64_t>(gains.powers()[m]))
+              << context;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(record.signal),
+                    std::bit_cast<std::uint64_t>(gains.signal(m)))
+              << context;
+        }
+        std::vector<std::size_t> members = cls.members();
+        std::sort(members.begin(), members.end());
+        IncrementalGainClass fresh(gains, params, RemovePolicy::exact);
+        for (const std::size_t m : members) fresh.add(m);
+        for (std::size_t link = 0; link < gains.size(); ++link) {
+          ASSERT_EQ(cls.can_add(link), fresh.can_add(link)) << context << " link " << link;
+        }
+        expect_accumulators_identical(gains, cls, fresh, context.c_str());
+      }
+    };
+    for (std::size_t e = 0; e < trace.events.size(); ++e) {
+      scheduler.apply(trace.events[e]);
+      if ((e + 1) % 2500 == 0) check(e + 1);
+    }
+    check(trace.events.size());
+    EXPECT_GT(scheduler.stats().link_updates, 1000u);
+    EXPECT_NO_THROW(scheduler.audit());
+    EXPECT_TRUE(scheduler.validate_against_direct());
+  }
+}
+
 TEST(OnlineScheduler, MobilityFinalStateRevalidatesOverTheMovedGeometry) {
   // End-to-end exactness: after a mobility replay the scheduler's final
   // coloring must pass the from-scratch direct checker evaluated over the
