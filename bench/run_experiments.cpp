@@ -24,16 +24,11 @@ using namespace oisched;
 
 int usage() {
   std::cerr << "usage: run_experiments [--quick] [--out PATH] [--threads N] [--seed S]\n"
-               "                       [--alpha A] [--beta B] [--storage dense|tiled]\n"
-               "                       [--remove-policy exact|rebuild]\n"
+               "                       [--alpha A] [--beta B] [--remove-policy exact|rebuild]\n"
                "                       [--repeat N]\n"
                "  --repeat runs every cell N times back to back and reports the headline\n"
                "  metric's min/median/max/jitter per cell; the cell's headline number\n"
                "  becomes the median run (the stable value CI floors gate on).\n"
-               "  --storage sets the default gain-table backend of the grid cells that\n"
-               "  do not pin one (the large-n tiled and growing appendable cells always\n"
-               "  do, and mobility cells always move links on computed); scenario\n"
-               "  names grow a suffix for non-dense backends.\n"
                "  --remove-policy sets the default accumulator policy of the dynamic\n"
                "  cells that do not pin one (the policy-axis cells always do); scenario\n"
                "  names grow a suffix for non-exact policies.\n";
@@ -62,9 +57,6 @@ int main(int argc, char** argv) {
       options.params.alpha = std::strtod(argv[++i], nullptr);
     } else if (arg == "--beta" && i + 1 < argc) {
       options.params.beta = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--storage" && i + 1 < argc) {
-      options.storage = argv[++i];
-      if (options.storage != "dense" && options.storage != "tiled") return usage();
     } else if (arg == "--remove-policy" && i + 1 < argc) {
       options.remove_policy = argv[++i];
       if (options.remove_policy != "exact" && options.remove_policy != "rebuild") {

@@ -2,20 +2,20 @@
 //
 //   $ ./schedule_tool gen  <out.inst> <n> [seed]       generate a workload
 //   $ ./schedule_tool run  <in.inst> <out.sched> [sqrt|greedy] [gain|direct]
-//                          [--storage dense|tiled]
+//                          [--storage dense|computed]
 //   $ ./schedule_tool check <in.inst> <in.sched>       validate a schedule
 //   $ ./schedule_tool gen-trace <in.inst> <out.trace>
 //                               [poisson|flash|adversarial|hotspot|growing|
 //                                waypoint|commuter|flashmob]
 //                               [events] [seed]        generate a churn trace
 //   $ ./schedule_tool replay <in.inst> --trace <in.trace> [--out <final.sched>]
-//                            [--storage dense|tiled|computed]
+//                            [--storage dense|computed]
 //                            [--remove-policy rebuild|exact]
 //                            [--shards N] [--rate R]
 //                            [--trace-out <spans.json>]
 //                            replay it online
 //   $ ./schedule_tool serve <in.inst> [--shards N]
-//                           [--storage dense|tiled|computed]
+//                           [--storage dense|computed]
 //                           [--remove-policy rebuild|exact]
 //                           interactive admission service on stdin
 //
@@ -82,18 +82,18 @@ int usage() {
       << "usage:\n"
          "  schedule_tool gen   <out.inst> <n> [seed]\n"
          "  schedule_tool run   <in.inst> <out.sched> [sqrt|greedy] "
-         "[gain|direct] [--storage dense|tiled]\n"
+         "[gain|direct] [--storage dense|computed]\n"
          "  schedule_tool check <in.inst> <in.sched>\n"
          "  schedule_tool gen-trace <in.inst> <out.trace> "
          "[poisson|flash|adversarial|hotspot|growing|waypoint|commuter|"
          "flashmob] [events] [seed]\n"
          "  schedule_tool replay <in.inst> --trace <in.trace> "
-         "[--out <final.sched>] [--storage dense|tiled|computed]\n"
+         "[--out <final.sched>] [--storage dense|computed]\n"
          "                      [--remove-policy rebuild|exact] "
          "[--shards N] [--rate R]\n"
          "                      [--trace-out <spans.json>]\n"
          "  schedule_tool serve <in.inst> [--shards N] "
-         "[--storage dense|tiled|computed]\n"
+         "[--storage dense|computed]\n"
          "                      [--remove-policy rebuild|exact]\n";
   return 2;
 }
@@ -375,7 +375,7 @@ int cmd_replay(int argc, char** argv) {
   OnlineSchedulerOptions options;
   options.remove_policy = policy;
   // Growth needs the appendable backend and motion the computed one (the
-  // shared dense and tiled tables never change); fresh and moved links are
+  // shared dense tables never change); fresh and moved links are
   // powered by the same sqrt rule the replay assigns everywhere else.
   options.storage = storage;
   if (trace.value().has_link_updates()) options.storage = GainBackend::computed;

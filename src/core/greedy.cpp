@@ -46,9 +46,9 @@ class RecheckClass {
 /// pool: worker t probes classes t, t + T, t + 2T, ... in ascending order
 /// and stops at its first acceptor, so the minimum over workers is the
 /// lowest-index accepting class — the one sequential first-fit commits to.
-/// can_add writes no class state (the lazy backends materialize tiles
-/// behind their own synchronization), so probing extra classes
-/// concurrently keeps the schedules bit-identical.
+/// can_add writes no class state and every backend's reads are
+/// thread-safe, so probing extra classes concurrently keeps the schedules
+/// bit-identical.
 template <typename ClassT, typename Factory>
 Schedule first_fit_coloring(const Instance& instance, RequestOrder order,
                             const Factory& make_class, std::size_t scan_threads) {

@@ -36,8 +36,9 @@ enum class RequestOrder {
 /// gains once and answers membership tests from tables with plain
 /// insertion-order sums (RemovePolicy::rebuild), direct re-validates whole
 /// classes per test. `storage` picks the table backend of the gain_matrix
-/// engine (results are backend-independent; tiled bounds resident memory
-/// on large sparse workloads) and is ignored by the direct engine.
+/// engine, dense or computed (results are backend-independent; computed
+/// keeps no table, so it runs universes a dense table cannot hold) and is
+/// ignored by the direct engine.
 ///
 /// `scan_threads` > 1 fans each request's candidate scan (the first-fit
 /// sweep over open classes) across a worker pool. Workers probe disjoint

@@ -67,10 +67,6 @@ std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers
   require(backend != GainBackend::appendable,
           "Instance::gains: appendable tables grow and cannot be shared through the "
           "cache; construct a GainMatrix directly");
-  require(backend != GainBackend::computed,
-          "Instance::gains: computed matrices hold no table worth sharing (one "
-          "O(n) signal pass builds them) and move links in place; construct a "
-          "GainMatrix directly");
   // The bidirectional variant always builds the sender-side table, so the
   // flag changes nothing there — normalize it out of the key to avoid a
   // bit-identical duplicate build.

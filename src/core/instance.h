@@ -51,10 +51,11 @@ class Instance {
   /// instance's destruction. Thread-safe, with per-entry once-
   /// initialization: a cold build runs outside the cache lock, so
   /// concurrent hits on other keys never wait behind a miss — only callers
-  /// of the same key share (and wait for) its one build. The appendable and
-  /// computed backends are rejected here: they are the backends that move
-  /// and grow links, so each owner builds its own (computed costs one O(n)
-  /// signal pass); construct a GainMatrix directly instead.
+  /// of the same key share (and wait for) its one build. The matrices are
+  /// const, so a cached computed matrix never moves a link: a scheduler
+  /// that moves links builds its own. The appendable backend is rejected
+  /// here, since growth needs a private table; construct a GainMatrix
+  /// directly instead.
   [[nodiscard]] std::shared_ptr<const GainMatrix> gains(
       std::span<const double> powers, double alpha, Variant variant,
       bool with_sender_gains = false, GainBackend backend = GainBackend::dense) const;

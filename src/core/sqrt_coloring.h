@@ -48,8 +48,8 @@ struct SqrtColoringOptions {
   /// the original metric-recomputing path. Results are bit-for-bit
   /// identical either way.
   FeasibilityEngine engine = FeasibilityEngine::gain_matrix;
-  /// Storage backend of the gain_matrix engine's tables (results are
-  /// backend-independent).
+  /// Storage backend of the gain_matrix engine's tables, dense or computed
+  /// (results are backend-independent).
   GainBackend storage = GainBackend::dense;
   /// > 1 fans each round's candidate scan (the per-class V' tolerance
   /// filter) across a worker pool. The filter is a pure per-request

@@ -7,6 +7,7 @@
 #include <queue>
 #include <sstream>
 #include <tuple>
+#include <unordered_set>
 
 #include "metric/metric_space.h"
 #include "util/error.h"
@@ -58,28 +59,31 @@ const char* kind_name(ChurnEvent::Kind kind) {
 }  // namespace
 
 void ChurnTrace::validate() const {
-  std::vector<char> active(universe, 0);
+  // State only for the links the events name: memory follows the stream,
+  // not the universe a (possibly hostile) document claims.
+  std::unordered_set<std::size_t> active;
+  std::size_t next_fresh = universe;
   double last_time = 0.0;
   for (const ChurnEvent& event : events) {
     require(event.time >= last_time, "ChurnTrace: time must be non-decreasing");
     last_time = event.time;
     if (event.kind == ChurnEvent::Kind::link_arrival) {
-      require(event.link == active.size(),
+      require(event.link == next_fresh,
               "ChurnTrace: fresh links must take the next universe index");
-      active.push_back(1);  // a fresh link arrives active
+      ++next_fresh;
+      active.insert(event.link);  // a fresh link arrives active
       continue;
     }
-    require(event.link < active.size(), "ChurnTrace: link index out of universe");
+    require(event.link < next_fresh, "ChurnTrace: link index out of universe");
     if (event.kind == ChurnEvent::Kind::arrival) {
-      require(!active[event.link], "ChurnTrace: arrival of an already active link");
-      active[event.link] = 1;
+      require(active.insert(event.link).second,
+              "ChurnTrace: arrival of an already active link");
     } else if (event.kind == ChurnEvent::Kind::link_update) {
       // Motion targets live links only: a never-arrived or departed link
       // has no gain row to refresh and no class to re-validate.
-      require(active[event.link], "ChurnTrace: update of an inactive link");
+      require(active.contains(event.link), "ChurnTrace: update of an inactive link");
     } else {
-      require(active[event.link], "ChurnTrace: departure of an inactive link");
-      active[event.link] = 0;
+      require(active.erase(event.link) == 1, "ChurnTrace: departure of an inactive link");
     }
   }
 }

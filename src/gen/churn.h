@@ -14,11 +14,12 @@
 // times (steady churn), flash crowds (correlated bursts), adversarial
 // insert-then-delete chains (maximum recoloring pressure on a first-fit
 // maintainer), hotspot churn confined to a small window of a huge universe
-// (the tiled-backend workload), growing traces that interleave churn with
-// fresh-link introductions (the appendable-backend workload), and three
-// mobility regimes — random-waypoint wandering, commuter oscillation
-// between home and work anchors, and flash-mob drift toward a shared
-// hotspot — that interleave churn with endpoint motion. All generators are
+// (a large-n workload for the tableless computed backend), growing traces
+// that interleave churn with fresh-link introductions (the
+// appendable-backend workload), and three mobility regimes —
+// random-waypoint wandering, commuter oscillation between home and work
+// anchors, and flash-mob drift toward a shared hotspot — that interleave
+// churn with endpoint motion. All generators are
 // deterministic given an Rng, independent of thread count or call site,
 // and traces serialize to JSON (schema "oisched-trace/3"; "/1" and "/2"
 // documents remain readable) for scripted replay via
@@ -132,10 +133,11 @@ struct HotspotChurnOptions {
   std::size_t max_events = 0;      // 0 = 8 * window
 };
 
-/// Poisson churn confined to a small window of a huge universe — the
-/// workload of the tiled gain backend, whose resident memory follows the
-/// touched rows rather than the universe size (the large-scale
-/// locally-active regime of distributed SIR-aware scheduling).
+/// Poisson churn confined to a small window of a huge universe — a
+/// large-n workload for the computed gain backend, which keeps no table,
+/// so memory follows the universe linearly however few links are active
+/// (the large-scale locally-active regime of distributed SIR-aware
+/// scheduling).
 [[nodiscard]] ChurnTrace hotspot_trace(std::size_t universe,
                                        const HotspotChurnOptions& options, Rng& rng);
 

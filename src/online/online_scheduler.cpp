@@ -493,26 +493,9 @@ void register_online_metrics(obs::MetricsRegistry& registry,
 void register_gain_metrics(obs::MetricsRegistry& registry,
                            const OnlineScheduler& scheduler, std::string labels) {
   const obs::MetricId resident = registry.gauge(
-      "oisched_gain_resident_doubles",
-      "Gain-table entries resident in memory (lazy backends count "
-      "materialized tiles)",
-      labels);
-  const obs::MetricId touched = registry.gauge(
-      "oisched_gain_touched_tiles", "Tiles materialized so far (tiled backend)", labels);
-  const obs::MetricId total = registry.gauge(
-      "oisched_gain_total_tiles", "Tiles the full table would need (tiled backend)",
-      std::move(labels));
-  registry.add_collector([&scheduler, resident, touched, total](obs::MetricsSnapshot& out) {
-    const GainMatrix& gains = scheduler.gains();
-    out.add_gauge(resident, static_cast<double>(gains.resident_doubles()));
-    std::size_t touched_tiles = gains.receiver_storage().touched_blocks();
-    std::size_t total_tiles = gains.receiver_storage().total_blocks();
-    if (const GainStorage* sender = gains.sender_storage()) {
-      touched_tiles += sender->touched_blocks();
-      total_tiles += sender->total_blocks();
-    }
-    out.add_gauge(touched, static_cast<double>(touched_tiles));
-    out.add_gauge(total, static_cast<double>(total_tiles));
+      "oisched_gain_resident_doubles", "Gain-table entries resident in memory", labels);
+  registry.add_collector([&scheduler, resident](obs::MetricsSnapshot& out) {
+    out.add_gauge(resident, static_cast<double>(scheduler.gains().resident_doubles()));
   });
 }
 

@@ -88,12 +88,12 @@ struct OnlineSchedulerOptions {
   /// departure (see CompactionVictim). The default keeps the historical
   /// trailing-only behaviour.
   CompactionVictim compaction_victim = CompactionVictim::trailing;
-  /// Gain-table backend. dense/tiled serve a fixed universe from the
-  /// instance's shared cache (tiled keeps huge, sparsely active universes
-  /// memory-bounded) and accept no link_update; appendable gives the
-  /// scheduler its own growable matrix and unlocks on_link_arrival and
-  /// retire_link; computed gives it its own tableless matrix. Both private
-  /// backends accept link_update (endpoint motion).
+  /// Gain-table backend. dense serves a fixed universe from the
+  /// instance's shared cache and accepts no link_update; appendable gives
+  /// the scheduler its own growable matrix and unlocks on_link_arrival and
+  /// retire_link; computed gives it its own tableless matrix (O(n) memory,
+  /// so huge universes fit). Both private backends accept link_update
+  /// (endpoint motion).
   GainBackend storage = GainBackend::dense;
   /// A synonym for storage = computed (ignored on appendable, which moves
   /// links already). Kept only because the benchmark sets it.
@@ -201,12 +201,13 @@ class OnlineScheduler {
   /// The instance seeds the link universe; traces address links by request
   /// index. Powers/params/variant are fixed for the scheduler's lifetime —
   /// oblivious assignments make that sound, since a link's power never
-  /// depends on who else is active. On the dense/tiled backends the gain
-  /// tables come from the instance's shared cache, so repeated replays
-  /// (and offline algorithms on the same instance) pay the build once; the
-  /// appendable backend builds a private growable matrix instead, and
-  /// on_link_arrival extends the universe past the instance (fresh
-  /// endpoints must be nodes of the instance's metric).
+  /// depends on who else is active. On the dense backend the gain tables
+  /// come from the instance's shared cache, so repeated replays (and
+  /// offline algorithms on the same instance) pay the build once; the
+  /// appendable and computed backends build a private matrix instead (the
+  /// scheduler moves its links), and on_link_arrival extends an appendable
+  /// universe past the instance (fresh endpoints must be nodes of the
+  /// instance's metric).
   OnlineScheduler(const Instance& instance, std::span<const double> powers,
                   const SinrParams& params, Variant variant,
                   OnlineSchedulerOptions options = {});
@@ -401,11 +402,11 @@ using OnlineSeriesWriter = std::function<void(obs::MetricsSnapshot&, const Onlin
 void register_online_metrics(obs::MetricsRegistry& registry,
                              const OnlineScheduler& scheduler, std::string labels = "");
 
-/// Registers scrape-time gauges over the scheduler's gain storage —
-/// oisched_gain_resident_doubles always, plus touched/total tile gauges
-/// on the tiled backend (all read from the storage's own atomic-backed
-/// accessors, so sampling is safe while the scheduler runs). The
-/// scheduler must outlive every subsequent registry scrape.
+/// Registers a scrape-time gauge over the scheduler's gain storage:
+/// oisched_gain_resident_doubles. A dense or computed matrix never changes
+/// size, so sampling is safe while the scheduler runs; an appendable one
+/// grows, so scrape it like register_online_metrics. The scheduler must
+/// outlive every subsequent registry scrape.
 void register_gain_metrics(obs::MetricsRegistry& registry,
                            const OnlineScheduler& scheduler, std::string labels = "");
 

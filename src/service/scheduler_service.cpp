@@ -94,7 +94,7 @@ void SchedulerService::register_metrics(obs::MetricsRegistry& registry) {
   };
   struct Series {
     std::vector<ShardSeries> shards;
-    obs::MetricId submitted = 0, resident = 0, touched = 0, total = 0;
+    obs::MetricId submitted = 0, resident = 0;
   } series;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string labels = "shard=\"" + std::to_string(s) + "\"";
@@ -118,10 +118,6 @@ void SchedulerService::register_metrics(obs::MetricsRegistry& registry) {
   series.resident = registry.gauge(
       "oisched_gain_resident_doubles",
       "Gain-table entries resident across the shards' distinct matrices");
-  series.touched = registry.gauge("oisched_gain_touched_tiles",
-                                  "Tiles materialized so far (tiled backend)");
-  series.total = registry.gauge("oisched_gain_total_tiles",
-                                "Tiles the full tables would need (tiled backend)");
   // Every series reads what the shards publish, under the same lock they
   // publish it with. Lock order is registry mutex →
   // state_mutex_ → queue mutexes; shard threads never take the registry
@@ -139,25 +135,16 @@ void SchedulerService::register_metrics(obs::MetricsRegistry& registry) {
       out.add_counter(ids.rejected, shard.rejected);
     }
     out.add_counter(series.submitted, submitted_);
-    // Gain-storage residency over the DISTINCT matrices (dense/tiled
-    // shards share the instance's cached tables; computed gives each
-    // shard a private one). Residency is fixed on dense and computed and
-    // atomic-backed on tiled (appendable is rejected), so sampling while
-    // shards run is safe.
+    // Gain-storage residency over the DISTINCT matrices (dense shards
+    // share the instance's cached tables; computed gives each shard a
+    // private one). Residency is fixed on both (appendable is rejected),
+    // so sampling while shards run is safe.
     std::vector<const GainMatrix*> seen;
     for (const auto& shard : shards_) {
       const GainMatrix* gains = &shard->scheduler.gains();
       if (std::find(seen.begin(), seen.end(), gains) != seen.end()) continue;
       seen.push_back(gains);
-      std::size_t touched = gains->receiver_storage().touched_blocks();
-      std::size_t total = gains->receiver_storage().total_blocks();
-      if (const GainStorage* sender = gains->sender_storage()) {
-        touched += sender->touched_blocks();
-        total += sender->total_blocks();
-      }
       out.add_gauge(series.resident, static_cast<double>(gains->resident_doubles()));
-      out.add_gauge(series.touched, static_cast<double>(touched));
-      out.add_gauge(series.total, static_cast<double>(total));
     }
   });
 }

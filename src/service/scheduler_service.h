@@ -120,7 +120,7 @@ struct SchedulerServiceOptions {
   /// per-shard `shard="s"`-labelled series (the scheduler's oisched_*
   /// set plus service latency/batch-size histograms, processed/rejected
   /// counters and a queue-depth gauge) and the service-level submitted
-  /// counter and gain-storage gauges (see README "Observability"). One
+  /// counter and gain-storage gauge (see README "Observability"). One
   /// scrape-time collector reads them all from what each shard publishes
   /// under the service's state lock (per batch, and before each
   /// synchronous completion), so a scrape while shards run sees whole
@@ -160,9 +160,9 @@ class SchedulerService {
   /// Mirrors the OnlineScheduler contract: the instance seeds the link
   /// universe, powers/params/variant are fixed for the service lifetime
   /// (sound under oblivious assignments). Builds one scheduler per shard —
-  /// on the dense/tiled backends they share the instance's cached gain
-  /// tables; on computed each shard owns a private tableless matrix and
-  /// only ever moves its own links. Spawns the shard threads.
+  /// on the dense backend they share the instance's cached gain tables;
+  /// on computed each shard owns a private tableless matrix and only ever
+  /// moves its own links. Spawns the shard threads.
   SchedulerService(const Instance& instance, std::span<const double> powers,
                    const SinrParams& params, Variant variant,
                    SchedulerServiceOptions options = {});

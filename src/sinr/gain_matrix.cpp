@@ -24,9 +24,9 @@ constexpr double kBudget = 0x1p-26;
 constexpr double kHuge = 0x1p1023;
 /// Element generator for one table side: the exact formula of the
 /// historical eager build, evaluated per entry. Captures the shared
-/// request/power stores (not the matrix), so a lazily materialized tile,
-/// an appended row or an on-demand entry reads the same data — and a grown
-/// or moved store is visible to later fills without rewiring anything.
+/// request/power stores (not the matrix), so an appended row or an
+/// on-demand entry reads the same data — and a grown or moved store is
+/// visible to later fills without rewiring anything.
 GainFiller make_gain_filler(const MetricSpace* metric,
                             std::shared_ptr<std::vector<Request>> requests,
                             std::shared_ptr<std::vector<double>> powers, double alpha,

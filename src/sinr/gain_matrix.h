@@ -174,13 +174,12 @@ struct MemberRecord {
 ///
 /// The tables live behind a GainStorage policy (gain_storage.h). `dense`
 /// keeps the historical eager layout (and its raw-pointer fast path);
-/// `tiled` materializes B x B tiles lazily so huge universes with
-/// localized activity stay memory-bounded; `appendable` grows —
-/// append_request gives a fresh link its row and column in O(n), the
-/// foundation of the online scheduler's growing universe; `computed`
-/// keeps no table, so update_request moves a link by rewriting only the
-/// stores. Every backend computes each entry with the same formula from
-/// the same inputs, so queries are bit-for-bit identical across backends.
+/// `appendable` grows — append_request gives a fresh link its row and
+/// column in O(n), the foundation of the online scheduler's growing
+/// universe; `computed` keeps no table, so huge universes stay O(n) in
+/// memory and update_request moves a link by rewriting only the stores.
+/// Every backend computes each entry with the same formula from the same
+/// inputs, so queries are bit-for-bit identical across backends.
 /// A computed matrix over an EuclideanMetric skips its storage's filler:
 /// at_v/at_u and add_row_to evaluate the inline EuclideanGainKernel, and
 /// for an integer alpha <= 8 its estimate() is a pow-free value within
@@ -189,9 +188,9 @@ struct MemberRecord {
 ///
 /// Lifetime: the matrix copies the requests and powers it was built from
 /// (requests()/powers() view the copies), but only references the metric —
-/// the caller keeps it alive, as Instance's gain cache does. Lazy and
-/// appendable backends consult the metric after construction; dense never
-/// does, but the contract is uniform.
+/// the caller keeps it alive, as Instance's gain cache does. Appendable
+/// and computed backends consult the metric after construction; dense
+/// never does, but the contract is uniform.
 class GainMatrix {
  public:
   GainMatrix(const MetricSpace& metric, std::span<const Request> requests,
@@ -260,18 +259,10 @@ class GainMatrix {
   /// also rewrites the link's table row and column (O(n) evaluations), or
   /// the computed backend, which has no table and is done in O(1). Either
   /// way queries stay bit-for-bit identical to a freshly constructed
-  /// matrix over the moved universe. Dense and tiled tables are frozen,
-  /// and Instance's shared cache never holds a movable backend. Not
-  /// thread-safe.
+  /// matrix over the moved universe. Dense tables are frozen, and the
+  /// matrices Instance's cache shares are const. Not thread-safe.
   void update_request(std::size_t link, const Request& request, double power);
 
-  /// The receiver-side storage — tests and the memory model observe tile
-  /// residency through it.
-  [[nodiscard]] const GainStorage& receiver_storage() const noexcept { return *at_v_; }
-  /// The sender-side storage; nullptr when that table was not built.
-  [[nodiscard]] const GainStorage* sender_storage() const noexcept {
-    return at_u_.get();
-  }
   /// Doubles currently resident across signal and both tables.
   [[nodiscard]] std::size_t resident_doubles() const noexcept;
 
@@ -286,9 +277,9 @@ class GainMatrix {
   Variant variant_;
   GainBackend backend_;
   const MetricSpace* metric_;
-  /// Owned copies shared with the storage fillers, so lazily materialized
-  /// entries read the same data the eager build would have — including the
-  /// rows appended after construction.
+  /// Owned copies shared with the storage fillers, so on-demand entries
+  /// read the same data the eager build would have — including the rows
+  /// appended after construction.
   std::shared_ptr<std::vector<Request>> requests_store_;
   std::shared_ptr<std::vector<double>> powers_store_;
   std::vector<double> signal_;

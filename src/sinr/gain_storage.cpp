@@ -10,8 +10,6 @@ const char* to_string(GainBackend backend) {
   switch (backend) {
     case GainBackend::dense:
       return "dense";
-    case GainBackend::tiled:
-      return "tiled";
     case GainBackend::appendable:
       return "appendable";
     case GainBackend::computed:
@@ -23,8 +21,6 @@ const char* to_string(GainBackend backend) {
 bool parse_gain_backend(const std::string& word, GainBackend& backend) {
   if (word == "dense") {
     backend = GainBackend::dense;
-  } else if (word == "tiled") {
-    backend = GainBackend::tiled;
   } else if (word == "appendable") {
     backend = GainBackend::appendable;
   } else if (word == "computed") {
@@ -48,45 +44,6 @@ DenseGainStorage::DenseGainStorage(std::size_t n, const GainFiller& fill)
 DenseGainStorage::DenseGainStorage(std::size_t n, std::vector<double> data)
     : n_(n), data_(std::move(data)) {
   require(data_.size() == n_ * n_, "DenseGainStorage: need an n x n table");
-}
-
-TiledGainStorage::TiledGainStorage(std::size_t n, GainFiller fill)
-    : n_(n),
-      tiles_per_side_((n + kTileSize - 1) / kTileSize),
-      fill_(std::move(fill)),
-      tiles_(std::make_unique<Tile[]>(tiles_per_side_ * tiles_per_side_)) {
-  require(static_cast<bool>(fill_), "TiledGainStorage: filler must be callable");
-}
-
-double TiledGainStorage::at(std::size_t j, std::size_t i) const {
-  const std::size_t jb = j / kTileSize;
-  const std::size_t ib = i / kTileSize;
-  Tile& tile = tiles_[jb * tiles_per_side_ + ib];
-  const double* data = tile.ready.load(std::memory_order_acquire);
-  if (data == nullptr) data = materialize(tile, jb, ib);
-  return data[(j % kTileSize) * kTileSize + (i % kTileSize)];
-}
-
-const double* TiledGainStorage::materialize(Tile& tile, std::size_t jb,
-                                            std::size_t ib) const {
-  std::call_once(tile.once, [&] {
-    const std::size_t j0 = jb * kTileSize;
-    const std::size_t i0 = ib * kTileSize;
-    auto data = std::make_unique<double[]>(kTileSize * kTileSize);
-    for (std::size_t dj = 0; dj < kTileSize; ++dj) {
-      const std::size_t j = j0 + dj;
-      for (std::size_t di = 0; di < kTileSize; ++di) {
-        const std::size_t i = i0 + di;
-        // Edge tiles pad with zeros beyond n; the diagonal is the filler's
-        // contract (it returns 0 there).
-        data[dj * kTileSize + di] = (j < n_ && i < n_ && i != j) ? fill_(j, i) : 0.0;
-      }
-    }
-    tile.data = std::move(data);
-    touched_.fetch_add(1, std::memory_order_relaxed);
-    tile.ready.store(tile.data.get(), std::memory_order_release);
-  });
-  return tile.ready.load(std::memory_order_acquire);
 }
 
 AppendableGainStorage::AppendableGainStorage(std::size_t n, GainFiller fill)
@@ -147,8 +104,6 @@ std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend, std::size_t 
   switch (backend) {
     case GainBackend::dense:
       return std::make_unique<DenseGainStorage>(n, fill);
-    case GainBackend::tiled:
-      return std::make_unique<TiledGainStorage>(n, std::move(fill));
     case GainBackend::appendable:
       return std::make_unique<AppendableGainStorage>(n, std::move(fill));
     case GainBackend::computed:

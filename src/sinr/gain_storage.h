@@ -5,42 +5,38 @@
 // That is the right trade for the n <= 10^3 instances the offline
 // algorithms sweep, but it walls off two regimes the paper's oblivious
 // power assignments make perfectly sound: very large universes where only
-// a small working set of links is ever active (a row of the table depends
-// only on the link it describes, so rows can be materialized on first
-// touch), and online growth (a new link's power depends only on its own
-// length, so its row/column can be appended without touching anything
-// already computed).
+// a small working set of links is ever active or links move (every entry
+// is a closed-form function of two links' endpoints, so it can be
+// evaluated on demand instead of stored), and online growth (a new link's
+// power depends only on its own length, so its row/column can be appended
+// without touching anything already computed).
 //
 // GainStorage is the seam: one n x n table of doubles behind a tiny
-// virtual interface, with four backends —
+// virtual interface, with three backends —
 //
 //   DenseGainStorage       today's layout, filled eagerly; exposes its
 //                          contiguous buffer so the hot path stays a raw
-//                          row-major load (no virtual call).
-//   TiledGainStorage       B x B tiles materialized lazily on first touch
-//                          (thread-safe, each tile filled exactly once);
-//                          resident memory is bounded by the touched
-//                          tiles, not n^2.
+//                          row-major load (no virtual call). General
+//                          metrics and the offline engines.
 //   AppendableGainStorage  per-row vectors with amortized growth; a fresh
 //                          link gets its row and column in O(n).
 //   ComputedGainStorage    no table: every entry is evaluated on demand,
-//                          so a moved link costs nothing to refresh.
+//                          so a moved link costs nothing to refresh and
+//                          huge universes keep O(n) memory.
 //
 // Entries are computed per element by a GainFiller, so every backend holds
 // bit-for-bit the values the dense build would — backends differ in cost
 // and residency, never in results. (Over an EuclideanMetric, GainMatrix
 // reads a computed table through its own inline kernel instead of the
 // filler — the same values, see EuclideanGainKernel in gain_matrix.h.)
-// Dense and tiled tables are frozen; only appendable (growth, slot reuse)
-// and computed (motion) change.
+// Dense tables are frozen; only appendable (growth, slot reuse) and
+// computed (motion) change.
 #ifndef OISCHED_SINR_GAIN_STORAGE_H
 #define OISCHED_SINR_GAIN_STORAGE_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,10 +49,6 @@ enum class GainBackend {
   /// Contiguous row-major array, filled eagerly. O(n^2) resident; the
   /// fastest lookups and the default for moderate n.
   dense,
-  /// Lazy B x B tiles, each materialized (thread-safely, exactly once) on
-  /// first touch. Resident memory is proportional to the touched tiles, so
-  /// huge universes with localized activity fit where dense cannot.
-  tiled,
   /// Per-row vectors with amortized growth: append_request extends the
   /// table by one row and one column in O(n) without rebuilding.
   appendable,
@@ -70,8 +62,7 @@ enum class GainBackend {
   computed,
 };
 
-/// Human-readable backend name ("dense" / "tiled" / "appendable" /
-/// "computed").
+/// Human-readable backend name ("dense" / "appendable" / "computed").
 [[nodiscard]] const char* to_string(GainBackend backend);
 
 /// Parses a backend name (as printed by to_string); returns false on an
@@ -79,8 +70,8 @@ enum class GainBackend {
 [[nodiscard]] bool parse_gain_backend(const std::string& word, GainBackend& backend);
 
 /// Computes one table entry. Must be pure (same (j, i) -> same double) and
-/// return 0.0 on the diagonal; lazy backends keep it alive and call it long
-/// after construction.
+/// return 0.0 on the diagonal; the appendable and computed backends keep it
+/// alive and call it long after construction.
 using GainFiller = std::function<double(std::size_t j, std::size_t i)>;
 
 /// One square table of pairwise gains behind a storage policy.
@@ -91,19 +82,13 @@ class GainStorage {
   [[nodiscard]] virtual GainBackend kind() const noexcept = 0;
   /// Current number of rows (== columns).
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  /// Entry (j, i); lazy backends materialize on demand (thread-safe).
+  /// Entry (j, i).
   [[nodiscard]] virtual double at(std::size_t j, std::size_t i) const = 0;
   /// Contiguous row-major buffer when the layout has one, else nullptr —
   /// lets callers skip the virtual dispatch on the dense fast path.
   [[nodiscard]] virtual const double* dense_data() const noexcept { return nullptr; }
   /// Doubles currently resident — the observable of the memory model.
   [[nodiscard]] virtual std::size_t resident_doubles() const noexcept = 0;
-  /// Lazily materialized blocks touched so far / in total — 0/0 for eager
-  /// layouts. The storage-agnostic residency observables the telemetry
-  /// collector (register_gain_metrics) and the bench report read, so they
-  /// need no backend downcasts.
-  [[nodiscard]] virtual std::size_t touched_blocks() const noexcept { return 0; }
-  [[nodiscard]] virtual std::size_t total_blocks() const noexcept { return 0; }
 };
 
 /// Eager contiguous table (the historical layout).
@@ -127,56 +112,6 @@ class DenseGainStorage final : public GainStorage {
  private:
   std::size_t n_;
   std::vector<double> data_;
-};
-
-/// Lazy blocked table: kTileSize x kTileSize tiles materialized on first
-/// touch. at() is thread-safe; concurrent first touches of one tile fill it
-/// exactly once (per-tile once_flag) and everyone else waits only for that
-/// tile, never for the whole table.
-class TiledGainStorage final : public GainStorage {
- public:
-  /// Power of two so the hot-path index math is shifts and masks;
-  /// 64 x 64 doubles = 32 KiB per tile.
-  static constexpr std::size_t kTileSize = 64;
-
-  TiledGainStorage(std::size_t n, GainFiller fill);
-
-  [[nodiscard]] GainBackend kind() const noexcept override { return GainBackend::tiled; }
-  [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override;
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return touched_tiles() * kTileSize * kTileSize;
-  }
-  [[nodiscard]] std::size_t touched_blocks() const noexcept override {
-    return touched_tiles();
-  }
-  [[nodiscard]] std::size_t total_blocks() const noexcept override {
-    return total_tiles();
-  }
-
-  /// Tiles materialized so far — what the sparse-schedule smoke tests and
-  /// the memory model reason about.
-  [[nodiscard]] std::size_t touched_tiles() const noexcept {
-    return touched_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t total_tiles() const noexcept {
-    return tiles_per_side_ * tiles_per_side_;
-  }
-
- private:
-  struct Tile {
-    std::once_flag once;
-    std::atomic<const double*> ready{nullptr};
-    std::unique_ptr<double[]> data;
-  };
-
-  const double* materialize(Tile& tile, std::size_t jb, std::size_t ib) const;
-
-  std::size_t n_;
-  std::size_t tiles_per_side_;
-  GainFiller fill_;
-  std::unique_ptr<Tile[]> tiles_;
-  mutable std::atomic<std::size_t> touched_{0};
 };
 
 /// Growable table: one vector per row, filled eagerly for the initial

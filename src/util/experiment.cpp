@@ -245,7 +245,7 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   }
   const bool mobility = is_mobility_trace(spec.trace);
   // The scheduler owns its matrix on the backends that move or grow links;
-  // dense and tiled come from the instance's shared cache.
+  // dense comes from the instance's shared cache.
   const bool owned = backend == GainBackend::appendable || backend == GainBackend::computed;
   require(owned || !mobility,
           "experiment: mobility cells run on the computed or appendable backend");
@@ -257,10 +257,9 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   // Moved links are re-powered by the cell's oblivious assignment.
   if (mobility) options.fresh_power = assignment;
   if (!owned) {
-    // Cold build of the shared gain tables on the cell's backend (lazy ones
-    // only pay their signal pass here); the replay hits the cache. An owned
-    // matrix has no shared cache to warm — the scheduler's own build is
-    // timed below.
+    // Cold build of the shared gain tables on the cell's backend; the
+    // replay hits the cache. An owned matrix has no shared cache to warm —
+    // the scheduler's own build is timed below.
     Stopwatch watch;
     (void)instance.gains(powers, params.alpha, spec.variant,
                          /*with_sender_gains=*/false, backend);
@@ -280,12 +279,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   if (policy != RemovePolicy::rebuild && instance.size() <= kPolicyTwinMaxN) {
     result.dynamic.policy_identical = rebuild_twin_agrees(
         instance, powers, params, spec.variant, options, trace, replay.final_schedule);
-  }
-  result.dynamic.touched_tiles = scheduler.gains().receiver_storage().touched_blocks();
-  result.dynamic.total_tiles = scheduler.gains().receiver_storage().total_blocks();
-  if (const GainStorage* sender = scheduler.gains().sender_storage()) {
-    result.dynamic.touched_tiles += sender->touched_blocks();
-    result.dynamic.total_tiles += sender->total_blocks();
   }
 }
 
@@ -326,10 +319,6 @@ JsonValue dynamic_json(const DynamicResult& dynamic) {
   // (service cells measure submit-to-completion, bare cells the handler).
   value["latency_p50_ms"] = dynamic.latency_p50_ms;
   value["latency_p99_ms"] = dynamic.latency_p99_ms;
-  if (dynamic.total_tiles > 0) {
-    value["touched_tiles"] = dynamic.touched_tiles;
-    value["total_tiles"] = dynamic.total_tiles;
-  }
   if (dynamic.shards > 0) {
     value["shards"] = dynamic.shards;
     value["arrival_rate"] = dynamic.arrival_rate;  // 0 = saturated
@@ -392,10 +381,10 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   const std::vector<std::string> topologies = {"line", "grid", "random", "adversarial"};
   std::vector<ScenarioSpec> grid;
   const auto push = [&](ScenarioSpec spec) {
-    // Mobility cells move links, so they default to computed whatever
-    // --storage says; their names stay unsuffixed (see name()).
+    // Mobility cells move links, so they default to computed; their names
+    // stay unsuffixed (see name()).
     if (spec.storage.empty()) {
-      spec.storage = is_mobility_trace(spec.trace) ? "computed" : options.storage;
+      spec.storage = is_mobility_trace(spec.trace) ? "computed" : "dense";
     }
     if (spec.remove_policy.empty()) spec.remove_policy = options.remove_policy;
     // The Theorem-1 adversarial family lives in the directed variant.
@@ -457,9 +446,9 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     // The CI-smoke dynamic subset: the flagship churn scenario (under the
     // default exact policy AND the historical rebuild policy, same trace,
     // so CI can gate exact's throughput against rebuild's on the same
-    // runner), the adversarial chain stressor, the tiled large-n hotspot
-    // (a universe a dense table could not hold in ~2 GiB) and the
-    // growing-universe cell.
+    // runner), the adversarial chain stressor, the large-n hotspot on the
+    // computed backend (a universe a dense table could not hold in ~2 GiB)
+    // and the growing-universe cell.
     add("random", 256, "sqrt", "poisson");
     // Skipped when it would duplicate the default-policy cell above
     // (e.g. under --remove-policy rebuild).
@@ -467,7 +456,7 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
       add("random", 256, "sqrt", "poisson", "", "rebuild");
     }
     add("random", 64, "sqrt", "adversarial");
-    add("random", 16384, "sqrt", "hotspot", "tiled");
+    add("random", 16384, "sqrt", "hotspot", "computed");
     add("random", 128, "sqrt", "growing", "appendable");
     // The flagship mobility cell: endpoint motion over Poisson churn,
     // replayed on the computed backend.
@@ -516,13 +505,11 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
       add("random", n, "sqrt", trace);
     }
   }
-  // Storage-backend cells: the flagship churn scenario replayed off tiled
-  // tables, the large-n hotspot only the tiled backend can hold, the
-  // growing universe over the appendable backend, and motion on appendable
-  // (row/column rewrite) next to the computed default of every other
-  // mobility cell.
-  add("random", 256, "sqrt", "poisson", "tiled");
-  add("random", 16384, "sqrt", "hotspot", "tiled");
+  // Storage-backend cells: the large-n hotspot on the tableless backend,
+  // the growing universe over the appendable backend, and motion on
+  // appendable (row/column rewrite) next to the computed default of every
+  // other mobility cell.
+  add("random", 16384, "sqrt", "hotspot", "computed");
   add("random", 512, "sqrt", "growing", "appendable");
   add("random", 128, "sqrt", "waypoint", "appendable");
   // The remove-policy axis on the flagship churn cell: the same instance
@@ -621,9 +608,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
     result.valid = validate_schedule(instance, powers, gain, params, spec.variant).valid;
 
     // Backend-equivalence gate: the gain engine re-run on the alternate
-    // storage backend must reproduce the schedule bit for bit.
+    // storage backend (dense <-> computed) must reproduce the schedule bit
+    // for bit.
     const GainBackend alternate =
-        backend == GainBackend::tiled ? GainBackend::dense : GainBackend::tiled;
+        backend == GainBackend::computed ? GainBackend::dense : GainBackend::computed;
     const auto [alternate_schedule, alternate_ms] =
         greedy_with(FeasibilityEngine::gain_matrix, alternate);
     (void)alternate_ms;

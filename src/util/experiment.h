@@ -40,11 +40,10 @@ struct ScenarioSpec {
   /// dynamic-mobility family: churn interleaved with endpoint motion,
   /// replayed on a privately owned computed (or appendable) matrix.
   std::string trace;
-  /// Gain-table backend: "dense" | "tiled" | "appendable" | "computed".
-  /// tiled keeps large sparsely-active universes memory-bounded;
+  /// Gain-table backend: "dense" | "appendable" | "computed".
   /// appendable is the growing-universe (dynamic) backend; computed keeps
-  /// no table at all (the n = 131072 cell) and is the default of mobility
-  /// cells, which only move links on computed or appendable.
+  /// no table at all (the hotspot and n >= 16384 cells) and is the default
+  /// of mobility cells, which only move links on computed or appendable.
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild"). exact — the scheduler default — removes
@@ -75,8 +74,8 @@ struct ScenarioSpec {
   /// "random/n256/sqrt/bidirectional", or
   /// "dynamic/random/n256/poisson/sqrt/bidirectional" for the dynamic
   /// family — stable scenario identifiers. Non-default storage backends
-  /// append a "/tiled" (etc.) segment (dense is the default, and computed
-  /// too on mobility cells); non-default remove policies a
+  /// append a "/computed" (etc.) segment (dense is the default, and
+  /// computed too on mobility cells); non-default remove policies a
   /// "/rebuild" (etc.) one. Service cells use the "dynamic-service/"
   /// prefix and always append "/s<shards>" (plus "/r<rate>" when paced),
   /// e.g. "dynamic-service/random/n256/poisson/sqrt/bidirectional/s4".
@@ -119,10 +118,6 @@ struct DynamicResult {
   /// replay-on-remove would dwarf the timed measurement; the differential
   /// fuzz suites cover large-n policy identity) and report true.
   bool policy_identical = true;
-  /// Tiled backend only: tiles materialized / total — the memory-bounding
-  /// evidence of the lazy backend.
-  std::size_t touched_tiles = 0;
-  std::size_t total_tiles = 0;
   /// Dynamic-service family only (spec.shards > 0). Latency is
   /// submit-to-completion (queue wait plus scheduling work), the quantity
   /// the saturation sweep traces against the arrival rate.
@@ -172,7 +167,7 @@ struct ScenarioResult {
   /// re-validated bit-for-bit against the direct feasibility engine.
   bool valid = false;
   /// Static family: greedy over the gain engine re-run on the alternate
-  /// storage backend (dense <-> tiled) produced the identical schedule —
+  /// storage backend (dense <-> computed) produced the identical schedule —
   /// the runner-level backend-equivalence gate (summary counts the
   /// disagreements).
   bool backends_identical = true;
@@ -205,10 +200,6 @@ struct ExperimentOptions {
   std::size_t threads = 0;  // 0 = hardware concurrency
   std::uint64_t base_seed = 1;
   SinrParams params;        // alpha/beta/noise shared by every scenario
-  /// Default storage backend for grid cells that do not pin one
-  /// ("dense" | "tiled"); the large-n and growing cells always pin theirs,
-  /// and mobility cells default to computed regardless.
-  std::string storage = "dense";
   /// Default remove policy for dynamic cells that do not pin one
   /// ("exact" | "rebuild"); the policy-axis cell always pins its own.
   std::string remove_policy = "exact";

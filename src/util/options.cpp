@@ -71,11 +71,11 @@ void OptionParser::add_storage(GainBackend& out, bool allow_appendable) {
     GainBackend parsed = GainBackend::dense;
     if (!parse_gain_backend(word, parsed)) {
       return fail("--storage: unknown backend '" + word +
-                  "' (expected dense|tiled|appendable|computed)");
+                  "' (expected dense|appendable|computed)");
     }
     if (parsed == GainBackend::appendable && !allow_appendable) {
       return fail("--storage: appendable is chosen automatically when the trace "
-                  "grows the universe; pick dense, tiled or computed");
+                  "grows the universe; pick dense or computed");
     }
     out = parsed;
     return Expected<void>();

@@ -43,7 +43,7 @@ class OptionParser {
 
   /// The domain flags, registered identically by every subcommand that
   /// takes them (one definition — one behavior):
-  ///   --storage dense|tiled[|appendable]   (appendable only when allowed:
+  ///   --storage dense|computed[|appendable]   (appendable only when allowed:
   ///   an appendable table has a single owner and is normally chosen
   ///   automatically by the replay path)
   void add_storage(GainBackend& out, bool allow_appendable = false);

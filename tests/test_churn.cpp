@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -370,6 +371,85 @@ TEST(ChurnTrace, FileRoundTrip) {
   const ChurnTrace loaded = load_trace(path);
   EXPECT_EQ(loaded, trace);
   std::remove(path.c_str());
+}
+
+TEST(ChurnTrace, LoaderSurvivesByteMutations) {
+  // A seeded mutation fuzz of the strict loader: every mutant of a saved
+  // valid trace (bit flips, deletions, insertions, duplicated spans and
+  // truncations, one to three per mutant) must either come back as a
+  // structured error or load as a trace whose stream validates. Under the
+  // sanitizer builds this also gates crashes and leaks on malformed input.
+  Rng seed_rng(5);
+  const ChurnTrace growing =
+      make_churn_trace("growing", 12, /*target_events=*/60, seed_rng, fresh_pool(6));
+  const ChurnTrace moving = make_mobility_trace("waypoint", /*seed=*/9, 60);
+  const std::string seeds[] = {trace_to_json(growing).dump(), trace_to_json(moving).dump()};
+  const std::string path = ::testing::TempDir() + "oisched_trace_mutant.json";
+  const std::string alphabet = "0123456789-+.eE,:{}[]\" tfnulrsakidv";
+  Rng rng(20261019);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int mutant = 0; mutant < 2000; ++mutant) {
+    std::string bytes = seeds[mutant % 2];
+    const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int e = 0; e < edits && !bytes.empty(); ++e) {
+      const std::size_t at = rng.uniform_index(bytes.size());
+      const std::size_t span = 1 + rng.uniform_index(16);
+      switch (rng.uniform_index(5)) {
+        case 0:  // flip one bit
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+          break;
+        case 1:  // delete a short run
+          bytes.erase(at, span);
+          break;
+        case 2: {  // insert a JSON-ish byte, or any byte
+          char byte = static_cast<char>(rng.uniform_index(256));
+          if (rng.bernoulli(0.75)) byte = alphabet[rng.uniform_index(alphabet.size())];
+          bytes.insert(at, 1, byte);
+          break;
+        }
+        case 3: {  // duplicate a span somewhere else
+          const std::string copy = bytes.substr(at, span);
+          bytes.insert(rng.uniform_index(bytes.size() + 1), copy);
+          break;
+        }
+        default:  // truncate
+          bytes.resize(at);
+          break;
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    const Expected<ChurnTrace> result = try_load_trace(path);
+    if (!result.ok()) {
+      EXPECT_FALSE(result.error().empty());
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    EXPECT_NO_THROW(result.value().validate()) << "mutant " << mutant << ": " << bytes;
+  }
+  std::remove(path.c_str());
+  // Both outcomes occur: the mutations neither all break the document nor
+  // all miss it.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ChurnTrace, ValidationMemoryFollowsTheEventsNotTheClaimedUniverse) {
+  // A document may name any universe; checking its stream must not
+  // allocate per claimed link (2^40 here), or one edited digit in a trace
+  // file exhausts memory before the loader can answer.
+  const ChurnTrace trace = trace_from_json(parse_json(
+      R"({"schema": "oisched-trace/3", "universe": 1099511627776,
+          "events": [{"t": 0, "kind": "arrival", "link": 1099511627775},
+                     {"t": 1, "kind": "link_arrival", "link": 1099511627776,
+                      "u": 0, "v": 1},
+                     {"t": 2, "kind": "departure", "link": 1099511627775}]})"));
+  EXPECT_EQ(trace.universe, std::size_t{1} << 40);
+  EXPECT_EQ(trace.final_universe(), (std::size_t{1} << 40) + 1);
 }
 
 TEST(ChurnTrace, FromJsonRejectsBadDocuments) {

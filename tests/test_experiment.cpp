@@ -111,14 +111,14 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   const auto grid = experiment_grid(options);
   // 24 static cells + the n512 flagship + 6 dynamic (3 trace kinds x 2
   // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes, on computed)
-  // + 4 storage-backend cells (tiled poisson, tiled large-n hotspot,
-  // appendable growing, appendable waypoint) + the
+  // + 3 storage-backend cells (computed large-n hotspot, appendable
+  // growing, appendable waypoint) + the
   // remove-policy cell (flagship poisson under rebuild) + 7
   // dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
   // rates, waypoint s4) + the n512 parallel-scan cell + 4 capped
   // large-universe dynamic cells (n4096 poisson/waypoint, n16384 and
   // n131072 tableless). No cell belongs to a far-field family.
-  EXPECT_EQ(grid.size(), 54u);
+  EXPECT_EQ(grid.size(), 53u);
   std::set<std::string> trace_kinds;
   std::set<std::string> storages;
   std::set<std::string> policies;
@@ -134,7 +134,7 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
             (std::set<std::string>{"poisson", "flash", "adversarial", "hotspot",
                                    "growing", "waypoint", "commuter", "flashmob"}));
   EXPECT_EQ(storages,
-            (std::set<std::string>{"dense", "tiled", "appendable", "computed"}));
+            (std::set<std::string>{"dense", "appendable", "computed"}));
   EXPECT_EQ(policies, (std::set<std::string>{"exact", "rebuild"}));
   // Seeds are distinct so scenarios are independent draws — except the
   // remove-policy cell, the service cells (6 poisson + 1
@@ -162,7 +162,7 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
   options.quick = true;
   const auto grid = experiment_grid(options);
   bool has_flagship_churn = false;
-  bool has_tiled_large_n = false;
+  bool has_large_n_hotspot = false;
   bool has_growing = false;
   bool has_mobility = false;
   bool has_scale = false;
@@ -171,8 +171,8 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
     if (spec.name() == "dynamic/random/n256/poisson/sqrt/bidirectional") {
       has_flagship_churn = true;
     }
-    if (spec.name() == "dynamic/random/n16384/hotspot/sqrt/bidirectional/tiled") {
-      has_tiled_large_n = true;
+    if (spec.name() == "dynamic/random/n16384/hotspot/sqrt/bidirectional/computed") {
+      has_large_n_hotspot = true;
     }
     if (spec.name() == "dynamic/random/n128/growing/sqrt/bidirectional/appendable") {
       has_growing = true;
@@ -192,7 +192,7 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
     }
   }
   EXPECT_TRUE(has_flagship_churn);
-  EXPECT_TRUE(has_tiled_large_n);
+  EXPECT_TRUE(has_large_n_hotspot);
   EXPECT_TRUE(has_growing);
   EXPECT_TRUE(has_mobility);
   EXPECT_TRUE(has_scale);
@@ -233,25 +233,28 @@ TEST(ExperimentRunner, GrowingScenarioGrowsTheUniverseAndValidates) {
   EXPECT_FALSE(scenario_failed(result));
 }
 
-TEST(ExperimentRunner, TiledHotspotTouchesOnlyAFractionOfTheTiles) {
+TEST(ExperimentRunner, ComputedHotspotKeepsNoTableResident) {
   ScenarioSpec spec;
   spec.topology = "random";
-  spec.n = 2048;  // 32x32 tile grid per table; the hotspot window is 128
+  spec.n = 2048;  // the hotspot window is 128 links of the 2048
   spec.power = "sqrt";
   spec.variant = Variant::bidirectional;
   spec.seed = 9;
   spec.trace = "hotspot";
-  spec.storage = "tiled";
+  spec.storage = "computed";
   SinrParams params;
   const ScenarioResult result = run_scenario(spec, params);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.valid);
   EXPECT_GT(result.dynamic.events_per_sec, 0.0);
-  ASSERT_GT(result.dynamic.total_tiles, 0u);
-  EXPECT_GT(result.dynamic.touched_tiles, 0u);
-  // The memory model of the lazy backend: churn confined to a window
-  // leaves most of the table unmaterialized.
-  EXPECT_LT(result.dynamic.touched_tiles, result.dynamic.total_tiles / 2);
+  // The memory model of the tableless backend: the scraped residency
+  // gauge counts the n signals and no table entry at all.
+  const JsonValue* gauges = result.metrics.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const JsonValue* resident = gauges->find("oisched_gain_resident_doubles");
+  ASSERT_NE(resident, nullptr);
+  EXPECT_GT(resident->as_double(), 0.0);
+  EXPECT_LE(resident->as_double(), static_cast<double>(result.built_n));
   EXPECT_FALSE(scenario_failed(result));
 }
 
@@ -470,25 +473,24 @@ TEST(ExperimentRunner, MobilityCellReplaysInPlaceAndMatchesRebuildReference) {
 }
 
 TEST(ExperimentRunner, MobilityCellsMoveLinksOnlyOnComputedOrAppendable) {
-  // Dense and tiled tables are frozen, so a mobility cell pinned to one
-  // fails loudly instead of silently running elsewhere.
+  // Dense tables are frozen, so a mobility cell pinned to one fails
+  // loudly instead of silently running elsewhere.
   ScenarioSpec spec;
   spec.topology = "random";
   spec.n = 16;
   spec.power = "sqrt";
   spec.seed = 3;
   spec.trace = "waypoint";
-  spec.storage = "tiled";
+  spec.storage = "dense";
   const ScenarioResult result = run_scenario(spec, SinrParams{});
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("computed or appendable"), std::string::npos) << result.error;
 }
 
-TEST(ExperimentGrid, MobilityCellsDefaultToComputedWhateverTheStorageFlag) {
-  // --storage tiled must not rename (or re-seed) the mobility cells the CI
-  // gates select by name: they run on computed and keep their names.
+TEST(ExperimentGrid, MobilityCellsDefaultToComputed) {
+  // The mobility cells the CI gates select by name run on computed and
+  // keep their unsuffixed names (and so their seeds).
   ExperimentOptions options;
-  options.storage = "tiled";
   bool seen = false;
   for (const ScenarioSpec& spec : experiment_grid(options)) {
     if (spec.trace != "waypoint" || spec.n != 256 || spec.shards > 0) continue;

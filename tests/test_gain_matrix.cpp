@@ -275,20 +275,20 @@ TEST(GainCache, BackendIsACacheKeyDimension) {
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
   const auto dense = instance.gains(powers, 3.0, Variant::bidirectional);
-  const auto tiled = instance.gains(powers, 3.0, Variant::bidirectional, false,
-                                    GainBackend::tiled);
-  EXPECT_NE(dense.get(), tiled.get());  // distinct keys, distinct builds
+  const auto computed = instance.gains(powers, 3.0, Variant::bidirectional, false,
+                                       GainBackend::computed);
+  EXPECT_NE(dense.get(), computed.get());  // distinct keys, distinct builds
   EXPECT_EQ(dense->backend(), GainBackend::dense);
-  EXPECT_EQ(tiled->backend(), GainBackend::tiled);
+  EXPECT_EQ(computed->backend(), GainBackend::computed);
   // Same key -> same table, and both answer identically.
   EXPECT_EQ(instance
-                .gains(powers, 3.0, Variant::bidirectional, false, GainBackend::tiled)
+                .gains(powers, 3.0, Variant::bidirectional, false, GainBackend::computed)
                 .get(),
-            tiled.get());
+            computed.get());
   for (std::size_t j = 0; j < instance.size(); ++j) {
     for (std::size_t i = 0; i < instance.size(); ++i) {
       if (i == j) continue;
-      EXPECT_EQ(tiled->at_v(j, i), dense->at_v(j, i));
+      EXPECT_EQ(computed->at_v(j, i), dense->at_v(j, i));
     }
   }
 }
@@ -466,20 +466,17 @@ TEST(GainMatrixUpdate, UpdateRequestGuardsItsPreconditions) {
   EXPECT_EQ(gains.powers()[0], 2.0);
 }
 
-TEST(GainMatrixUpdate, DenseAndTiledTablesAreFrozen) {
-  // Only appendable and computed move links; a dense or tiled matrix
-  // refuses the update and keeps its stores as built.
+TEST(GainMatrixUpdate, DenseTablesAreFrozen) {
+  // Only appendable and computed move links; a dense matrix refuses the
+  // update and keeps its stores as built.
   const auto scenario = random_scenario(6, /*seed=*/3);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
-  for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled}) {
-    GainMatrix gains(instance, powers, 3.0, Variant::bidirectional,
-                     /*with_sender_gains=*/false, backend);
-    EXPECT_THROW(gains.update_request(0, instance.request(1), 2.0), PreconditionError)
-        << to_string(backend);
-    EXPECT_EQ(gains.requests()[0] == instance.request(0), true) << to_string(backend);
-    EXPECT_EQ(gains.powers()[0], powers[0]) << to_string(backend);
-  }
+  GainMatrix gains(instance, powers, 3.0, Variant::bidirectional,
+                   /*with_sender_gains=*/false, GainBackend::dense);
+  EXPECT_THROW(gains.update_request(0, instance.request(1), 2.0), PreconditionError);
+  EXPECT_EQ(gains.requests()[0] == instance.request(0), true);
+  EXPECT_EQ(gains.powers()[0], powers[0]);
 }
 
 }  // namespace

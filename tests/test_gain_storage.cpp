@@ -1,9 +1,9 @@
-// Storage-backend equivalence suite: the dense, tiled and appendable gain
-// backends must answer every query bit-for-bit identically — raw table
-// entries, feasibility verdicts and margins, whole greedy schedules and
-// whole online replays — across the line/grid/random/adversarial fixtures
-// and both variants. Plus the tiled memory model: a sparse schedule over a
-// large universe touches a small fraction of the tiles.
+// Storage-backend equivalence suite: the dense, appendable and computed
+// gain backends must answer every query bit-for-bit identically — raw
+// table entries, feasibility verdicts and margins, whole greedy schedules
+// and whole online replays — across the line/grid/random/adversarial
+// fixtures and both variants. Plus the computed memory model: a large
+// universe keeps only its n signals resident.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -48,8 +48,7 @@ std::vector<Variant> both_variants() {
 }
 
 std::vector<GainBackend> all_backends() {
-  return {GainBackend::dense, GainBackend::tiled, GainBackend::appendable,
-          GainBackend::computed};
+  return {GainBackend::dense, GainBackend::appendable, GainBackend::computed};
 }
 
 TEST(GainBackendNames, RoundTrip) {
@@ -68,7 +67,7 @@ TEST(GainStorageBackends, TablesAreBitIdentical) {
     for (const Variant variant : both_variants()) {
       const GainMatrix dense(instance, powers, 3.0, variant,
                              /*with_sender_gains=*/true, GainBackend::dense);
-      for (const GainBackend backend : {GainBackend::tiled, GainBackend::appendable}) {
+      for (const GainBackend backend : {GainBackend::appendable, GainBackend::computed}) {
         const GainMatrix other(instance, powers, 3.0, variant,
                                /*with_sender_gains=*/true, backend);
         ASSERT_EQ(other.size(), dense.size());
@@ -98,8 +97,8 @@ TEST(GainStorageBackends, VerdictsAndMarginsAgreeOnRandomSubsets) {
     for (const Variant variant : both_variants()) {
       const GainMatrix dense(instance, powers, params.alpha, variant,
                              /*with_sender_gains=*/false, GainBackend::dense);
-      const GainMatrix tiled(instance, powers, params.alpha, variant,
-                             /*with_sender_gains=*/false, GainBackend::tiled);
+      const GainMatrix computed(instance, powers, params.alpha, variant,
+                                /*with_sender_gains=*/false, GainBackend::computed);
       const GainMatrix appendable(instance, powers, params.alpha, variant,
                                   /*with_sender_gains=*/false, GainBackend::appendable);
       for (int trial = 0; trial < 12; ++trial) {
@@ -108,7 +107,7 @@ TEST(GainStorageBackends, VerdictsAndMarginsAgreeOnRandomSubsets) {
           if (rng.bernoulli(0.4)) active.push_back(i);
         }
         const FeasibilityReport expect = check_feasible(dense, active, params);
-        for (const GainMatrix* gains : {&tiled, &appendable}) {
+        for (const GainMatrix* gains : {&computed, &appendable}) {
           const FeasibilityReport got = check_feasible(*gains, active, params);
           EXPECT_EQ(got.feasible, expect.feasible);
           EXPECT_EQ(got.worst_margin, expect.worst_margin);
@@ -131,12 +130,12 @@ TEST(GainStorageBackends, GreedySchedulesIdenticalThroughTheCache) {
             greedy_coloring(instance, powers, params, variant,
                             RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
                             GainBackend::dense);
-        const Schedule tiled =
+        const Schedule computed =
             greedy_coloring(instance, powers, params, variant,
                             RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                            GainBackend::tiled);
-        EXPECT_EQ(dense.color_of, tiled.color_of) << assignment->name();
-        EXPECT_EQ(dense.num_colors, tiled.num_colors);
+                            GainBackend::computed);
+        EXPECT_EQ(dense.color_of, computed.color_of) << assignment->name();
+        EXPECT_EQ(dense.num_colors, computed.num_colors);
       }
     }
   }
@@ -248,13 +247,12 @@ TEST(ComputedBackend, AnswersMatchDenseBitForBit) {
         }
       }
       // The whole point: no tables. Only the signals are resident.
-      EXPECT_EQ(computed.receiver_storage().resident_doubles(), 0u);
       EXPECT_EQ(computed.resident_doubles(), computed.size());
     }
   }
 }
 
-TEST(ComputedBackend, CannotGrowOrEnterTheInstanceCache) {
+TEST(ComputedBackend, CannotGrowButEntersTheInstanceCache) {
   const auto scenario = random_scenario(6, /*seed=*/3);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
@@ -262,11 +260,26 @@ TEST(ComputedBackend, CannotGrowOrEnterTheInstanceCache) {
                       /*with_sender_gains=*/false, GainBackend::computed);
   EXPECT_THROW((void)computed.append_request(instance.request(0), 1.0),
                PreconditionError);
-  // Computed matrices move links in place and cost one signal pass to
-  // build, so the per-instance cache refuses the backend outright.
-  EXPECT_THROW((void)instance.gains(powers, 3.0, Variant::bidirectional, false,
-                                    GainBackend::computed),
-               PreconditionError);
+  // The per-instance cache hands out const computed matrices: one shared
+  // build per key, reading the dense entries bit for bit.
+  const auto cached = instance.gains(powers, 3.0, Variant::bidirectional, false,
+                                     GainBackend::computed);
+  EXPECT_EQ(cached->backend(), GainBackend::computed);
+  EXPECT_EQ(instance.gains(powers, 3.0, Variant::bidirectional, false,
+                           GainBackend::computed)
+                .get(),
+            cached.get());
+  const auto dense = instance.gains(powers, 3.0, Variant::bidirectional);
+  EXPECT_NE(dense.get(), cached.get());  // distinct keys, distinct builds
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    EXPECT_EQ(bits(cached->signal(j)), bits(dense->signal(j)));
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      if (i == j) continue;
+      ASSERT_EQ(bits(cached->at_v(j, i)), bits(dense->at_v(j, i))) << j << "," << i;
+      ASSERT_EQ(bits(cached->at_u(j, i)), bits(dense->at_u(j, i))) << j << "," << i;
+    }
+  }
 }
 
 TEST(IncrementalGainClassGrowth, SyncedAccumulatorsMatchAFreshReplay) {
@@ -350,8 +363,7 @@ void expect_accumulators_identical_across_backends(RemovePolicy policy) {
   for (const Variant variant : both_variants()) {
     std::vector<std::unique_ptr<GainMatrix>> matrices;
     std::vector<IncrementalGainClass> classes;
-    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
-                                      GainBackend::appendable, GainBackend::computed}) {
+    for (const GainBackend backend : all_backends()) {
       matrices.push_back(std::make_unique<GainMatrix>(instance, powers, params.alpha, variant,
                                                       /*with_sender_gains=*/false, backend));
       classes.emplace_back(*matrices.back(), params, policy);
@@ -412,8 +424,7 @@ TEST(GainStorageBackends, RowAdditionIsBitIdenticalAcrossBackends) {
         dense.add_row_to(j, /*sender_side=*/false, 0, n, expect_v.data());
         dense.add_row_to(j, /*sender_side=*/true, j / 2, n, expect_u.data());
       }
-      for (const GainBackend backend :
-           {GainBackend::tiled, GainBackend::appendable, GainBackend::computed}) {
+      for (const GainBackend backend : {GainBackend::appendable, GainBackend::computed}) {
         const GainMatrix other(instance, powers, 3.0, variant,
                                /*with_sender_gains=*/true, backend);
         std::vector<double> got_v(n, 0.25);
@@ -435,7 +446,7 @@ TEST(GainStorageBackends, RowAdditionIsBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(GainStorageBackends, SqrtColoringIdenticalOnTiled) {
+TEST(GainStorageBackends, SqrtColoringIdenticalOnComputed) {
   for (const Instance& instance : fixture_instances()) {
     SinrParams params;
     params.alpha = 3.0;
@@ -444,18 +455,19 @@ TEST(GainStorageBackends, SqrtColoringIdenticalOnTiled) {
       SqrtColoringOptions options;
       options.seed = 5;
       const SqrtColoringResult dense = sqrt_coloring(instance, params, variant, options);
-      options.storage = GainBackend::tiled;
-      const SqrtColoringResult tiled = sqrt_coloring(instance, params, variant, options);
-      EXPECT_EQ(dense.schedule.color_of, tiled.schedule.color_of);
-      EXPECT_EQ(dense.schedule.num_colors, tiled.schedule.num_colors);
+      options.storage = GainBackend::computed;
+      const SqrtColoringResult computed = sqrt_coloring(instance, params, variant, options);
+      EXPECT_EQ(dense.schedule.color_of, computed.schedule.color_of);
+      EXPECT_EQ(dense.schedule.num_colors, computed.schedule.num_colors);
+      EXPECT_EQ(dense.powers, computed.powers);
     }
   }
 }
 
-TEST(TiledBackend, SparseScheduleTouchesFewTilesAtN4096) {
-  // A 4096-link universe: 64x64 tiles per table (4096 total). A schedule
-  // confined to the first 32 links touches only their row stripes — the
-  // resident-memory bound that makes n ~ 10^4-10^5 runnable.
+TEST(ComputedBackend, SparseScheduleAtN4096HoldsNoTable) {
+  // A 4096-link universe on the tableless backend: a dense table per side
+  // would be 4096^2 doubles (128 MiB); computed keeps only the signals,
+  // however many entries a schedule reads.
   const auto scenario = random_scenario(4096, /*seed=*/1, /*side=*/2000.0);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
@@ -463,23 +475,15 @@ TEST(TiledBackend, SparseScheduleTouchesFewTilesAtN4096) {
   params.alpha = 3.0;
   params.beta = 1.0;
   const GainMatrix gains(instance, powers, params.alpha, Variant::bidirectional,
-                         /*with_sender_gains=*/false, GainBackend::tiled);
-  const auto* storage = dynamic_cast<const TiledGainStorage*>(&gains.receiver_storage());
-  ASSERT_NE(storage, nullptr);
-  EXPECT_EQ(storage->touched_tiles(), 0u);  // construction is lazy
+                         /*with_sender_gains=*/false, GainBackend::computed);
+  EXPECT_EQ(gains.resident_doubles(), instance.size());
 
   std::vector<std::size_t> candidates(32);
   for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
   const std::vector<std::size_t> kept =
       greedy_feasible_subset(gains, candidates, params);
   EXPECT_GT(kept.size(), 0u);
-
-  EXPECT_GT(storage->touched_tiles(), 0u);
-  EXPECT_LT(storage->touched_tiles(), storage->total_tiles());
-  // The members' row stripes (plus the candidates' columns) are a sliver of
-  // the 4096-tile table.
-  EXPECT_LE(storage->touched_tiles(), 2 * (instance.size() / TiledGainStorage::kTileSize));
-  EXPECT_LT(gains.resident_doubles(), instance.size() * instance.size() / 8);
+  EXPECT_EQ(gains.resident_doubles(), instance.size());  // reads left nothing
 
   // The sparse subset answers exactly as the direct engine does.
   const FeasibilityReport direct = check_feasible(
@@ -488,6 +492,7 @@ TEST(TiledBackend, SparseScheduleTouchesFewTilesAtN4096) {
   const FeasibilityReport tabled = check_feasible(gains, kept, params);
   EXPECT_EQ(direct.feasible, tabled.feasible);
   EXPECT_EQ(direct.worst_margin, tabled.worst_margin);
+  EXPECT_EQ(direct.worst_request, tabled.worst_request);
 }
 
 TEST(GainStorageUnits, DenseExposesRawDataAndResidency) {
@@ -501,13 +506,12 @@ TEST(GainStorageUnits, DenseExposesRawDataAndResidency) {
   EXPECT_EQ(dense.at(1, 1), 0.0);
   EXPECT_EQ(dense.resident_doubles(), 16u);
 
-  TiledGainStorage tiled(4, fill);
-  EXPECT_EQ(tiled.kind(), GainBackend::tiled);
-  EXPECT_EQ(tiled.dense_data(), nullptr);
-  EXPECT_EQ(tiled.touched_tiles(), 0u);
-  EXPECT_EQ(tiled.at(2, 3), 23.0);
-  EXPECT_EQ(tiled.touched_tiles(), 1u);
-  EXPECT_EQ(tiled.total_tiles(), 1u);  // n=4 fits one 64x64 tile
+  ComputedGainStorage computed(4, fill);
+  EXPECT_EQ(computed.kind(), GainBackend::computed);
+  EXPECT_EQ(computed.dense_data(), nullptr);
+  EXPECT_EQ(computed.at(2, 3), 23.0);
+  EXPECT_EQ(computed.at(1, 1), 0.0);
+  EXPECT_EQ(computed.resident_doubles(), 0u);
 
   AppendableGainStorage appendable(2, fill);
   EXPECT_EQ(appendable.kind(), GainBackend::appendable);

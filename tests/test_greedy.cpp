@@ -140,18 +140,18 @@ TEST(Greedy, ParallelScanIsBitIdenticalToSequentialOnEveryEngine) {
       EXPECT_EQ(sequential.num_colors, parallel.num_colors);
     }
   }
-  // The gain engine's lazy backend goes through the same scan: tile
-  // materialization is internally synchronized, so probing extra classes
+  // The tableless backend goes through the same scan: its entries are
+  // evaluated on demand from const stores, so probing extra classes
   // concurrently must not shift a single color.
-  const Schedule tiled_seq =
+  const Schedule computed_seq =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, /*scan_threads=*/1);
-  const Schedule tiled_par =
+                      GainBackend::computed, /*scan_threads=*/1);
+  const Schedule computed_par =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, /*scan_threads=*/3);
-  EXPECT_EQ(tiled_seq.color_of, tiled_par.color_of);
+                      GainBackend::computed, /*scan_threads=*/3);
+  EXPECT_EQ(computed_seq.color_of, computed_par.color_of);
 }
 
 TEST(Greedy, PowerVectorSizeIsChecked) {

@@ -638,8 +638,8 @@ TEST(OnlineScheduler, ExactPolicyDifferentialFuzzAcrossTracesAndBackends) {
   const auto scenario = random_scenario(48, /*seed=*/123);
   const Instance instance = scenario.instance();
   for (const std::string kind : {"poisson", "flash", "adversarial", "hotspot"}) {
-    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled,
-                                      GainBackend::appendable, GainBackend::computed}) {
+    for (const GainBackend backend :
+         {GainBackend::dense, GainBackend::appendable, GainBackend::computed}) {
       Rng rng(911 + static_cast<std::uint64_t>(backend));
       const ChurnTrace trace =
           make_churn_trace(kind, instance.size(), /*target_events=*/800, rng);
@@ -947,16 +947,13 @@ TEST(OnlineScheduler, LinkUpdateGuardsItsPreconditions) {
   const auto powers = SqrtPower{}.assign(instance, params.alpha);
   const Request valid = instance.request(1);
   {
-    // A cached dense or tiled matrix: the scheduler must refuse to mutate
-    // shared gains.
-    for (const GainBackend backend : {GainBackend::dense, GainBackend::tiled}) {
-      OnlineSchedulerOptions cached_options;
-      cached_options.storage = backend;
-      OnlineScheduler cached(instance, powers, params, Variant::bidirectional, cached_options);
-      (void)cached.on_arrival(0);
-      EXPECT_THROW((void)cached.on_link_update(0, valid), PreconditionError)
-          << to_string(backend);
-    }
+    // A cached dense matrix: the scheduler must refuse to mutate shared
+    // gains.
+    OnlineSchedulerOptions cached_options;
+    cached_options.storage = GainBackend::dense;
+    OnlineScheduler cached(instance, powers, params, Variant::bidirectional, cached_options);
+    (void)cached.on_arrival(0);
+    EXPECT_THROW((void)cached.on_link_update(0, valid), PreconditionError);
   }
   OnlineSchedulerOptions options;
   options.storage = GainBackend::computed;

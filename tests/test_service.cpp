@@ -210,9 +210,9 @@ TEST(OptionParser, DomainFlagsValidateIdentically) {
     OptionParser parser;
     GainBackend backend = GainBackend::dense;
     parser.add_storage(backend);
-    Argv good({"tool", "--storage", "tiled"});
+    Argv good({"tool", "--storage", "computed"});
     EXPECT_TRUE(parser.parse(good.argc(), good.data(), 1).ok());
-    EXPECT_EQ(backend, GainBackend::tiled);
+    EXPECT_EQ(backend, GainBackend::computed);
     Argv bogus({"tool", "--storage", "sparse"});
     EXPECT_FALSE(parser.parse(bogus.argc(), bogus.data(), 1).ok());
     // appendable is gated behind allow_appendable.
