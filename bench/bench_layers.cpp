@@ -23,7 +23,8 @@
 //     records (no link -> request -> point gather), plain-summed;
 //   * IncrementalGainClass::can_add on a class of k members: the member
 //     scan and the own-slot sum together, directed on both backends and
-//     bidirectional on computed (the benchmark's scale workload);
+//     bidirectional on both (dense reads both gains of a pair from one
+//     interleaved cell; computed is the benchmark's scale workload);
 //   * the service's ingest spine: an MpscQueue push per event and one
 //     drain per batch, and the LatencyHistogram::observe every event pays.
 //
@@ -206,6 +207,11 @@ void BM_CanAdd(benchmark::State& state, GainBackend backend, Variant variant) {
   }
 }
 BENCHMARK_CAPTURE(BM_CanAdd, dense, GainBackend::dense, Variant::directed)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_CanAdd, dense_bidirectional, GainBackend::dense, Variant::bidirectional)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)

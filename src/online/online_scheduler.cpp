@@ -29,7 +29,8 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
       params_(params),
       variant_(variant),
       options_(std::move(options)),
-      color_of_(instance.size(), -1) {
+      color_of_(instance.size(), -1),
+      rejected_at_(instance.size(), 0) {
   require(powers_.size() == instance_.size(), "OnlineScheduler: one power per link");
   params_.validate();
   if (options_.storage == GainBackend::appendable ||
@@ -62,9 +63,13 @@ int OnlineScheduler::place(std::size_t slot) {
   // (row scans against every class's accumulators) from "committing it"
   // (one class's accumulator update) — same scan-then-add the fused loop
   // performed.
+  rejected_at_[slot] = 0;
   int color = -1;
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "feasibility_scan");
+    // The scan reads the slot's dense row at every member's column, so its
+    // cache lines are requested up front.
+    gains_->prefetch_row(slot);
     for (std::size_t c = 0; c < classes_.size(); ++c) {
       if (classes_[c].can_add(slot)) {
         color = static_cast<int>(c);
@@ -78,6 +83,7 @@ int OnlineScheduler::place(std::size_t slot) {
     return color;
   }
   classes_.emplace_back(*gains_, params_, options_.remove_policy);
+  shrunk_at_.push_back(++stamp_);
   classes_.back().add(slot);
   ++stats_.classes_opened;
   return static_cast<int>(classes_.size() - 1);
@@ -132,6 +138,7 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   } else {
     slot = owned_gains_->append_request(request, power);
     powers_.push_back(power);
+    rejected_at_.push_back(0);
     if (!slot_of_.empty()) {
       slot_of_.push_back(slot);
       ext_of_.push_back(link);
@@ -184,6 +191,9 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     }
   }
   ++stats_.link_updates;
+  // The moved link's gains changed, for its class and for its own sweeps.
+  shrunk_at_[static_cast<std::size_t>(color)] = ++stamp_;
+  rejected_at_[slot] = 0;
 
   // Only the moved link's own class can have broken: in every other class
   // the accumulated sums merely swapped one non-member's contribution.
@@ -192,9 +202,7 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   if (!owner.members_feasible()) {
     // Eviction restores the survivors (interference sums only shrink);
     // then the moved link is re-placed like a fresh arrival.
-    const std::size_t rebuilds_before = owner.removal_rebuilds();
-    owner.remove(slot);
-    stats_.removal_rebuilds += owner.removal_rebuilds() - rebuilds_before;
+    remove_from(static_cast<std::size_t>(color), slot);
     color_of_[link] = -1;
     compact_from(static_cast<std::size_t>(color));
     new_color = place(slot);
@@ -213,10 +221,10 @@ void OnlineScheduler::on_departure(std::size_t link) {
   Stopwatch watch;
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
-    IncrementalGainClass& cls = classes_[static_cast<std::size_t>(color)];
-    const std::size_t rebuilds_before = cls.removal_rebuilds();
-    cls.remove(phys(link));
-    stats_.removal_rebuilds += cls.removal_rebuilds() - rebuilds_before;
+    // The removal withdraws the link's dense row from every member slot.
+    gains_->prefetch_row(phys(link));
+    remove_from(static_cast<std::size_t>(color), phys(link));
+    rejected_at_[phys(link)] = 0;
   }
   color_of_[link] = -1;
   --active_count_;
@@ -251,6 +259,35 @@ void OnlineScheduler::retire_link(std::size_t link) {
 void OnlineScheduler::erase_class(std::size_t color) {
   closed_fallbacks_ += classes_[color].exact_fallbacks();
   classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(color));
+  shrunk_at_.erase(shrunk_at_.begin() + static_cast<std::ptrdiff_t>(color));
+}
+
+void OnlineScheduler::remove_from(std::size_t color, std::size_t slot) {
+  IncrementalGainClass& cls = classes_[color];
+  const std::size_t rebuilds_before = cls.removal_rebuilds();
+  cls.remove(slot);
+  stats_.removal_rebuilds += cls.removal_rebuilds() - rebuilds_before;
+  shrunk_at_[color] = ++stamp_;
+}
+
+bool OnlineScheduler::try_migrate(std::size_t slot, std::size_t from, std::size_t to) {
+  // A compaction test of `slot` against class `to` is a known rejection
+  // when `to` has not shrunk since the slot's last failed sweep. Between
+  // the two the class can only have gained members: every shrink and
+  // every motion of a member bumps its stamp, and the slot's own motion
+  // or migration clears its record. A gained member only adds terms >= 0
+  // to the sums the verdict thresholds (the exact sums' correct roundings,
+  // since a certified verdict is the exact one, or the rebuild policy's
+  // plain sums), RN and fl(x + extra) are monotone, and the new member
+  // brings constraints of its own. So a class that rejected the slot
+  // still does.
+  if (shrunk_at_[to] <= rejected_at_[slot] || !classes_[to].can_add(slot)) return false;
+  remove_from(from, slot);
+  classes_[to].add(slot);
+  rejected_at_[slot] = 0;
+  color_of_[ext(slot)] = static_cast<int>(to);
+  ++stats_.migrations;
+  return true;
 }
 
 void OnlineScheduler::finish_event(const Stopwatch& watch) {
@@ -293,19 +330,11 @@ void OnlineScheduler::compact_from(std::size_t color) {
     const std::vector<std::size_t> members = classes_[last].members();
     for (const std::size_t m : members) {
       bool moved = false;
-      for (std::size_t c = 0; c < last; ++c) {
-        if (classes_[c].can_add(m)) {
-          const std::size_t rebuilds_before = classes_[last].removal_rebuilds();
-          classes_[last].remove(m);
-          stats_.removal_rebuilds += classes_[last].removal_rebuilds() - rebuilds_before;
-          classes_[c].add(m);
-          color_of_[ext(m)] = static_cast<int>(c);
-          ++stats_.migrations;
-          moved = true;
-          break;
-        }
+      for (std::size_t c = 0; c < last && !moved; ++c) moved = try_migrate(m, last, c);
+      if (!moved) {
+        rejected_at_[m] = stamp_;
+        ++stats_.compaction_skips;
       }
-      if (!moved) ++stats_.compaction_skips;
     }
     // Immovable members keep the trailing class (and the pass ends); a
     // fully drained class frees its color and the next one gets a turn.
@@ -333,21 +362,13 @@ void OnlineScheduler::compact_smallest() {
     const std::vector<std::size_t> members = classes_[victim].members();
     for (const std::size_t m : members) {
       bool moved = false;
-      for (std::size_t c = 0; c < classes_.size(); ++c) {
-        if (c == victim) continue;
-        if (classes_[c].can_add(m)) {
-          const std::size_t rebuilds_before = classes_[victim].removal_rebuilds();
-          classes_[victim].remove(m);
-          stats_.removal_rebuilds +=
-              classes_[victim].removal_rebuilds() - rebuilds_before;
-          classes_[c].add(m);
-          color_of_[ext(m)] = static_cast<int>(c);
-          ++stats_.migrations;
-          moved = true;
-          break;
-        }
+      for (std::size_t c = 0; c < classes_.size() && !moved; ++c) {
+        if (c != victim) moved = try_migrate(m, victim, c);
       }
-      if (!moved) ++stats_.compaction_skips;
+      if (!moved) {
+        rejected_at_[m] = stamp_;
+        ++stats_.compaction_skips;
+      }
     }
     if (classes_[victim].size() > 0) break;
     // Erasing mid-palette renumbers every color above the victim —

@@ -28,6 +28,7 @@
 #define OISCHED_ONLINE_ONLINE_SCHEDULER_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -312,6 +313,13 @@ class OnlineScheduler {
   void finish_event(const Stopwatch& watch);
   /// Erases class `color`, keeping its fallback count in the stats.
   void erase_class(std::size_t color);
+  /// Removes member `slot` from class `color`, counting any replay, and
+  /// stamps the class as shrunk.
+  void remove_from(std::size_t color, std::size_t slot);
+  /// Compaction's move of member `slot` from class `from` into class `to`
+  /// when `to` accepts it; false, without a test, on a known rejection
+  /// (see the rejection memo below).
+  bool try_migrate(std::size_t slot, std::size_t from, std::size_t to);
 
   int place(std::size_t slot);           // first-fit; returns the color used
   void compact_from(std::size_t color);  // drop empty, then migrate
@@ -341,6 +349,15 @@ class OnlineScheduler {
   std::shared_ptr<const GainMatrix> gains_;
   std::vector<IncrementalGainClass> classes_;
   std::vector<int> color_of_;
+  /// Compaction's rejection memo. stamp_ counts mutations; shrunk_at_
+  /// (aligned with classes_) holds the stamp at which each class last
+  /// shrank (opened, lost a member, or saw a member move), and
+  /// rejected_at_ (one per physical slot) the stamp of the slot's last
+  /// failed compaction sweep, 0 when it has none since it was last placed,
+  /// departed, migrated or moved.
+  std::uint64_t stamp_ = 0;
+  std::vector<std::uint64_t> shrunk_at_;
+  std::vector<std::uint64_t> rejected_at_;
   /// Empty until the first retire_link: external -> physical (kNoSlot
   /// once retired), physical -> external, and the LIFO free list of
   /// retired slots.

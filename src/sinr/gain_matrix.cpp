@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -180,33 +181,32 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
     signal_.push_back(powers[i] / l);
   }
   const bool build_at_u = variant_ == Variant::bidirectional || with_sender_gains;
+  width_ = build_at_u ? 2 : 1;
   if (backend_ == GainBackend::dense) {
-    // Fused native build (the historical eager loop): one metric/pow pass
-    // fills both tables with no per-element filler dispatch. Same formula,
-    // same values, bit for bit — just the fast path for the default
-    // backend that every offline run cold-builds.
-    std::vector<double> table_v(n_ * n_, 0.0);
-    std::vector<double> table_u;
-    if (build_at_u) table_u.assign(n_ * n_, 0.0);
+    // Fused native build: one metric/pow pass fills the interleaved buffer
+    // row by row with no per-element filler dispatch. The filler's formula,
+    // so the same values, bit for bit; the diagonal stays 0.
+    const std::shared_ptr<double[]> table = std::make_shared<double[]>(n_ * n_ * width_);
     for (std::size_t j = 0; j < n_; ++j) {
       const Request& rj = requests[j];
+      double* row = table.get() + j * n_ * width_;
       for (std::size_t i = 0; i < n_; ++i) {
         if (i == j) continue;
         const Request& ri = requests[i];
         const double lv = variant_ == Variant::directed
                               ? path_loss(metric.distance(rj.u, ri.v), alpha_)
                               : min_endpoint_loss(metric, rj, ri.v, alpha_);
-        table_v[j * n_ + i] = lv == 0.0 ? kInf : powers[j] / lv;
+        row[i * width_] = lv == 0.0 ? kInf : powers[j] / lv;
         if (build_at_u) {
           const double lu = variant_ == Variant::directed
                                 ? path_loss(metric.distance(rj.u, ri.u), alpha_)
                                 : min_endpoint_loss(metric, rj, ri.u, alpha_);
-          table_u[j * n_ + i] = lu == 0.0 ? kInf : powers[j] / lu;
+          row[i * width_ + 1] = lu == 0.0 ? kInf : powers[j] / lu;
         }
       }
     }
-    at_v_ = std::make_shared<DenseGainStorage>(n_, std::move(table_v));
-    if (build_at_u) at_u_ = std::make_shared<DenseGainStorage>(n_, std::move(table_u));
+    dense_table_ = table;
+    dense_ = table.get();
   } else {
     at_v_ = make_gain_storage(backend_, n_,
                               make_gain_filler(metric_, requests_store_, powers_store_,
@@ -217,8 +217,6 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
                                                  alpha_, variant_, /*sender_side=*/true));
     }
   }
-  dense_v_ = at_v_->dense_data();
-  dense_u_ = at_u_ == nullptr ? nullptr : at_u_->dense_data();
   const auto* euclidean = dynamic_cast<const EuclideanMetric*>(metric_);
   if (backend_ == GainBackend::computed && euclidean != nullptr) {
     kernel_.points = euclidean->points().data();
@@ -289,9 +287,10 @@ double GainMatrix::entry(std::size_t j, std::size_t i, bool sender_side) const {
 
 void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, std::size_t end,
                             double* acc) const {
-  if (const double* dense = sender_side ? dense_u_ : dense_v_) {
-    const double* row = dense + j * n_;
-    for (std::size_t i = begin; i < end; ++i) acc[i] += row[i];
+  if (dense_ != nullptr) {
+    const std::size_t width = width_;
+    const double* row = dense_ + j * n_ * width + (sender_side ? 1 : 0);
+    for (std::size_t i = begin; i < end; ++i) acc[i] += row[i * width];
     return;
   }
   if (kernel_.points != nullptr) {
@@ -303,7 +302,18 @@ void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, 
   for (std::size_t i = begin; i < end; ++i) acc[i] += table.at(j, i);
 }
 
+void GainMatrix::prefetch_row(std::size_t j) const noexcept {
+  if (dense_ == nullptr) return;
+  constexpr std::uintptr_t kLine = 64;
+  const auto first = reinterpret_cast<std::uintptr_t>(dense_ + j * n_ * width_);
+  const auto last = reinterpret_cast<std::uintptr_t>(dense_ + (j + 1) * n_ * width_);
+  for (std::uintptr_t line = first & ~(kLine - 1); line < last; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
+
 std::size_t GainMatrix::resident_doubles() const noexcept {
+  if (backend_ == GainBackend::dense) return signal_.size() + n_ * n_ * width_;
   std::size_t total = signal_.size() + at_v_->resident_doubles();
   if (at_u_ != nullptr) total += at_u_->resident_doubles();
   return total;

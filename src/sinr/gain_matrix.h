@@ -172,8 +172,12 @@ struct MemberRecord {
 /// signal(i) is p_i / l_i; construction requires all links to have
 /// positive loss, mirroring the precondition of every direct checker.
 ///
-/// The tables live behind a GainStorage policy (gain_storage.h). `dense`
-/// keeps the historical eager layout (and its raw-pointer fast path);
+/// `dense` keeps both sides in one interleaved buffer the matrix owns and
+/// fills eagerly: cell (j, i) holds at_v(j, i) and, when the sender side
+/// is built, at_u(j, i) right after it (a width of 2 doubles, else 1), so
+/// a bidirectional check reads both gains of a pair from one cache line
+/// and a table row is width * n contiguous doubles. The other two
+/// backends live behind a GainStorage policy (gain_storage.h):
 /// `appendable` grows — append_request gives a fresh link its row and
 /// column in O(n), the foundation of the online scheduler's growing
 /// universe; `computed` keeps no table, so huge universes stay O(n) in
@@ -214,15 +218,19 @@ class GainMatrix {
   [[nodiscard]] double signal(std::size_t i) const { return signal_[i]; }
   /// Contribution of request j at request i's receiver v_i (j != i).
   [[nodiscard]] double at_v(std::size_t j, std::size_t i) const {
-    if (dense_v_ != nullptr) return dense_v_[j * n_ + i];
+    if (dense_ != nullptr) return dense_[(j * n_ + i) * width_];
     return entry(j, i, /*sender_side=*/false);
   }
   /// Contribution of request j at request i's sender u_i (j != i); 0 when
   /// the sender-side table was not built (directed default).
   [[nodiscard]] double at_u(std::size_t j, std::size_t i) const {
-    if (dense_u_ != nullptr) return dense_u_[j * n_ + i];
+    if (dense_ != nullptr) return width_ == 2 ? dense_[(j * n_ + i) * 2 + 1] : 0.0;
     return at_u_ == nullptr ? 0.0 : entry(j, i, /*sender_side=*/true);
   }
+  /// Prefetches dense row j (at_v(j, ·) and at_u(j, ·)), one prefetch per
+  /// cache line, ahead of a scan that reads it at scattered columns; a
+  /// no-op when the matrix has no dense table.
+  void prefetch_row(std::size_t j) const noexcept;
 
   /// Relative slack of the kernel's estimates: |at_v(j, i) - e| <=
   /// gain_slack() * e for e = euclidean_kernel()->estimate(j, i, false),
@@ -242,8 +250,9 @@ class GainMatrix {
   /// acc[i] += the gain row j contributes at column i, for every i in
   /// [begin, end), on the receiver side (or the sender side, which must
   /// have been built). One IEEE add per slot in column order, so every
-  /// backend yields the same sums. The dense table is read through its raw
-  /// row pointer, every other backend through point lookups.
+  /// backend yields the same sums. The dense table is walked through its
+  /// raw row pointer at stride width, every other backend through point
+  /// lookups.
   void add_row_to(std::size_t j, bool sender_side, std::size_t begin, std::size_t end,
                   double* acc) const;
 
@@ -263,7 +272,7 @@ class GainMatrix {
   /// matrices Instance's cache shares are const. Not thread-safe.
   void update_request(std::size_t link, const Request& request, double power);
 
-  /// Doubles currently resident across signal and both tables.
+  /// Doubles currently resident: the signals plus n^2 per built side.
   [[nodiscard]] std::size_t resident_doubles() const noexcept;
 
  private:
@@ -283,11 +292,15 @@ class GainMatrix {
   std::shared_ptr<std::vector<Request>> requests_store_;
   std::shared_ptr<std::vector<double>> powers_store_;
   std::vector<double> signal_;
+  /// The appendable and computed tables (null on dense).
   std::shared_ptr<GainStorage> at_v_;
   std::shared_ptr<GainStorage> at_u_;
-  /// Raw fast-path pointers into dense storage (nullptr otherwise).
-  const double* dense_v_ = nullptr;
-  const double* dense_u_ = nullptr;
+  /// The dense buffer, n * n cells of width_ doubles, shared by copies of
+  /// the matrix; dense_ is its raw fast-path pointer (nullptr otherwise).
+  /// width_ is 2 when the sender side is built, else 1.
+  std::shared_ptr<const double[]> dense_table_;
+  const double* dense_ = nullptr;
+  std::size_t width_ = 1;
   /// The inline kernel of a computed Euclidean matrix (points == nullptr
   /// otherwise). Its store pointers stay valid: a computed matrix never
   /// grows, and update_request rewrites the stores in place.

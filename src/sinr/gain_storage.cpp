@@ -31,21 +31,6 @@ bool parse_gain_backend(const std::string& word, GainBackend& backend) {
   return true;
 }
 
-DenseGainStorage::DenseGainStorage(std::size_t n, const GainFiller& fill)
-    : n_(n), data_(n * n, 0.0) {
-  for (std::size_t j = 0; j < n_; ++j) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (i == j) continue;
-      data_[j * n_ + i] = fill(j, i);
-    }
-  }
-}
-
-DenseGainStorage::DenseGainStorage(std::size_t n, std::vector<double> data)
-    : n_(n), data_(std::move(data)) {
-  require(data_.size() == n_ * n_, "DenseGainStorage: need an n x n table");
-}
-
 AppendableGainStorage::AppendableGainStorage(std::size_t n, GainFiller fill)
     : fill_(std::move(fill)), rows_(n) {
   require(static_cast<bool>(fill_), "AppendableGainStorage: filler must be callable");
@@ -103,13 +88,13 @@ std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend, std::size_t 
                                                GainFiller fill) {
   switch (backend) {
     case GainBackend::dense:
-      return std::make_unique<DenseGainStorage>(n, fill);
+      break;
     case GainBackend::appendable:
       return std::make_unique<AppendableGainStorage>(n, std::move(fill));
     case GainBackend::computed:
       return std::make_unique<ComputedGainStorage>(n, std::move(fill));
   }
-  throw PreconditionError("make_gain_storage: unknown backend");
+  throw PreconditionError("make_gain_storage: dense tables are built by GainMatrix");
 }
 
 }  // namespace oisched

@@ -11,26 +11,31 @@
 // power depends only on its own length, so its row/column can be appended
 // without touching anything already computed).
 //
-// GainStorage is the seam: one n x n table of doubles behind a tiny
-// virtual interface, with three backends —
+// Three backends answer the same queries:
 //
-//   DenseGainStorage       today's layout, filled eagerly; exposes its
-//                          contiguous buffer so the hot path stays a raw
-//                          row-major load (no virtual call). General
-//                          metrics and the offline engines.
-//   AppendableGainStorage  per-row vectors with amortized growth; a fresh
-//                          link gets its row and column in O(n).
-//   ComputedGainStorage    no table: every entry is evaluated on demand,
-//                          so a moved link costs nothing to refresh and
-//                          huge universes keep O(n) memory.
+//   dense       one interleaved buffer that GainMatrix owns and fills
+//               eagerly: cell (j, i) holds the receiver-side gain and,
+//               when the sender side is built, the sender-side gain right
+//               after it, so the bidirectional checks read one cache line
+//               per pair. The hot path is a raw load (no virtual call).
+//               General metrics and the offline engines.
+//   appendable  AppendableGainStorage: per-row vectors with amortized
+//               growth; a fresh link gets its row and column in O(n).
+//   computed    ComputedGainStorage: no table; every entry is evaluated on
+//               demand, so a moved link costs nothing to refresh and huge
+//               universes keep O(n) memory.
 //
-// Entries are computed per element by a GainFiller, so every backend holds
-// bit-for-bit the values the dense build would — backends differ in cost
-// and residency, never in results. (Over an EuclideanMetric, GainMatrix
-// reads a computed table through its own inline kernel instead of the
-// filler — the same values, see EuclideanGainKernel in gain_matrix.h.)
-// Dense tables are frozen; only appendable (growth, slot reuse) and
-// computed (motion) change.
+// GainStorage is the seam behind the two backends that keep a GainFiller
+// alive (one n x n table per side behind a tiny virtual interface); the
+// dense buffer lives in GainMatrix itself.
+//
+// Entries are computed per element by the same formula, so every backend
+// holds bit-for-bit the values the dense build would — backends differ in
+// cost and residency, never in results. (Over an EuclideanMetric,
+// GainMatrix reads a computed table through its own inline kernel instead
+// of the filler — the same values, see EuclideanGainKernel in
+// gain_matrix.h.) Dense tables are frozen; only appendable (growth, slot
+// reuse) and computed (motion) change.
 #ifndef OISCHED_SINR_GAIN_STORAGE_H
 #define OISCHED_SINR_GAIN_STORAGE_H
 
@@ -46,8 +51,9 @@ namespace oisched {
 /// bit-for-bit identically; they differ in memory residency and in whether
 /// the table can grow.
 enum class GainBackend {
-  /// Contiguous row-major array, filled eagerly. O(n^2) resident; the
-  /// fastest lookups and the default for moderate n.
+  /// One interleaved row-major buffer in GainMatrix, filled eagerly.
+  /// O(n^2) resident per side; the fastest lookups and the default for
+  /// moderate n.
   dense,
   /// Per-row vectors with amortized growth: append_request extends the
   /// table by one row and one column in O(n) without rebuilding.
@@ -74,7 +80,8 @@ enum class GainBackend {
 /// alive and call it long after construction.
 using GainFiller = std::function<double(std::size_t j, std::size_t i)>;
 
-/// One square table of pairwise gains behind a storage policy.
+/// One square table of pairwise gains behind a storage policy: the
+/// appendable and computed backends (dense tables live in GainMatrix).
 class GainStorage {
  public:
   virtual ~GainStorage() = default;
@@ -84,34 +91,8 @@ class GainStorage {
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
   /// Entry (j, i).
   [[nodiscard]] virtual double at(std::size_t j, std::size_t i) const = 0;
-  /// Contiguous row-major buffer when the layout has one, else nullptr —
-  /// lets callers skip the virtual dispatch on the dense fast path.
-  [[nodiscard]] virtual const double* dense_data() const noexcept { return nullptr; }
   /// Doubles currently resident — the observable of the memory model.
   [[nodiscard]] virtual std::size_t resident_doubles() const noexcept = 0;
-};
-
-/// Eager contiguous table (the historical layout).
-class DenseGainStorage final : public GainStorage {
- public:
-  DenseGainStorage(std::size_t n, const GainFiller& fill);
-  /// Adopts an already-filled row-major table (n * n entries) — the fused
-  /// native build path, which skips the per-element filler dispatch.
-  DenseGainStorage(std::size_t n, std::vector<double> data);
-
-  [[nodiscard]] GainBackend kind() const noexcept override { return GainBackend::dense; }
-  [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
-    return data_[j * n_ + i];
-  }
-  [[nodiscard]] const double* dense_data() const noexcept override { return data_.data(); }
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return data_.size();
-  }
-
- private:
-  std::size_t n_;
-  std::vector<double> data_;
 };
 
 /// Growable table: one vector per row, filled eagerly for the initial
@@ -171,7 +152,8 @@ class ComputedGainStorage final : public GainStorage {
   GainFiller fill_;
 };
 
-/// Factory over the backend enum.
+/// Factory over the appendable and computed backends; throws
+/// PreconditionError for dense, whose buffer GainMatrix builds itself.
 [[nodiscard]] std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend,
                                                              std::size_t n,
                                                              GainFiller fill);

@@ -69,6 +69,40 @@ TEST(GainMatrix, TablesMatchDirectStrengths) {
   }
 }
 
+TEST(GainMatrix, PrefetchRowChangesNothingOnAnyBackend) {
+  // prefetch_row is a cache hint on dense and a no-op on the tableless
+  // and appendable backends: every read and the residency stay as they
+  // were.
+  const auto scenario = random_scenario(24, /*seed=*/7);
+  const Instance instance = scenario.instance();
+  const auto powers = SqrtPower{}.assign(instance, 3.0);
+  const std::size_t n = instance.size();
+  for (const GainBackend backend :
+       {GainBackend::dense, GainBackend::appendable, GainBackend::computed}) {
+    for (const Variant variant : both_variants()) {
+      const GainMatrix gains(instance, powers, 3.0, variant,
+                             /*with_sender_gains=*/false, backend);
+      std::vector<double> before;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          before.push_back(gains.at_v(j, i));
+          before.push_back(gains.at_u(j, i));
+        }
+      }
+      const std::size_t resident = gains.resident_doubles();
+      for (std::size_t j = 0; j < n; ++j) gains.prefetch_row(j);
+      EXPECT_EQ(gains.resident_doubles(), resident) << to_string(backend);
+      std::size_t k = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(gains.at_v(j, i), before[k++]) << to_string(backend);
+          ASSERT_EQ(gains.at_u(j, i), before[k++]) << to_string(backend);
+        }
+      }
+    }
+  }
+}
+
 TEST(GainMatrix, CheckFeasibleAgreesOnRandomSubsets) {
   Rng rng(99);
   for (const auto& scenario : fixtures()) {

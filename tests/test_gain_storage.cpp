@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/greedy.h"
@@ -20,6 +22,7 @@
 #include "sinr/feasibility.h"
 #include "sinr/gain_matrix.h"
 #include "sinr/gain_storage.h"
+#include "sinr/model.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -495,20 +498,16 @@ TEST(ComputedBackend, SparseScheduleAtN4096HoldsNoTable) {
   EXPECT_EQ(direct.worst_request, tabled.worst_request);
 }
 
-TEST(GainStorageUnits, DenseExposesRawDataAndResidency) {
+TEST(GainStorageUnits, BackendsAnswerAndReportResidency) {
   const GainFiller fill = [](std::size_t j, std::size_t i) {
     return i == j ? 0.0 : static_cast<double>(10 * j + i);
   };
-  DenseGainStorage dense(4, fill);
-  EXPECT_EQ(dense.kind(), GainBackend::dense);
-  EXPECT_NE(dense.dense_data(), nullptr);
-  EXPECT_EQ(dense.at(2, 3), 23.0);
-  EXPECT_EQ(dense.at(1, 1), 0.0);
-  EXPECT_EQ(dense.resident_doubles(), 16u);
+  // Dense tables are GainMatrix's own interleaved buffer (DenseLayout
+  // below): the storage factory serves only the two filler backends.
+  EXPECT_THROW((void)make_gain_storage(GainBackend::dense, 4, fill), PreconditionError);
 
   ComputedGainStorage computed(4, fill);
   EXPECT_EQ(computed.kind(), GainBackend::computed);
-  EXPECT_EQ(computed.dense_data(), nullptr);
   EXPECT_EQ(computed.at(2, 3), 23.0);
   EXPECT_EQ(computed.at(1, 1), 0.0);
   EXPECT_EQ(computed.resident_doubles(), 0u);
@@ -522,6 +521,95 @@ TEST(GainStorageUnits, DenseExposesRawDataAndResidency) {
   EXPECT_EQ(appendable.at(3, 1), 31.0);  // old column of a new row
   EXPECT_EQ(appendable.at(3, 3), 0.0);
   EXPECT_EQ(appendable.resident_doubles(), 16u);
+}
+
+/// One gain entry by the filler's formula: the variant's interferer loss
+/// from request j to request i's receiver (or sender), +inf when
+/// co-located, 0 on the diagonal.
+double filler_entry(const Instance& instance, std::span<const double> powers, double alpha,
+                    Variant variant, std::size_t j, std::size_t i, bool sender_side) {
+  if (i == j) return 0.0;
+  const Request& rj = instance.request(j);
+  const NodeId target = sender_side ? instance.request(i).u : instance.request(i).v;
+  const double loss = variant == Variant::directed
+                          ? path_loss(instance.metric().distance(rj.u, target), alpha)
+                          : min_endpoint_loss(instance.metric(), rj, target, alpha);
+  return loss == 0.0 ? std::numeric_limits<double>::infinity() : powers[j] / loss;
+}
+
+TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
+  // Width 1 (directed), width 2 (directed with sender gains) and the
+  // bidirectional variant: every read of the interleaved buffer is the
+  // filler's double, row walks sum it in column order, verdicts equal the
+  // direct engine's, and the residency is n^2 per built side.
+  struct Layout {
+    Variant variant;
+    bool with_sender_gains;
+    std::size_t width;
+  };
+  const Layout layouts[] = {{Variant::directed, false, 1},
+                            {Variant::directed, true, 2},
+                            {Variant::bidirectional, false, 2}};
+  constexpr double kAlpha = 3.0;
+  SinrParams params;
+  params.alpha = kAlpha;
+  for (const Instance& instance : fixture_instances()) {
+    const auto powers = SqrtPower{}.assign(instance, kAlpha);
+    const std::size_t n = instance.size();
+    for (const Layout& layout : layouts) {
+      const GainMatrix dense(instance, powers, kAlpha, layout.variant,
+                             layout.with_sender_gains, GainBackend::dense);
+      EXPECT_EQ(dense.resident_doubles(), n + n * n * layout.width);
+      const bool sender_built = layout.width == 2;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double v = filler_entry(instance, powers, kAlpha, layout.variant, j, i, false);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
+                    std::bit_cast<std::uint64_t>(v))
+              << "at_v(" << j << "," << i << ") width " << layout.width;
+          const double u = sender_built ? filler_entry(instance, powers, kAlpha,
+                                                       layout.variant, j, i, true)
+                                        : 0.0;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
+                    std::bit_cast<std::uint64_t>(u))
+              << "at_u(" << j << "," << i << ") width " << layout.width;
+        }
+      }
+      // Row walks at stride width(), one add per slot in column order.
+      for (const bool sender_side : {false, true}) {
+        if (sender_side && !sender_built) continue;
+        std::vector<double> got(n, 0.5);
+        std::vector<double> want(n, 0.5);
+        for (std::size_t j = 0; j < n; ++j) {
+          dense.add_row_to(j, sender_side, j / 3, n - j / 4, got.data());
+          for (std::size_t i = j / 3; i < n - j / 4; ++i) {
+            want[i] += filler_entry(instance, powers, kAlpha, layout.variant, j, i,
+                                    sender_side);
+          }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "slot " << i << " sender " << sender_side << " width " << layout.width;
+        }
+      }
+      // check_feasible over the buffer equals the direct engine's report.
+      Rng rng(4242);
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<std::size_t> subset;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (rng.uniform_index(3) == 0) subset.push_back(i);
+        }
+        const FeasibilityReport direct =
+            check_feasible(instance.metric(), instance.requests(), powers, subset, params,
+                           layout.variant);
+        const FeasibilityReport tabled = check_feasible(dense, subset, params);
+        EXPECT_EQ(direct.feasible, tabled.feasible);
+        EXPECT_EQ(direct.worst_margin, tabled.worst_margin);
+        EXPECT_EQ(direct.worst_request, tabled.worst_request);
+      }
+    }
+  }
 }
 
 TEST(GainStorageUnits, AppendableRefreshLinkRewritesTheRowAndColumn) {

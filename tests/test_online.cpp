@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -1288,6 +1289,211 @@ TEST(OnlineScheduler, SmallestFirstSkipsLessOnTheAdversarialTrace) {
   EXPECT_LT(smallest_result.stats.compaction_skips,
             trailing_result.stats.compaction_skips);
   EXPECT_LE(smallest_result.final_colors, trailing_result.final_colors);
+}
+
+// ---------------------------------------------------------------------------
+// Compaction's rejection memo: a skipped test must be a rejection.
+
+/// The scheduler's decision rules without the rejection memo: first-fit
+/// placement (a new class when none accepts), and after every departure
+/// or motion eviction a compaction pass under either victim rule that
+/// tests every member against every other class. Links are their own
+/// table slots (no retirement), so fresh links always grow the matrix —
+/// slot reuse never changes a decision
+/// (RetiredSlotsAreReusedWithoutChangingDecisions above).
+class MemoFreeScheduler {
+ public:
+  MemoFreeScheduler(const Instance& instance, std::span<const double> powers,
+                    const SinrParams& params, GainBackend backend, CompactionVictim victim)
+      : gains_(std::make_unique<GainMatrix>(instance, powers, params.alpha,
+                                            Variant::bidirectional,
+                                            /*with_sender_gains=*/false, backend)),
+        params_(params),
+        victim_(victim),
+        color_of_(instance.size(), -1) {}
+
+  void apply(const ChurnEvent& event) {
+    switch (event.kind) {
+      case ChurnEvent::Kind::arrival:
+        color_of_[event.link] = place(event.link);
+        break;
+      case ChurnEvent::Kind::departure:
+        depart(event.link);
+        break;
+      case ChurnEvent::Kind::link_arrival:
+        arrive_fresh(event.request);
+        break;
+      case ChurnEvent::Kind::link_update:
+        move(event.link, event.request);
+        break;
+    }
+  }
+  void arrive_fresh(const Request& request) {
+    const std::size_t link = gains_->append_request(request, power_of(request));
+    for (IncrementalGainClass& cls : classes_) cls.sync_universe();
+    color_of_.push_back(place(link));
+  }
+  void depart(std::size_t link) {
+    const auto color = static_cast<std::size_t>(color_of_[link]);
+    classes_[color].remove(link);
+    color_of_[link] = -1;
+    compact(color);
+  }
+  void move(std::size_t link, const Request& request) {
+    for (IncrementalGainClass& cls : classes_) cls.begin_link_update(link);
+    gains_->update_request(link, request, power_of(request));
+    for (IncrementalGainClass& cls : classes_) cls.finish_link_update(link);
+    const auto color = static_cast<std::size_t>(color_of_[link]);
+    if (classes_[color].members_feasible()) return;
+    depart(link);
+    color_of_[link] = place(link);
+  }
+
+  [[nodiscard]] const std::vector<int>& color_of() const { return color_of_; }
+  std::size_t migrations = 0;
+  std::size_t skips = 0;
+
+ private:
+  [[nodiscard]] double power_of(const Request& request) const {
+    return SqrtPower{}.power_for_loss(
+        link_loss(gains_->metric(), request, params_.alpha));
+  }
+  int place(std::size_t link) {
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      if (classes_[c].can_add(link)) {
+        classes_[c].add(link);
+        return static_cast<int>(c);
+      }
+    }
+    classes_.emplace_back(*gains_, params_, RemovePolicy::exact);
+    classes_.back().add(link);
+    return static_cast<int>(classes_.size() - 1);
+  }
+  void compact(std::size_t color) {
+    if (classes_[color].size() == 0) erase(color);
+    while (classes_.size() > 1) {
+      std::size_t victim = classes_.size() - 1;
+      if (victim_ == CompactionVictim::smallest_first) {
+        victim = 0;
+        for (std::size_t c = 1; c < classes_.size(); ++c) {
+          if (classes_[c].size() < classes_[victim].size()) victim = c;
+        }
+      }
+      const std::vector<std::size_t> members = classes_[victim].members();
+      for (const std::size_t m : members) {
+        bool moved = false;
+        for (std::size_t c = 0; c < classes_.size() && !moved; ++c) {
+          if (c == victim || !classes_[c].can_add(m)) continue;
+          classes_[victim].remove(m);
+          classes_[c].add(m);
+          color_of_[m] = static_cast<int>(c);
+          ++migrations;
+          moved = true;
+        }
+        if (!moved) ++skips;
+      }
+      if (classes_[victim].size() > 0) break;
+      erase(victim);
+    }
+  }
+  void erase(std::size_t color) {
+    classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(color));
+    for (std::size_t c = color; c < classes_.size(); ++c) {
+      for (const std::size_t m : classes_[c].members()) color_of_[m] = static_cast<int>(c);
+    }
+  }
+
+  std::unique_ptr<GainMatrix> gains_;
+  SinrParams params_;
+  CompactionVictim victim_;
+  std::vector<int> color_of_;
+  std::vector<IncrementalGainClass> classes_;
+};
+
+TEST(OnlineScheduler, RejectionMemoNeverChangesADecision) {
+  // After every event the scheduler's coloring equals the memo-free
+  // reference's, under both victim rules, on churn over a shared dense
+  // table, motion on computed, and growth with slot reuse on appendable;
+  // migrations and skips (a known rejection still counts) agree too.
+  const auto scenario = random_scenario(64, /*seed=*/515);
+  const Instance full = scenario.instance();
+  const std::size_t n0 = full.size() / 2;
+  const auto all = full.requests();
+  const Instance base(full.metric_ptr(),
+                      std::vector<Request>(all.begin(), all.begin() + n0));
+  SinrParams params;
+  params.alpha = 3.0;
+  params.beta = 1.0;
+  Rng churn_rng(61);
+  const ChurnTrace churn = make_churn_trace("poisson", full.size(), 3000, churn_rng);
+  const ChurnTrace motion = mobility_trace(full, "waypoint", 62, 3000);
+  Rng growth_rng(63);
+  const ChurnTrace growth = make_churn_trace("growing", n0, 2000, growth_rng, all.subspan(n0));
+
+  for (const CompactionVictim victim :
+       {CompactionVictim::trailing, CompactionVictim::smallest_first}) {
+    const auto check = [&](const Instance& instance, GainBackend backend,
+                           const ChurnTrace& trace, bool reuse_slots,
+                           const std::string& context) {
+      const auto powers = SqrtPower{}.assign(instance, params.alpha);
+      OnlineSchedulerOptions options;
+      options.storage = backend;
+      options.compaction_victim = victim;
+      options.fresh_power = std::make_shared<SqrtPower>();
+      OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
+      MemoFreeScheduler reference(instance, powers, params, backend, victim);
+      std::size_t step = 0;
+      const auto expect_same = [&] {
+        ++step;
+        ASSERT_EQ(scheduler.snapshot().color_of, reference.color_of())
+            << context << " after event " << step;
+      };
+      for (const ChurnEvent& event : trace.events) {
+        scheduler.apply(event);
+        reference.apply(event);
+        ASSERT_NO_FATAL_FAILURE(expect_same());
+      }
+      if (reuse_slots) {
+        // Retire what is inactive, let fresh links recycle the slots, then
+        // churn over the recycled links so compaction runs past the reuse.
+        std::vector<std::size_t> fresh;
+        for (std::size_t link = 0; link < scheduler.universe(); ++link) {
+          if (fresh.size() == 16) break;
+          if (scheduler.is_active(link)) continue;
+          scheduler.retire_link(link);
+          const Request& request = all[n0 + fresh.size()];
+          fresh.push_back(scheduler.universe());
+          (void)scheduler.on_link_arrival(request);
+          reference.arrive_fresh(request);
+          ASSERT_NO_FATAL_FAILURE(expect_same());
+        }
+        EXPECT_GT(scheduler.stats().reused_slots, 0u) << context;
+        for (int round = 0; round < 4; ++round) {
+          for (std::size_t link = 0; link < scheduler.universe(); ++link) {
+            if (!scheduler.is_active(link) || (link + round) % 3 != 0) continue;
+            scheduler.on_departure(link);
+            reference.depart(link);
+            ASSERT_NO_FATAL_FAILURE(expect_same());
+          }
+          for (const std::size_t link : fresh) {
+            if (scheduler.is_active(link)) continue;
+            const ChurnEvent arrival{ChurnEvent::Kind::arrival, link, 0.0, {}};
+            scheduler.apply(arrival);
+            reference.apply(arrival);
+            ASSERT_NO_FATAL_FAILURE(expect_same());
+          }
+        }
+      }
+      EXPECT_GT(scheduler.stats().compaction_skips, 0u) << context;
+      EXPECT_EQ(scheduler.stats().migrations, reference.migrations) << context;
+      EXPECT_EQ(scheduler.stats().compaction_skips, reference.skips) << context;
+      EXPECT_TRUE(scheduler.validate_against_direct()) << context;
+    };
+    const std::string rule = to_string(victim);
+    check(full, GainBackend::dense, churn, false, "churn/dense/" + rule);
+    check(full, GainBackend::computed, motion, false, "motion/computed/" + rule);
+    check(base, GainBackend::appendable, growth, true, "growth/appendable/" + rule);
+  }
 }
 
 TEST(OnlineScheduler, RebuildPolicyStillCountsItsReplays) {
