@@ -10,6 +10,8 @@
 //     slot summed, one update per member slot), re-validates every member
 //     with certified verdicts, and lets the link go again (one update per
 //     member slot) — reported per slot touched;
+//   * the dense table's build: one bidirectional n-link table, every cell
+//     of both sides from the metric and std::pow;
 //   * one gain entry: a load from the dense table, the computed backend's
 //     inline Euclidean kernel (distances, std::pow, divide), and the
 //     kernel's pow-free estimate the filter reads on that backend;
@@ -140,6 +142,24 @@ void BM_GainEntry(benchmark::State& state, EntryRead read) {
 BENCHMARK_CAPTURE(BM_GainEntry, dense_load, EntryRead::dense_load);
 BENCHMARK_CAPTURE(BM_GainEntry, exact_kernel, EntryRead::exact_kernel);
 BENCHMARK_CAPTURE(BM_GainEntry, estimate, EntryRead::estimate);
+
+/// The dense table's build on a bidirectional random-square universe of
+/// n links (sqrt powers): both sides of every cell, n^2 cells per
+/// iteration.
+void BM_DenseBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(kSeed);
+  const Instance instance = random_square(n, {}, rng);
+  const SinrParams params;
+  const std::vector<double> powers = SqrtPower{}.assign(instance, params.alpha);
+  for (auto _ : state) {
+    const GainMatrix gains(instance, powers, params.alpha, Variant::bidirectional,
+                           /*with_sender_gains=*/false, GainBackend::dense);
+    benchmark::DoNotOptimize(gains.at_v(n - 1, 0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n * n));
+}
+BENCHMARK(BM_DenseBuild)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_OwnSlotGatherSum(benchmark::State& state, GainBackend backend) {
   const auto k = static_cast<std::size_t>(state.range(0));

@@ -19,7 +19,12 @@ using NodeId = std::size_t;
 ///
 /// Implementations must guarantee the metric axioms: non-negativity,
 /// identity (distance(v,v) == 0), symmetry and the triangle inequality.
-/// `verify_metric_axioms` (checks.h) validates these exhaustively in tests.
+/// Symmetry must be exact, not approximate: distance(a, b) and
+/// distance(b, a) must return the same double, bit for bit, because the
+/// gain tables read one of them for both (GainMatrix's dense build,
+/// LinkLossMatrix) and promise the values of per-entry evaluation.
+/// `verify_metric_axioms` (checks.h) validates these exhaustively in tests,
+/// symmetry with `!=`.
 class MetricSpace {
  public:
   virtual ~MetricSpace() = default;
@@ -27,8 +32,8 @@ class MetricSpace {
   /// Number of points.
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
-  /// Distance between two points; symmetric, zero iff a == b (for distinct
-  /// embedded positions).
+  /// Distance between two points; exactly symmetric, zero iff a == b (for
+  /// distinct embedded positions).
   [[nodiscard]] virtual double distance(NodeId a, NodeId b) const = 0;
 
   /// Human-readable description for reports.

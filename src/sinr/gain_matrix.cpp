@@ -23,6 +23,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kSlack = 0x1p-51;
 constexpr double kBudget = 0x1p-26;
 constexpr double kHuge = 0x1p1023;
+
+/// One gain from its loss: power / loss, +inf when co-located.
+double cell_gain(double power, double loss) { return loss == 0.0 ? kInf : power / loss; }
+
 /// Element generator for one table side: the exact formula of the
 /// historical eager build, evaluated per entry. Captures the shared
 /// request/power stores (not the matrix), so an appended row or an
@@ -41,7 +45,7 @@ GainFiller make_gain_filler(const MetricSpace* metric,
     const double loss = variant == Variant::directed
                             ? path_loss(metric->distance(rj.u, target), alpha)
                             : min_endpoint_loss(*metric, rj, target, alpha);
-    return loss == 0.0 ? kInf : (*powers)[j] / loss;
+    return cell_gain((*powers)[j], loss);
   };
 }
 
@@ -119,6 +123,82 @@ decltype(auto) read_gains(const GainMatrix& gains, const std::vector<std::size_t
   return body(EntryReader{&gains, members.data(), link});
 }
 
+/// Side of the square tiles the dense build walks: a tile's rows and the
+/// transposed tile's rows, 64 cells each, stay cache-resident while both
+/// are written.
+constexpr std::size_t kPairTile = 64;
+
+/// Fills the dense interleaved buffer (n * n cells of `width` doubles,
+/// at_v then at_u) with the filler's values, bit for bit, writing every
+/// cell exactly once. It walks each unordered pair {i, j} once, in square
+/// tiles of kPairTile links, and writes cells (j, i) and (i, j) from one
+/// read of the endpoint distances. That rests on the metric being
+/// symmetric bit for bit (MetricSpace requires it): d(a, b) read as
+/// d(b, a) is the same double, so each cell's loss is the filler's. Each
+/// min keeps the filler's operand order (the interferer's sender first).
+void fill_dense_pairs(double* table, const MetricSpace& metric,
+                      std::span<const Request> requests, std::span<const double> powers,
+                      double alpha, Variant variant, std::size_t width) {
+  const std::size_t n = requests.size();
+  const bool sender_side = width == 2;
+  for (std::size_t i = 0; i < n; ++i) std::fill_n(table + (i * n + i) * width, width, 0.0);
+  for (std::size_t j0 = 0; j0 < n; j0 += kPairTile) {
+    const std::size_t j1 = std::min(n, j0 + kPairTile);
+    for (std::size_t i0 = 0; i0 <= j0; i0 += kPairTile) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        const Request& rj = requests[j];
+        const double pj = powers[j];
+        const std::size_t i1 = std::min(j, i0 + kPairTile);
+        for (std::size_t i = i0; i < i1; ++i) {
+          const Request& ri = requests[i];
+          const double pi = powers[i];
+          double* const ji = table + (j * n + i) * width;  // cell (j, i)
+          double* const ij = table + (i * n + j) * width;  // cell (i, j)
+          if (variant == Variant::directed) {
+            // at_v(j, i) reads d(u_j, v_i), at_v(i, j) reads d(u_i, v_j), and
+            // both sender-side cells read d(u_i, u_j).
+            ji[0] = cell_gain(pj, path_loss(metric.distance(ri.v, rj.u), alpha));
+            ij[0] = cell_gain(pi, path_loss(metric.distance(ri.u, rj.v), alpha));
+            if (sender_side) {
+              const double loss = path_loss(metric.distance(ri.u, rj.u), alpha);
+              ji[1] = cell_gain(pj, loss);
+              ij[1] = cell_gain(pi, loss);
+            }
+            continue;
+          }
+          const double a = metric.distance(ri.u, rj.u);
+          const double b = metric.distance(ri.u, rj.v);
+          const double c = metric.distance(ri.v, rj.u);
+          const double d = metric.distance(ri.v, rj.v);
+          const double v_ji = std::min(c, d);  // d(u_j, v_i), d(v_j, v_i)
+          const double u_ji = std::min(a, b);  // d(u_j, u_i), d(v_j, u_i)
+          const double v_ij = std::min(b, d);  // d(u_i, v_j), d(v_i, v_j)
+          const double u_ij = std::min(a, c);  // d(u_i, u_j), d(v_i, u_j)
+          // One std::pow per distinct min. Each of a..d is in two of the
+          // four mins, so the smallest is two of them: at most three are
+          // distinct. u_ij and v_ij share no distance, and when they are
+          // equal, u_ji or v_ji equals them too, so u_ij is never matched
+          // against v_ij. An equal +0 and -0 may share a loss whose sign
+          // differs from the filler's, but either is 0 and the cell is
+          // +inf.
+          const double l_v_ji = path_loss(v_ji, alpha);
+          const double l_u_ji = u_ji == v_ji ? l_v_ji : path_loss(u_ji, alpha);
+          const double l_v_ij = v_ij == v_ji   ? l_v_ji
+                                : v_ij == u_ji ? l_u_ji
+                                               : path_loss(v_ij, alpha);
+          const double l_u_ij = u_ij == v_ji   ? l_v_ji
+                                : u_ij == u_ji ? l_u_ji
+                                               : path_loss(u_ij, alpha);
+          ji[0] = cell_gain(pj, l_v_ji);
+          ji[1] = cell_gain(pj, l_u_ji);
+          ij[0] = cell_gain(pi, l_v_ij);
+          ij[1] = cell_gain(pi, l_u_ij);
+        }
+      }
+    }
+  }
+}
+
 /// Adds row j of one table to acc over [0, n) minus the diagonal entry
 /// `skip` — a member never interferes with itself, and skipping by
 /// splitting the walk keeps the slot untouched instead of relying on
@@ -183,28 +263,9 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
   const bool build_at_u = variant_ == Variant::bidirectional || with_sender_gains;
   width_ = build_at_u ? 2 : 1;
   if (backend_ == GainBackend::dense) {
-    // Fused native build: one metric/pow pass fills the interleaved buffer
-    // row by row with no per-element filler dispatch. The filler's formula,
-    // so the same values, bit for bit; the diagonal stays 0.
-    const std::shared_ptr<double[]> table = std::make_shared<double[]>(n_ * n_ * width_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      const Request& rj = requests[j];
-      double* row = table.get() + j * n_ * width_;
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (i == j) continue;
-        const Request& ri = requests[i];
-        const double lv = variant_ == Variant::directed
-                              ? path_loss(metric.distance(rj.u, ri.v), alpha_)
-                              : min_endpoint_loss(metric, rj, ri.v, alpha_);
-        row[i * width_] = lv == 0.0 ? kInf : powers[j] / lv;
-        if (build_at_u) {
-          const double lu = variant_ == Variant::directed
-                                ? path_loss(metric.distance(rj.u, ri.u), alpha_)
-                                : min_endpoint_loss(metric, rj, ri.u, alpha_);
-          row[i * width_ + 1] = lu == 0.0 ? kInf : powers[j] / lu;
-        }
-      }
-    }
+    const std::shared_ptr<double[]> table =
+        std::make_shared_for_overwrite<double[]>(n_ * n_ * width_);
+    fill_dense_pairs(table.get(), metric, requests, powers, alpha_, variant_, width_);
     dense_table_ = table;
     dense_ = table.get();
   } else {
@@ -894,15 +955,18 @@ LinkLossMatrix::LinkLossMatrix(const MetricSpace& metric,
                                Variant variant)
     : n_(requests.size()) {
   loss_uv_.assign(n_ * n_, 0.0);
-  if (variant == Variant::bidirectional) loss_vu_.assign(n_ * n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j) {
     const Request& rj = requests[j];
     for (std::size_t i = 0; i < n_; ++i) {
-      const Request& ri = requests[i];
-      loss_uv_[j * n_ + i] = path_loss(metric.distance(rj.u, ri.v), alpha);
-      if (variant == Variant::bidirectional) {
-        loss_vu_[j * n_ + i] = path_loss(metric.distance(rj.v, ri.u), alpha);
-      }
+      loss_uv_[j * n_ + i] = path_loss(metric.distance(rj.u, requests[i].v), alpha);
+    }
+  }
+  if (variant == Variant::bidirectional) {
+    // l(v_j, u_i) = l(u_i, v_j): the metric is symmetric bit for bit, so
+    // the sender-phase table is the transpose of loss_uv.
+    loss_vu_.assign(n_ * n_, 0.0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      for (std::size_t i = 0; i < n_; ++i) loss_vu_[j * n_ + i] = loss_uv_[i * n_ + j];
     }
   }
 }

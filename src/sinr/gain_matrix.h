@@ -176,7 +176,14 @@ struct MemberRecord {
 /// fills eagerly: cell (j, i) holds at_v(j, i) and, when the sender side
 /// is built, at_u(j, i) right after it (a width of 2 doubles, else 1), so
 /// a bidirectional check reads both gains of a pair from one cache line
-/// and a table row is width * n contiguous doubles. The other two
+/// and a table row is width * n contiguous doubles. The build walks each
+/// unordered pair {i, j} once, in square tiles of 64 links, and writes
+/// cells (j, i) and (i, j) from one read of the pair's endpoint distances
+/// (four in the bidirectional variant) with one std::pow per distinct
+/// loss; the buffer is not zero-filled, since every cell, the diagonal
+/// included, is written once. That rests on the metric's symmetry being
+/// exact (metric_space.h): d(a, b) and d(b, a) are the same double, so
+/// each cell is still the filler's value bit for bit. The other two
 /// backends live behind a GainStorage policy (gain_storage.h):
 /// `appendable` grows — append_request gives a fresh link its row and
 /// column in O(n), the foundation of the online scheduler's growing
@@ -637,7 +644,9 @@ class IncrementalGainClass {
 /// of pair i. Phase 0 sends u -> v (loss_uv), phase 1 sends v -> u
 /// (loss_vu, bidirectional only). Losses — not gains — are stored so the
 /// simulator's power / loss arithmetic stays bit-identical while skipping
-/// the per-slot distance and pow work.
+/// the per-slot distance and pow work. loss_vu is the transpose of
+/// loss_uv (l(v_j, u_i) = l(u_i, v_j) under the metric's exact symmetry),
+/// so only loss_uv calls the metric and std::pow.
 class LinkLossMatrix {
  public:
   LinkLossMatrix(const MetricSpace& metric, std::span<const Request> requests,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -18,6 +19,11 @@
 #include "core/schedule.h"
 #include "core/sqrt_coloring.h"
 #include "gen/adversarial.h"
+#include "metric/checks.h"
+#include "metric/euclidean.h"
+#include "metric/matrix_metric.h"
+#include "metric/star_metric.h"
+#include "metric/tree_metric.h"
 #include "online/online_scheduler.h"
 #include "sinr/feasibility.h"
 #include "sinr/gain_matrix.h"
@@ -607,6 +613,126 @@ TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
         EXPECT_EQ(direct.feasible, tabled.feasible);
         EXPECT_EQ(direct.worst_margin, tabled.worst_margin);
         EXPECT_EQ(direct.worst_request, tabled.worst_request);
+      }
+    }
+  }
+}
+
+/// Four metric kinds over the same 40 nodes and 129 links that share
+/// endpoints (+inf cells); the integer-valued metrics make equal distances
+/// common.
+struct SharedNodeFixture {
+  std::vector<std::shared_ptr<const MetricSpace>> metrics;
+  std::vector<Request> links;
+  std::vector<double> powers;
+};
+
+SharedNodeFixture shared_node_fixture() {
+  constexpr std::size_t kNodes = 40;
+  SharedNodeFixture fixture;
+  Rng rng(2406);
+  std::vector<Point> points;
+  for (std::size_t v = 0; v < kNodes; ++v) {
+    points.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0), 0.0});
+  }
+  const auto euclidean = std::make_shared<EuclideanMetric>(points);
+  // Rounding Euclidean distances up keeps the triangle inequality.
+  std::vector<double> rounded(kNodes * kNodes);
+  for (std::size_t a = 0; a < kNodes; ++a) {
+    for (std::size_t b = 0; b < kNodes; ++b) {
+      rounded[a * kNodes + b] = std::ceil(euclidean->distance(a, b) / 10.0);
+    }
+  }
+  std::vector<TreeEdge> edges;
+  for (NodeId v = 1; v < kNodes; ++v) {
+    edges.push_back({rng.uniform_index(v), v, 1.0 + static_cast<double>(rng.uniform_index(3))});
+  }
+  std::vector<double> radii;
+  for (std::size_t v = 0; v < kNodes; ++v) {
+    radii.push_back(1.0 + static_cast<double>(rng.uniform_index(3)));
+  }
+  fixture.metrics.push_back(euclidean);
+  fixture.metrics.push_back(std::make_shared<MatrixMetric>(kNodes, rounded));
+  fixture.metrics.push_back(std::make_shared<TreeMetric>(kNodes, edges));
+  fixture.metrics.push_back(std::make_shared<StarMetric>(radii));
+  while (fixture.links.size() < 129) {
+    const NodeId u = rng.uniform_index(kNodes);
+    const NodeId v = rng.uniform_index(kNodes);
+    if (u == v) continue;
+    fixture.links.push_back({u, v});
+    // A reversed copy of every eighth link: the pair's cross distances
+    // d(u_i, v_j) and d(v_i, u_j) are both 0.
+    if (fixture.links.size() % 8 == 0) fixture.links.push_back({v, u});
+  }
+  fixture.links.resize(129);
+  for (std::size_t i = 0; i < fixture.links.size(); ++i) {
+    fixture.powers.push_back(rng.uniform(0.5, 2.0));
+  }
+  return fixture;
+}
+
+TEST(DenseLayout, PairBuildMatchesTheFillerAcrossMetricsAndTiles) {
+  // The dense build walks each pair {i, j} once in 64-link tiles and
+  // writes both cells from one read of the endpoint distances, with one
+  // std::pow per distinct min. Every cell must still be the filler's
+  // double on every metric kind, at sizes on both sides of a tile edge.
+  const auto [metrics, links, powers] = shared_node_fixture();
+  struct Layout {
+    Variant variant;
+    bool with_sender_gains;
+  };
+  const Layout layouts[] = {{Variant::directed, false},
+                            {Variant::directed, true},
+                            {Variant::bidirectional, false}};
+  constexpr double kAlpha = 2.5;
+  for (const auto& metric : metrics) {
+    const MetricCheckReport axioms = verify_metric_axioms(*metric);
+    ASSERT_TRUE(axioms.ok) << metric->name() << ": " << axioms.violation;
+    for (const std::size_t n : {1, 2, 63, 64, 65, 129}) {
+      const Instance instance(metric, {links.begin(), links.begin() + n});
+      const std::span<const double> p(powers.data(), n);
+      for (const Layout& layout : layouts) {
+        const GainMatrix dense(instance, p, kAlpha, layout.variant, layout.with_sender_gains,
+                               GainBackend::dense);
+        const bool sender_built =
+            layout.with_sender_gains || layout.variant == Variant::bidirectional;
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double v = filler_entry(instance, p, kAlpha, layout.variant, j, i, false);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
+                      std::bit_cast<std::uint64_t>(v))
+                << metric->name() << " n " << n << " at_v(" << j << "," << i << ")";
+            double u = 0.0;
+            if (sender_built) u = filler_entry(instance, p, kAlpha, layout.variant, j, i, true);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
+                      std::bit_cast<std::uint64_t>(u))
+                << metric->name() << " n " << n << " at_u(" << j << "," << i << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LinkLossMatrix, BothPhasesMatchThePerSlotLossBitForBit) {
+  // loss_vu is filled as the transpose of loss_uv; each entry must still
+  // be the loss the simulator would compute per slot.
+  const SharedNodeFixture fixture = shared_node_fixture();
+  const std::vector<Request>& links = fixture.links;
+  constexpr double kAlpha = 2.5;
+  for (const auto& metric : fixture.metrics) {
+    const std::size_t n = links.size();
+    const LinkLossMatrix losses(*metric, links, kAlpha, Variant::bidirectional);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double uv = path_loss(metric->distance(links[j].u, links[i].v), kAlpha);
+        const double vu = path_loss(metric->distance(links[j].v, links[i].u), kAlpha);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(losses.loss_uv(j, i)),
+                  std::bit_cast<std::uint64_t>(uv))
+            << metric->name() << " loss_uv(" << j << "," << i << ")";
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(losses.loss_vu(j, i)),
+                  std::bit_cast<std::uint64_t>(vu))
+            << metric->name() << " loss_vu(" << j << "," << i << ")";
       }
     }
   }
