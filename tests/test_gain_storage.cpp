@@ -12,6 +12,8 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -543,81 +545,6 @@ double filler_entry(const Instance& instance, std::span<const double> powers, do
   return loss == 0.0 ? std::numeric_limits<double>::infinity() : powers[j] / loss;
 }
 
-TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
-  // Width 1 (directed), width 2 (directed with sender gains) and the
-  // bidirectional variant: every read of the interleaved buffer is the
-  // filler's double, row walks sum it in column order, verdicts equal the
-  // direct engine's, and the residency is n^2 per built side.
-  struct Layout {
-    Variant variant;
-    bool with_sender_gains;
-    std::size_t width;
-  };
-  const Layout layouts[] = {{Variant::directed, false, 1},
-                            {Variant::directed, true, 2},
-                            {Variant::bidirectional, false, 2}};
-  constexpr double kAlpha = 3.0;
-  SinrParams params;
-  params.alpha = kAlpha;
-  for (const Instance& instance : fixture_instances()) {
-    const auto powers = SqrtPower{}.assign(instance, kAlpha);
-    const std::size_t n = instance.size();
-    for (const Layout& layout : layouts) {
-      const GainMatrix dense(instance, powers, kAlpha, layout.variant,
-                             layout.with_sender_gains, GainBackend::dense);
-      EXPECT_EQ(dense.resident_doubles(), n + n * n * layout.width);
-      const bool sender_built = layout.width == 2;
-      for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const double v = filler_entry(instance, powers, kAlpha, layout.variant, j, i, false);
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
-                    std::bit_cast<std::uint64_t>(v))
-              << "at_v(" << j << "," << i << ") width " << layout.width;
-          const double u = sender_built ? filler_entry(instance, powers, kAlpha,
-                                                       layout.variant, j, i, true)
-                                        : 0.0;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
-                    std::bit_cast<std::uint64_t>(u))
-              << "at_u(" << j << "," << i << ") width " << layout.width;
-        }
-      }
-      // Row walks at stride width(), one add per slot in column order.
-      for (const bool sender_side : {false, true}) {
-        if (sender_side && !sender_built) continue;
-        std::vector<double> got(n, 0.5);
-        std::vector<double> want(n, 0.5);
-        for (std::size_t j = 0; j < n; ++j) {
-          dense.add_row_to(j, sender_side, j / 3, n - j / 4, got.data());
-          for (std::size_t i = j / 3; i < n - j / 4; ++i) {
-            want[i] += filler_entry(instance, powers, kAlpha, layout.variant, j, i,
-                                    sender_side);
-          }
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                    std::bit_cast<std::uint64_t>(want[i]))
-              << "slot " << i << " sender " << sender_side << " width " << layout.width;
-        }
-      }
-      // check_feasible over the buffer equals the direct engine's report.
-      Rng rng(4242);
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<std::size_t> subset;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rng.uniform_index(3) == 0) subset.push_back(i);
-        }
-        const FeasibilityReport direct =
-            check_feasible(instance.metric(), instance.requests(), powers, subset, params,
-                           layout.variant);
-        const FeasibilityReport tabled = check_feasible(dense, subset, params);
-        EXPECT_EQ(direct.feasible, tabled.feasible);
-        EXPECT_EQ(direct.worst_margin, tabled.worst_margin);
-        EXPECT_EQ(direct.worst_request, tabled.worst_request);
-      }
-    }
-  }
-}
-
 /// Four metric kinds over the same 40 nodes and 129 links that share
 /// endpoints (+inf cells); the integer-valued metrics make equal distances
 /// common.
@@ -671,44 +598,112 @@ SharedNodeFixture shared_node_fixture() {
   return fixture;
 }
 
-TEST(DenseLayout, PairBuildMatchesTheFillerAcrossMetricsAndTiles) {
-  // The dense build walks each pair {i, j} once in 64-link tiles and
-  // writes both cells from one read of the endpoint distances, with one
-  // std::pow per distinct min. Every cell must still be the filler's
-  // double on every metric kind, at sizes on both sides of a tile edge.
+/// An instance with the powers its dense table is built from.
+struct PoweredInstance {
+  Instance instance;
+  std::vector<double> powers;
+};
+
+/// The fixture instances under square-root powers, plus prefixes of the
+/// shared-node links on every metric kind at 1, 2, 63, 64, 65 and 129
+/// links, on both sides of the dense build's 64-link tile edge. The pair
+/// build rests on exact metric symmetry, so each metric must pass
+/// `verify_metric_axioms` here too.
+std::vector<PoweredInstance> dense_layout_cases(double alpha) {
+  std::vector<PoweredInstance> cases;
+  for (Instance& instance : fixture_instances()) {
+    std::vector<double> powers = SqrtPower{}.assign(instance, alpha);
+    cases.push_back({std::move(instance), std::move(powers)});
+  }
   const auto [metrics, links, powers] = shared_node_fixture();
+  for (const auto& metric : metrics) {
+    const MetricCheckReport axioms = verify_metric_axioms(*metric);
+    EXPECT_TRUE(axioms.ok) << metric->name() << ": " << axioms.violation;
+    for (const std::size_t n : {1, 2, 63, 64, 65, 129}) {
+      cases.push_back({Instance(metric, {links.begin(), links.begin() + n}),
+                       {powers.begin(), powers.begin() + n}});
+    }
+  }
+  return cases;
+}
+
+TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
+  // Width 1 (directed), width 2 (directed with sender gains) and the
+  // bidirectional variant: every read of the interleaved buffer is the
+  // filler's double, row walks sum it in column order, verdicts equal the
+  // direct engine's, and the residency is n^2 per built side. The build
+  // walks each pair {i, j} once in 64-link tiles and writes both cells from
+  // one read of the endpoint distances, with one std::pow per distinct min;
+  // the shared-node cases (+inf cells, equal mins, every metric kind, sizes
+  // around a tile edge) exercise each of those paths.
   struct Layout {
     Variant variant;
     bool with_sender_gains;
+    std::size_t width;
   };
-  const Layout layouts[] = {{Variant::directed, false},
-                            {Variant::directed, true},
-                            {Variant::bidirectional, false}};
-  constexpr double kAlpha = 2.5;
-  for (const auto& metric : metrics) {
-    const MetricCheckReport axioms = verify_metric_axioms(*metric);
-    ASSERT_TRUE(axioms.ok) << metric->name() << ": " << axioms.violation;
-    for (const std::size_t n : {1, 2, 63, 64, 65, 129}) {
-      const Instance instance(metric, {links.begin(), links.begin() + n});
-      const std::span<const double> p(powers.data(), n);
-      for (const Layout& layout : layouts) {
-        const GainMatrix dense(instance, p, kAlpha, layout.variant, layout.with_sender_gains,
-                               GainBackend::dense);
-        const bool sender_built =
-            layout.with_sender_gains || layout.variant == Variant::bidirectional;
+  const Layout layouts[] = {{Variant::directed, false, 1},
+                            {Variant::directed, true, 2},
+                            {Variant::bidirectional, false, 2}};
+  constexpr double kAlpha = 3.0;
+  SinrParams params;
+  params.alpha = kAlpha;
+  const std::vector<PoweredInstance> cases = dense_layout_cases(kAlpha);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Instance& instance = cases[c].instance;
+    const std::span<const double> powers = cases[c].powers;
+    const std::size_t n = instance.size();
+    for (const Layout& layout : layouts) {
+      const GainMatrix dense(instance, powers, kAlpha, layout.variant,
+                             layout.with_sender_gains, GainBackend::dense);
+      EXPECT_EQ(dense.resident_doubles(), n + n * n * layout.width);
+      const bool sender_built = layout.width == 2;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double v = filler_entry(instance, powers, kAlpha, layout.variant, j, i, false);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
+                    std::bit_cast<std::uint64_t>(v))
+              << "at_v(" << j << "," << i << ") width " << layout.width;
+          const double u = sender_built ? filler_entry(instance, powers, kAlpha,
+                                                       layout.variant, j, i, true)
+                                        : 0.0;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
+                    std::bit_cast<std::uint64_t>(u))
+              << "at_u(" << j << "," << i << ") width " << layout.width;
+        }
+      }
+      // Row walks at stride width(), one add per slot in column order.
+      for (const bool sender_side : {false, true}) {
+        if (sender_side && !sender_built) continue;
+        std::vector<double> got(n, 0.5);
+        std::vector<double> want(n, 0.5);
         for (std::size_t j = 0; j < n; ++j) {
-          for (std::size_t i = 0; i < n; ++i) {
-            const double v = filler_entry(instance, p, kAlpha, layout.variant, j, i, false);
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
-                      std::bit_cast<std::uint64_t>(v))
-                << metric->name() << " n " << n << " at_v(" << j << "," << i << ")";
-            double u = 0.0;
-            if (sender_built) u = filler_entry(instance, p, kAlpha, layout.variant, j, i, true);
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
-                      std::bit_cast<std::uint64_t>(u))
-                << metric->name() << " n " << n << " at_u(" << j << "," << i << ")";
+          dense.add_row_to(j, sender_side, j / 3, n - j / 4, got.data());
+          for (std::size_t i = j / 3; i < n - j / 4; ++i) {
+            want[i] += filler_entry(instance, powers, kAlpha, layout.variant, j, i,
+                                    sender_side);
           }
         }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "slot " << i << " sender " << sender_side << " width " << layout.width;
+        }
+      }
+      // check_feasible over the buffer equals the direct engine's report.
+      Rng rng(4242);
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<std::size_t> subset;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (rng.uniform_index(3) == 0) subset.push_back(i);
+        }
+        const FeasibilityReport direct =
+            check_feasible(instance.metric(), instance.requests(), powers, subset, params,
+                           layout.variant);
+        const FeasibilityReport tabled = check_feasible(dense, subset, params);
+        EXPECT_EQ(direct.feasible, tabled.feasible);
+        EXPECT_EQ(direct.worst_margin, tabled.worst_margin);
+        EXPECT_EQ(direct.worst_request, tabled.worst_request);
       }
     }
   }
