@@ -26,7 +26,10 @@
 //   * IncrementalGainClass::can_add on a class of k members: the member
 //     scan and the own-slot sum together, directed on both backends and
 //     bidirectional on both (dense reads both gains of a pair from one
-//     interleaved cell; computed is the benchmark's scale workload);
+//     interleaved cell; computed is the benchmark's scale workload), over
+//     a 4096-link universe and a 4000-link one: the own-slot sum reads a
+//     table column, and the second size tells a power-of-two table width
+//     apart from the table's size;
 //   * the service's ingest spine: an MpscQueue push per event and one
 //     drain per batch, and the LatencyHistogram::observe every event pays.
 //
@@ -83,12 +86,14 @@ void BM_ExactSumOfGains(benchmark::State& state, bool batched) {
 BENCHMARK_CAPTURE(BM_ExactSumOfGains, add_loop, false)->Arg(16)->Arg(256)->Arg(1024);
 BENCHMARK_CAPTURE(BM_ExactSumOfGains, sum_of, true)->Arg(16)->Arg(256)->Arg(1024);
 
-/// A 4096-link random-square universe with square-root powers and k
-/// distinct random members; the rest of the universe are candidates.
+/// A random-square universe (4096 links unless told otherwise) with
+/// square-root powers and k distinct random members; the rest of the
+/// universe are candidates.
 struct ClassFixture {
   explicit ClassFixture(std::size_t k, GainBackend backend,
-                        Variant variant = Variant::directed)
-      : instance(make_instance()),
+                        Variant variant = Variant::directed,
+                        std::size_t universe = kUniverse)
+      : instance(make_instance(universe)),
         powers(SqrtPower{}.assign(instance, params.alpha)),
         gains(instance, powers, params.alpha, variant,
               /*with_sender_gains=*/false, backend) {
@@ -102,9 +107,9 @@ struct ClassFixture {
     candidates.assign(order.begin() + static_cast<std::ptrdiff_t>(k), order.end());
   }
 
-  static Instance make_instance() {
+  static Instance make_instance(std::size_t universe) {
     Rng rng(kSeed);
-    return random_square(kUniverse, {}, rng);
+    return random_square(universe, {}, rng);
   }
 
   SinrParams params;
@@ -211,9 +216,12 @@ BENCHMARK_CAPTURE(BM_OwnSlotStreamedSum, computed, GainBackend::computed)
     ->Arg(256)
     ->Arg(1024);
 
+/// can_add on a class of k = range(0) members over a universe of
+/// range(1) links.
 void BM_CanAdd(benchmark::State& state, GainBackend backend, Variant variant) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const ClassFixture fixture(k, backend, variant);
+  const auto universe = static_cast<std::size_t>(state.range(1));
+  const ClassFixture fixture(k, backend, variant, universe);
   // A vanishing SINR threshold, so every member joins and every candidate
   // runs the full member scan plus the own-slot sum.
   SinrParams params = fixture.params;
@@ -227,26 +235,14 @@ void BM_CanAdd(benchmark::State& state, GainBackend backend, Variant variant) {
   }
 }
 BENCHMARK_CAPTURE(BM_CanAdd, dense, GainBackend::dense, Variant::directed)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024);
+    ->ArgsProduct({{16, 64, 256, 1024}, {kUniverse, 4000}});
 BENCHMARK_CAPTURE(BM_CanAdd, dense_bidirectional, GainBackend::dense, Variant::bidirectional)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024);
+    ->ArgsProduct({{16, 64, 256, 1024}, {kUniverse, 4000}});
 BENCHMARK_CAPTURE(BM_CanAdd, computed, GainBackend::computed, Variant::directed)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024);
+    ->ArgsProduct({{16, 64, 256, 1024}, {kUniverse, 4000}});
 BENCHMARK_CAPTURE(BM_CanAdd, computed_bidirectional, GainBackend::computed,
                   Variant::bidirectional)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024);
+    ->ArgsProduct({{16, 64, 256, 1024}, {kUniverse, 4000}});
 
 /// One iteration: add a link to a class of k members (its own slot plus
 /// k member-slot updates), re-validate the k + 1 members with certified

@@ -824,20 +824,38 @@ void save_trace(const std::string& path, const ChurnTrace& trace) {
   require(out.good(), "save_trace: write to '" + path + "' failed");
 }
 
-ChurnTrace load_trace(const std::string& path) {
+namespace {
+
+std::string read_trace_file(const std::string& path) {
   std::ifstream in(path);
   require(in.good(), "load_trace: cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return trace_from_json(parse_json(buffer.str()));
+  return std::move(buffer).str();
 }
 
-Expected<ChurnTrace> try_load_trace(const std::string& path) {
+}  // namespace
+
+ChurnTrace load_trace(const std::string& path) {
+  return trace_from_json(parse_json(read_trace_file(path)));
+}
+
+Expected<ChurnTrace> try_parse_trace(std::string_view bytes) {
   try {
-    return load_trace(path);
+    return trace_from_json(parse_json(bytes));
   } catch (const std::exception& e) {
     return fail(e.what());
   }
+}
+
+Expected<ChurnTrace> try_load_trace(const std::string& path) {
+  std::string bytes;
+  try {
+    bytes = read_trace_file(path);
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
+  return try_parse_trace(bytes);
 }
 
 }  // namespace oisched

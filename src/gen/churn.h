@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sinr/model.h"
@@ -250,9 +251,13 @@ struct FlashMobOptions {
 void save_trace(const std::string& path, const ChurnTrace& trace);
 [[nodiscard]] ChurnTrace load_trace(const std::string& path);
 
-/// Non-throwing load for the boundary layers (CLI, service): a missing
-/// file, malformed JSON or invalid stream comes back as a structured
-/// message instead of an exception.
+/// Non-throwing parse of a trace document's bytes: malformed JSON or an
+/// invalid stream comes back as a structured message instead of an
+/// exception.
+[[nodiscard]] Expected<ChurnTrace> try_parse_trace(std::string_view bytes);
+
+/// Non-throwing load for the boundary layers (CLI, service): reads the
+/// file, then try_parse_trace; a missing file comes back as a message too.
 [[nodiscard]] Expected<ChurnTrace> try_load_trace(const std::string& path);
 
 }  // namespace oisched

@@ -128,20 +128,35 @@ decltype(auto) read_gains(const GainMatrix& gains, const std::vector<std::size_t
 /// are written.
 constexpr std::size_t kPairTile = 64;
 
-/// Fills the dense interleaved buffer (n * n cells of `width` doubles,
-/// at_v then at_u) with the filler's values, bit for bit, writing every
-/// cell exactly once. It walks each unordered pair {i, j} once, in square
-/// tiles of kPairTile links, and writes cells (j, i) and (i, j) from one
-/// read of the endpoint distances. That rests on the metric being
-/// symmetric bit for bit (MetricSpace requires it): d(a, b) read as
-/// d(b, a) is the same double, so each cell's loss is the filler's. Each
-/// min keeps the filler's operand order (the interferer's sender first).
+/// Doubles per 64-byte cache line.
+constexpr std::size_t kLineDoubles = 8;
+
+/// The dense row pitch for rows of `row` doubles: `row` rounded up to an
+/// odd number of 64-byte lines. An odd line count shares no factor with
+/// the L1's power-of-two set count, so a column read down the rows (one
+/// load per row, as an own-slot sum reads it) steps through the sets
+/// instead of landing in one, which it does whenever the row is a
+/// multiple of 4 KiB (64 KiB at n = 4096 bidirectional, 16 KiB at
+/// n = 1024). The padding, under two lines per row, is never read.
+std::size_t dense_pitch(std::size_t row) {
+  return ((row + kLineDoubles - 1) / kLineDoubles | 1) * kLineDoubles;
+}
+
+/// Fills the dense interleaved buffer (n rows of n cells of `width`
+/// doubles, at_v then at_u, rows `pitch` doubles apart) with the filler's
+/// values, bit for bit, writing every cell exactly once. It walks each
+/// unordered pair {i, j} once, in square tiles of kPairTile links, and
+/// writes cells (j, i) and (i, j) from one read of the endpoint
+/// distances. That rests on the metric being symmetric bit for bit
+/// (MetricSpace requires it): d(a, b) read as d(b, a) is the same double,
+/// so each cell's loss is the filler's. Each min keeps the filler's
+/// operand order (the interferer's sender first).
 void fill_dense_pairs(double* table, const MetricSpace& metric,
                       std::span<const Request> requests, std::span<const double> powers,
-                      double alpha, Variant variant, std::size_t width) {
+                      double alpha, Variant variant, std::size_t width, std::size_t pitch) {
   const std::size_t n = requests.size();
   const bool sender_side = width == 2;
-  for (std::size_t i = 0; i < n; ++i) std::fill_n(table + (i * n + i) * width, width, 0.0);
+  for (std::size_t i = 0; i < n; ++i) std::fill_n(table + i * pitch + i * width, width, 0.0);
   for (std::size_t j0 = 0; j0 < n; j0 += kPairTile) {
     const std::size_t j1 = std::min(n, j0 + kPairTile);
     for (std::size_t i0 = 0; i0 <= j0; i0 += kPairTile) {
@@ -152,8 +167,8 @@ void fill_dense_pairs(double* table, const MetricSpace& metric,
         for (std::size_t i = i0; i < i1; ++i) {
           const Request& ri = requests[i];
           const double pi = powers[i];
-          double* const ji = table + (j * n + i) * width;  // cell (j, i)
-          double* const ij = table + (i * n + j) * width;  // cell (i, j)
+          double* const ji = table + j * pitch + i * width;  // cell (j, i)
+          double* const ij = table + i * pitch + j * width;  // cell (i, j)
           if (variant == Variant::directed) {
             // at_v(j, i) reads d(u_j, v_i), at_v(i, j) reads d(u_i, v_j), and
             // both sender-side cells read d(u_i, u_j).
@@ -263,9 +278,10 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
   const bool build_at_u = variant_ == Variant::bidirectional || with_sender_gains;
   width_ = build_at_u ? 2 : 1;
   if (backend_ == GainBackend::dense) {
+    pitch_ = dense_pitch(n_ * width_);
     const std::shared_ptr<double[]> table =
-        std::make_shared_for_overwrite<double[]>(n_ * n_ * width_);
-    fill_dense_pairs(table.get(), metric, requests, powers, alpha_, variant_, width_);
+        std::make_shared_for_overwrite<double[]>(n_ * pitch_);
+    fill_dense_pairs(table.get(), metric, requests, powers, alpha_, variant_, width_, pitch_);
     dense_table_ = table;
     dense_ = table.get();
   } else {
@@ -350,7 +366,7 @@ void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, 
                             double* acc) const {
   if (dense_ != nullptr) {
     const std::size_t width = width_;
-    const double* row = dense_ + j * n_ * width + (sender_side ? 1 : 0);
+    const double* row = dense_row(j).data() + (sender_side ? 1 : 0);
     for (std::size_t i = begin; i < end; ++i) acc[i] += row[i * width];
     return;
   }
@@ -364,17 +380,18 @@ void GainMatrix::add_row_to(std::size_t j, bool sender_side, std::size_t begin, 
 }
 
 void GainMatrix::prefetch_row(std::size_t j) const noexcept {
-  if (dense_ == nullptr) return;
+  const std::span<const double> row = dense_row(j);
+  if (row.empty()) return;
   constexpr std::uintptr_t kLine = 64;
-  const auto first = reinterpret_cast<std::uintptr_t>(dense_ + j * n_ * width_);
-  const auto last = reinterpret_cast<std::uintptr_t>(dense_ + (j + 1) * n_ * width_);
+  const auto first = reinterpret_cast<std::uintptr_t>(row.data());
+  const auto last = reinterpret_cast<std::uintptr_t>(row.data() + row.size());
   for (std::uintptr_t line = first & ~(kLine - 1); line < last; line += kLine) {
     __builtin_prefetch(reinterpret_cast<const void*>(line));
   }
 }
 
 std::size_t GainMatrix::resident_doubles() const noexcept {
-  if (backend_ == GainBackend::dense) return signal_.size() + n_ * n_ * width_;
+  if (backend_ == GainBackend::dense) return signal_.size() + n_ * pitch_;
   std::size_t total = signal_.size() + at_v_->resident_doubles();
   if (at_u_ != nullptr) total += at_u_->resident_doubles();
   return total;

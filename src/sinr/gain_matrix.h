@@ -176,7 +176,13 @@ struct MemberRecord {
 /// fills eagerly: cell (j, i) holds at_v(j, i) and, when the sender side
 /// is built, at_u(j, i) right after it (a width of 2 doubles, else 1), so
 /// a bidirectional check reads both gains of a pair from one cache line
-/// and a table row is width * n contiguous doubles. The build walks each
+/// and a table row is width * n contiguous doubles. Rows start a pitch
+/// apart that rounds the row up to an odd number of 64-byte lines (width
+/// * n + 8 doubles when the row is a multiple of 4 KiB), so no row stride
+/// is a multiple of 4 KiB, the span an L1 indexes its sets by. Unpadded,
+/// a column read down the rows (a candidate's own-slot sum over a class's
+/// members) would map every load to one L1 set at n = 1024 or 4096
+/// bidirectional. The padding is never read. The build walks each
 /// unordered pair {i, j} once, in square tiles of 64 links, and writes
 /// cells (j, i) and (i, j) from one read of the pair's endpoint distances
 /// (four in the bidirectional variant) with one std::pow per distinct
@@ -225,14 +231,22 @@ class GainMatrix {
   [[nodiscard]] double signal(std::size_t i) const { return signal_[i]; }
   /// Contribution of request j at request i's receiver v_i (j != i).
   [[nodiscard]] double at_v(std::size_t j, std::size_t i) const {
-    if (dense_ != nullptr) return dense_[(j * n_ + i) * width_];
+    if (dense_ != nullptr) return dense_[j * pitch_ + i * width_];
     return entry(j, i, /*sender_side=*/false);
   }
   /// Contribution of request j at request i's sender u_i (j != i); 0 when
   /// the sender-side table was not built (directed default).
   [[nodiscard]] double at_u(std::size_t j, std::size_t i) const {
-    if (dense_ != nullptr) return width_ == 2 ? dense_[(j * n_ + i) * 2 + 1] : 0.0;
+    if (dense_ != nullptr) return width_ == 2 ? dense_[j * pitch_ + i * 2 + 1] : 0.0;
     return at_u_ == nullptr ? 0.0 : entry(j, i, /*sender_side=*/true);
+  }
+  /// Dense row j: its n cells of width doubles, at_v(j, i) at [i * width]
+  /// and at_u(j, i) right after it when the sender side is built (width =
+  /// size / n). Empty when the matrix has no dense table. The row padding
+  /// is not part of the span.
+  [[nodiscard]] std::span<const double> dense_row(std::size_t j) const noexcept {
+    if (dense_ == nullptr) return {};
+    return {dense_ + j * pitch_, n_ * width_};
   }
   /// Prefetches dense row j (at_v(j, ·) and at_u(j, ·)), one prefetch per
   /// cache line, ahead of a scan that reads it at scattered columns; a
@@ -279,7 +293,9 @@ class GainMatrix {
   /// matrices Instance's cache shares are const. Not thread-safe.
   void update_request(std::size_t link, const Request& request, double power);
 
-  /// Doubles currently resident: the signals plus n^2 per built side.
+  /// Doubles currently resident: the signals plus the tables. Dense holds
+  /// n rows of its pitch (the row padding included); the other backends
+  /// report their storage's count.
   [[nodiscard]] std::size_t resident_doubles() const noexcept;
 
  private:
@@ -302,12 +318,14 @@ class GainMatrix {
   /// The appendable and computed tables (null on dense).
   std::shared_ptr<GainStorage> at_v_;
   std::shared_ptr<GainStorage> at_u_;
-  /// The dense buffer, n * n cells of width_ doubles, shared by copies of
-  /// the matrix; dense_ is its raw fast-path pointer (nullptr otherwise).
-  /// width_ is 2 when the sender side is built, else 1.
+  /// The dense buffer, n rows of n cells of width_ doubles, rows pitch_
+  /// doubles apart, shared by copies of the matrix; dense_ is its raw
+  /// fast-path pointer (nullptr otherwise). width_ is 2 when the sender
+  /// side is built, else 1.
   std::shared_ptr<const double[]> dense_table_;
   const double* dense_ = nullptr;
   std::size_t width_ = 1;
+  std::size_t pitch_ = 0;
   /// The inline kernel of a computed Euclidean matrix (points == nullptr
   /// otherwise). Its store pointers stay valid: a computed matrix never
   /// grows, and update_request rewrites the stores in place.

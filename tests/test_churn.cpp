@@ -374,11 +374,13 @@ TEST(ChurnTrace, FileRoundTrip) {
 }
 
 TEST(ChurnTrace, LoaderSurvivesByteMutations) {
-  // A seeded mutation fuzz of the strict loader: every mutant of a saved
-  // valid trace (bit flips, deletions, insertions, duplicated spans and
+  // A seeded mutation fuzz of the strict loader: every mutant of a valid
+  // trace document (bit flips, deletions, insertions, duplicated spans and
   // truncations, one to three per mutant) must either come back as a
-  // structured error or load as a trace whose stream validates. Under the
+  // structured error or parse as a trace whose stream validates. Under the
   // sanitizer builds this also gates crashes and leaks on malformed input.
+  // The mutants are parsed in memory; the first one also takes the file
+  // path, which must give the same answer.
   Rng seed_rng(5);
   const ChurnTrace growing =
       make_churn_trace("growing", 12, /*target_events=*/60, seed_rng, fresh_pool(6));
@@ -418,11 +420,20 @@ TEST(ChurnTrace, LoaderSurvivesByteMutations) {
           break;
       }
     }
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << bytes;
+    const Expected<ChurnTrace> result = try_parse_trace(bytes);
+    if (mutant == 0) {
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+      }
+      const Expected<ChurnTrace> from_file = try_load_trace(path);
+      ASSERT_EQ(from_file.ok(), result.ok());
+      if (result.ok()) {
+        EXPECT_EQ(from_file.value(), result.value());
+      } else {
+        EXPECT_EQ(from_file.error(), result.error());
+      }
     }
-    const Expected<ChurnTrace> result = try_load_trace(path);
     if (!result.ok()) {
       EXPECT_FALSE(result.error().empty());
       ++rejected;
@@ -432,6 +443,10 @@ TEST(ChurnTrace, LoaderSurvivesByteMutations) {
     EXPECT_NO_THROW(result.value().validate()) << "mutant " << mutant << ": " << bytes;
   }
   std::remove(path.c_str());
+  // A missing file is a structured error too.
+  const Expected<ChurnTrace> missing = try_load_trace(path);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.error().find("cannot open"), std::string::npos);
   // Both outcomes occur: the mutations neither all break the document nor
   // all miss it.
   EXPECT_GT(loaded, 0u);

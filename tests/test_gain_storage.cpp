@@ -21,6 +21,7 @@
 #include "core/schedule.h"
 #include "core/sqrt_coloring.h"
 #include "gen/adversarial.h"
+#include "gen/generators.h"
 #include "metric/checks.h"
 #include "metric/euclidean.h"
 #include "metric/matrix_metric.h"
@@ -259,6 +260,7 @@ TEST(ComputedBackend, AnswersMatchDenseBitForBit) {
       }
       // The whole point: no tables. Only the signals are resident.
       EXPECT_EQ(computed.resident_doubles(), computed.size());
+      EXPECT_TRUE(computed.dense_row(0).empty());
     }
   }
 }
@@ -604,11 +606,14 @@ struct PoweredInstance {
   std::vector<double> powers;
 };
 
-/// The fixture instances under square-root powers, plus prefixes of the
+/// The fixture instances under square-root powers, prefixes of the
 /// shared-node links on every metric kind at 1, 2, 63, 64, 65 and 129
-/// links, on both sides of the dense build's 64-link tile edge. The pair
-/// build rests on exact metric symmetry, so each metric must pass
-/// `verify_metric_axioms` here too.
+/// links, on both sides of the dense build's 64-link tile edge, and
+/// random-square universes of 256 and 512 links, whose unpadded rows
+/// (4 KiB at 256 links of width 2 and 512 of width 1) are multiples of
+/// 4 KiB, the stride the row padding breaks. The pair build rests on exact
+/// metric symmetry, so each metric must pass `verify_metric_axioms` here
+/// too.
 std::vector<PoweredInstance> dense_layout_cases(double alpha) {
   std::vector<PoweredInstance> cases;
   for (Instance& instance : fixture_instances()) {
@@ -624,6 +629,12 @@ std::vector<PoweredInstance> dense_layout_cases(double alpha) {
                        {powers.begin(), powers.begin() + n}});
     }
   }
+  Rng rng(4096);
+  for (const std::size_t n : {256, 512}) {
+    Instance instance = random_square(n, {}, rng);
+    std::vector<double> powers = SqrtPower{}.assign(instance, alpha);
+    cases.push_back({std::move(instance), std::move(powers)});
+  }
   return cases;
 }
 
@@ -631,11 +642,14 @@ TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
   // Width 1 (directed), width 2 (directed with sender gains) and the
   // bidirectional variant: every read of the interleaved buffer is the
   // filler's double, row walks sum it in column order, verdicts equal the
-  // direct engine's, and the residency is n^2 per built side. The build
-  // walks each pair {i, j} once in 64-link tiles and writes both cells from
-  // one read of the endpoint distances, with one std::pow per distinct min;
-  // the shared-node cases (+inf cells, equal mins, every metric kind, sizes
-  // around a tile edge) exercise each of those paths.
+  // direct engine's, dense_row(j) holds row j's cells, rows lie an odd
+  // number of 64-byte lines apart (so no row stride is a multiple of
+  // 4 KiB; width * n + 8 doubles for the 4 KiB rows at 256 and 512
+  // links), and the residency is those n padded rows plus the signals.
+  // The build walks each pair {i, j} once in 64-link tiles and writes both
+  // cells from one read of the endpoint distances, with one std::pow per
+  // distinct min; the shared-node cases (+inf cells, equal mins, every
+  // metric kind, sizes around a tile edge) exercise each of those paths.
   struct Layout {
     Variant variant;
     bool with_sender_gains;
@@ -656,9 +670,16 @@ TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
     for (const Layout& layout : layouts) {
       const GainMatrix dense(instance, powers, kAlpha, layout.variant,
                              layout.with_sender_gains, GainBackend::dense);
-      EXPECT_EQ(dense.resident_doubles(), n + n * n * layout.width);
+      const std::size_t pitch = ((n * layout.width + 7) / 8 | 1) * 8;
+      if (n >= 2) {
+        EXPECT_EQ(dense.dense_row(1).data() - dense.dense_row(0).data(),
+                  static_cast<std::ptrdiff_t>(pitch));
+      }
+      EXPECT_EQ(dense.resident_doubles(), n + n * pitch);
       const bool sender_built = layout.width == 2;
       for (std::size_t j = 0; j < n; ++j) {
+        const std::span<const double> row = dense.dense_row(j);
+        ASSERT_EQ(row.size(), n * layout.width);
         for (std::size_t i = 0; i < n; ++i) {
           const double v = filler_entry(instance, powers, kAlpha, layout.variant, j, i, false);
           ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_v(j, i)),
@@ -670,6 +691,14 @@ TEST(DenseLayout, InterleavedCellsMatchTheFillerBitForBit) {
           ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at_u(j, i)),
                     std::bit_cast<std::uint64_t>(u))
               << "at_u(" << j << "," << i << ") width " << layout.width;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(row[i * layout.width]),
+                    std::bit_cast<std::uint64_t>(v))
+              << "dense_row(" << j << ")[" << i << "] width " << layout.width;
+          if (sender_built) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(row[i * 2 + 1]),
+                      std::bit_cast<std::uint64_t>(u))
+                << "dense_row(" << j << ")[" << i << "] sender side";
+          }
         }
       }
       // Row walks at stride width(), one add per slot in column order.
